@@ -268,7 +268,8 @@ def calibrate_threshold(
     quantile of ``trials`` >= 1e5 seeded pure-noise statistics, drawn
     from the calibration domain of the seed's stream (disjoint from
     evaluation trials); works for every p.  ``channel`` defaults to AWGN
-    with unit noise variance.
+    with unit noise variance.  The sorted draw of the latest (spec, n,
+    trials, channel, seed) is kept, so a grid of targets costs one draw.
     """
     from .detector import DetectorSpec
 
@@ -302,14 +303,11 @@ def calibrate_threshold(
     if method is CalibrationMethod.EMPIRICAL_QUANTILE:
         if trials < 100_000:
             raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
-        # Engine import is local so this closed-form module stays
-        # import-light; the calibration domain keeps these draws
-        # disjoint from every evaluation trial of the same seed.
-        from .montecarlo import calibration_h0_statistics
-
-        stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed)
+        stats = _sorted_h0_statistics(spec, n, trials, channel, seed)
+        # The quantile depends only on order statistics, so the sorted
+        # draw gives the same bits as the raw one.
         lam = float(np.quantile(stats, 1.0 - target_pfa, method="linear"))
-        achieved = float(np.mean(stats >= lam))
+        achieved = (trials - int(np.searchsorted(stats, lam, side="left"))) / trials
         stderr = math.sqrt(achieved * (1.0 - achieved) / trials)
         return CalibrationResult(
             threshold=lam,
@@ -322,6 +320,31 @@ def calibrate_threshold(
         )
 
     raise ValueError(f"unknown calibration method {method!r}")
+
+
+# (key, sorted statistics) of the last empirical calibration draw.  One
+# entry: a P_FA grid calibrates every target against the same draw, and
+# key and array are replaced together so a reader never pairs them wrongly.
+_h0_memo: tuple = (None, None)
+
+
+def _sorted_h0_statistics(spec, n, trials, channel, seed) -> np.ndarray:
+    """Sorted, read-only calibration-domain H0 statistics, drawn once per
+    (spec, n, trials, channel, seed) while that key stays the latest."""
+    global _h0_memo
+    key = (spec, n, trials, channel, seed)
+    memo_key, stats = _h0_memo
+    if memo_key != key:
+        # Engine import is local so this closed-form module stays
+        # import-light; the calibration domain keeps these draws
+        # disjoint from every evaluation trial of the same seed.
+        from .montecarlo import calibration_h0_statistics
+
+        stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed)
+        stats.sort()
+        stats.setflags(write=False)
+        _h0_memo = (key, stats)
+    return stats
 
 
 def _bisect_chi2_isf(n: int, target: float) -> float:

@@ -319,13 +319,18 @@ def cmd_roc(cfg: dict) -> int:
     signal = _build_signal(cfg)
     targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
     grid = _grid_for(cfg, spec, targets)
-    os.makedirs(cfg["out"], exist_ok=True)
-    for snr in cfg["snr_db"]:
-        sc_h1 = Scenario(
+    columns = [
+        Scenario(
             channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
             seed=cfg["seed"], signal=signal, snr_db=snr,
         )
-        curve = roc_sweep(sc_h1.as_noise_only(), sc_h1, spec, grid, workers=cfg["workers"])
+        for snr in cfg["snr_db"]
+    ]
+    curves = roc_sweep(
+        columns[0].as_noise_only(), columns, spec, grid, workers=cfg["workers"]
+    )
+    os.makedirs(cfg["out"], exist_ok=True)
+    for snr, curve in zip(cfg["snr_db"], curves):
         stem = f"roc_{cfg['channel']}_{_snr_tag(snr)}"
         path = os.path.join(cfg["out"], stem + ".csv")
         rows = [
@@ -457,13 +462,7 @@ def cmd_compare(cfg: dict) -> int:
         meta["reference_squaring_row1_-10dB"] = _fmt_value(reference.PMD_CONVENTIONAL[0][0])
         meta["reference_cubing_row1_-10dB"] = _fmt_value(reference.PMD_IMPROVED[0][0])
         for row in report.rows:
-            if row.delta > 0:
-                sign = "p=3 misses less"
-            elif row.delta < 0:
-                sign = "p=2 misses less"
-            else:
-                sign = "no measured difference"
-            meta[f"measured_sign_at_{_fmt_value(row.target_pfa)}"] = sign
+            meta[f"measured_sign_at_{_fmt_value(row.target_pfa)}"] = report.verdict(row)
         rows = [
             [
                 row.target_pfa, row.lambda_a, row.lambda_b,

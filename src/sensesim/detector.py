@@ -73,9 +73,12 @@ def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.
     """Row-wise :func:`statistic` over a (trials, n) block.
 
     Element r equals ``statistic(y[r], spec, sigma)`` bit for bit; the
-    Monte Carlo engine relies on that equivalence.
+    Monte Carlo engine relies on that equivalence.  ``y`` is left
+    unchanged, and the only (trials, n) temporary is powered in place.
     """
-    t = np.sum(np.abs(y) ** spec.p, axis=1)
+    a = np.abs(y)
+    a **= spec.p
+    t = np.sum(a, axis=1)
     if spec.normalized:
         if not (math.isfinite(sigma) and sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {sigma!r}")

@@ -29,12 +29,20 @@ disjoint from every evaluation trial of the same seed.
 
 Common random numbers
 ---------------------
-Per-trial statistics are computed once and compared against every
-threshold of a sweep, so empirical ROC curves and P_MD columns are
-exactly monotone, not just statistically so.  Scenarios sharing a seed
-share noise realizations trial for trial (the fading and signal draws
-live on separate role streams), which pairs H0 with H1 and one SNR
-column with the next.  The detector comparison evaluates both exponents
+Scenarios that differ only in SNR, or in being the noise-only twin,
+share every draw trial for trial: noise, fading gain and signal live on
+separate role streams of the same per-trial key.  The engine exploits
+that directly.  For each trial block it draws the keys, noise, signal
+and fading gains once, scores H0 (the noise alone) and then every SNR
+column, formed by scale-and-add in one reused buffer.  ``roc_sweep``
+and ``pmd_table`` reduce each column's block statistics to integer
+counts against the whole threshold grid (sort, then ``searchsorted``)
+and sum the counts over blocks.  Memory stays O(block) however many
+trials run, the integer totals are independent of the worker count,
+and empirical ROC curves and P_MD columns are exactly monotone, not just
+statistically so.  Empirical calibration draws its H0 statistics once
+per (spec, n, trials, channel, seed) and takes every P_FA target's
+quantile from them.  The detector comparison evaluates both exponents
 on the identical received frames and reports a paired-difference
 standard error.
 """
@@ -208,28 +216,56 @@ def _signal_block(signal: SignalModel, keys: np.ndarray, n: int) -> np.ndarray:
     raise ValueError(f"unknown signal model {signal!r}")
 
 
-def _received_block(sc: Scenario, lo: int, hi: int, domain: int) -> np.ndarray:
-    """Received frames for trials [lo, hi), shape (hi-lo, n_samples)."""
+def _same_draws(columns: Sequence[Scenario]) -> bool:
+    """True when signal scenarios differ in ``snr_db`` only, so that one
+    draw of keys, noise, signal and fading serves them all."""
+    first = columns[0]
+    return all(replace(sc, snr_db=first.snr_db) == first for sc in columns)
+
+
+def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
+    """Statistics of trials [lo, hi), one vector per (column, spec) pair.
+
+    ``columns`` are scenarios that differ only in SNR or in being the
+    noise-only twin.  The block's keys, noise, signal and fading gains
+    are drawn once; H0 is the noise alone and each signal column is
+    formed as ``amp * x + w`` in one reused buffer.  With ``lams`` each
+    statistic vector is reduced to its detection counts, element i
+    counting the trials with statistic >= lams[i] (ties detect).
+    """
+    sc = columns[0]
     n = sc.n_samples
+    channel = sc.channel
+    sigma = channel.noise_std
     dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
-    w = normal_block(fold_in(keys, NOISE_ROLE), n) * sc.channel.noise_std
-    if sc.noise_only:
-        return w
-    x = _signal_block(sc.signal, keys, n)
-    gamma = snr_to_linear(sc.snr_db)
-    root_power = math.sqrt(gamma * sc.channel.noise_variance)
-    if sc.channel.kind == RAYLEIGH:
-        u = uniform_block(fold_in(keys, FADING_ROLE), 1)[:, 0]
-        amp = np.sqrt(-np.log(u)) * root_power
-        return amp[:, None] * x + w
-    return root_power * x + w
-
-
-def _stats_block(sc: Scenario, specs, lo: int, hi: int, domain: int):
-    y = _received_block(sc, lo, hi, domain)
-    sigma = sc.channel.noise_std
-    return tuple(statistic_rows(y, spec, sigma) for spec in specs)
+    w = normal_block(fold_in(keys, NOISE_ROLE), n) * sigma
+    signal = next((c.signal for c in columns if not c.noise_only), None)
+    if signal is not None:
+        x = _signal_block(signal, keys, n)
+        if channel.kind == RAYLEIGH:
+            u = uniform_block(fold_in(keys, FADING_ROLE), 1)[:, 0]
+            gain = np.sqrt(-np.log(u))
+        buf = np.empty_like(w)
+    out = []
+    for col in columns:
+        if col.noise_only:
+            y = w
+        else:
+            root_power = math.sqrt(snr_to_linear(col.snr_db) * channel.noise_variance)
+            if channel.kind == RAYLEIGH:
+                np.multiply((gain * root_power)[:, None], x, out=buf)
+            else:
+                np.multiply(root_power, x, out=buf)
+            buf += w
+            y = buf
+        for spec in specs:
+            t = statistic_rows(y, spec, sigma)
+            if lams is not None:
+                t.sort()
+                t = t.size - np.searchsorted(t, lams, side="left")
+            out.append(t)
+    return out
 
 
 def _block_ranges(trials: int, n: int):
@@ -237,23 +273,37 @@ def _block_ranges(trials: int, n: int):
     return [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
 
 
-def _run_blocks(sc: Scenario, specs, domain: int, workers: int):
-    outs = tuple(np.empty(sc.trials, dtype=np.float64) for _ in specs)
+def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
+    """Run :func:`_stats_block` over all trial blocks of ``columns``.
+
+    Without ``lams``: one per-trial statistic array per (column, spec),
+    in trial order.  With ``lams``: an int64 array of detection counts,
+    one row per (column, spec) and one column per threshold, summed over
+    blocks, so memory stays O(block) and the totals are worker-invariant.
+    """
+    sc = columns[0]
     ranges = _block_ranges(sc.trials, sc.n_samples)
+    rows = len(columns) * len(specs)
+
+    def block(bounds):
+        return _stats_block(columns, specs, *bounds, domain, lams)
+
+    def collect(results):
+        if lams is None:
+            outs = [np.empty(sc.trials, dtype=np.float64) for _ in range(rows)]
+            for (lo, hi), stats in zip(ranges, results):
+                for out, block_stats in zip(outs, stats):
+                    out[lo:hi] = block_stats
+            return outs
+        totals = np.zeros((rows, len(lams)), dtype=np.int64)
+        for counts in results:
+            totals += counts
+        return totals
+
     if workers <= 1:
-        for lo, hi in ranges:
-            for out, block in zip(outs, _stats_block(sc, specs, lo, hi, domain)):
-                out[lo:hi] = block
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_stats_block, sc, specs, lo, hi, domain): (lo, hi)
-                for lo, hi in ranges
-            }
-            for fut, (lo, hi) in futures.items():
-                for out, block in zip(outs, fut.result()):
-                    out[lo:hi] = block
-    return outs
+        return collect(map(block, ranges))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return collect(pool.map(block, ranges))
 
 
 def trial_statistics(
@@ -265,14 +315,15 @@ def trial_statistics(
     recomputation through the per-trial stream recipe in the module
     docstring.
     """
-    return _run_blocks(sc, (spec,), TRIAL_DOMAIN, workers)[0]
+    return _run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers)[0]
 
 
 def trial_statistics_pair(
     sc: Scenario, spec_a: DetectorSpec, spec_b: DetectorSpec, *, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both detectors' statistics over the identical received frames."""
-    return _run_blocks(sc, (spec_a, spec_b), TRIAL_DOMAIN, workers)
+    stats_a, stats_b = _run_blocks((sc,), (spec_a, spec_b), TRIAL_DOMAIN, workers)
+    return stats_a, stats_b
 
 
 def calibration_h0_statistics(
@@ -287,7 +338,7 @@ def calibration_h0_statistics(
     """Pure-noise statistics from the calibration domain of ``seed``."""
     channel = channel if channel is not None else ChannelModel(AWGN, 1.0)
     sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, noise_only=True)
-    return _run_blocks(sc, (spec,), CALIBRATION_DOMAIN, workers)[0]
+    return _run_blocks((sc,), (spec,), CALIBRATION_DOMAIN, workers)[0]
 
 
 def count_detections(
@@ -296,8 +347,8 @@ def count_detections(
     """Number of trials whose statistic meets the threshold (ties detect)."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {lam!r}")
-    stats = trial_statistics(sc, spec, workers=workers)
-    return int(np.count_nonzero(stats >= lam))
+    counts = _run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers, lams=(float(lam),))
+    return int(counts[0, 0])
 
 
 def estimate_pfa(
@@ -329,35 +380,46 @@ def estimate_pmd(
 
 def roc_sweep(
     sc_h0: Scenario,
-    sc_h1: Scenario,
+    sc_h1: Scenario | Sequence[Scenario],
     spec: DetectorSpec,
     grid: ThresholdGrid,
     *,
     workers: int = 1,
-) -> RocCurve:
+) -> RocCurve | list[RocCurve]:
     """One operating point per threshold, all thresholds sharing trials.
 
-    Per-trial statistics are computed once per hypothesis and reused
-    across the grid, so the empirical curve is exactly monotone.
+    ``sc_h1`` is one signal scenario, or a sequence of SNR columns for
+    which a list of curves comes back in the same order.  ``sc_h0`` must
+    be their noise-only twin and the columns may differ in ``snr_db``
+    only: one pass draws every trial once and scores H0 and each column
+    from it, so the empirical curves are exactly monotone.
     """
-    if not sc_h0.noise_only:
-        raise ValueError("sc_h0 must be noise-only")
-    if sc_h1.noise_only:
+    single = isinstance(sc_h1, Scenario)
+    columns = (sc_h1,) if single else tuple(sc_h1)
+    if not columns:
+        raise ValueError("roc_sweep needs at least one signal scenario")
+    if any(sc.noise_only for sc in columns):
         raise ValueError("sc_h1 must carry a signal")
-    if sc_h0.n_samples != sc_h1.n_samples or sc_h0.channel != sc_h1.channel:
-        raise ValueError("H0 and H1 scenarios must share frame length and channel")
-    s0 = trial_statistics(sc_h0, spec, workers=workers)
-    s1 = trial_statistics(sc_h1, spec, workers=workers)
-    points = []
-    for lam in grid.values:
-        counts = ConfusionCounts(
-            h0_trials=sc_h0.trials,
-            h1_trials=sc_h1.trials,
-            false_alarms=int(np.count_nonzero(s0 >= lam)),
-            detections=int(np.count_nonzero(s1 >= lam)),
+    if not _same_draws(columns):
+        raise ValueError("H1 scenarios must differ in snr_db only")
+    if sc_h0 != columns[0].as_noise_only():
+        raise ValueError(
+            "sc_h0 must be the noise-only twin of sc_h1 "
+            "(same channel, frame length, trials and seed)"
         )
-        points.append((lam, rates_from_counts(counts)))
-    return roc_assemble(points)
+    counts = _run_blocks((sc_h0, *columns), (spec,), TRIAL_DOMAIN, workers, grid.values)
+    trials = sc_h0.trials
+    curves = []
+    for detections in counts[1:]:
+        points = [
+            (lam, rates_from_counts(ConfusionCounts(
+                h0_trials=trials, h1_trials=trials,
+                false_alarms=int(fa), detections=int(det),
+            )))
+            for lam, fa, det in zip(grid.values, counts[0], detections)
+        ]
+        curves.append(roc_assemble(points))
+    return curves[0] if single else curves
 
 
 @dataclass(frozen=True)
@@ -418,31 +480,30 @@ def pmd_table(
 ) -> PmdTable:
     """Fill the threshold-by-SNR missed-detection matrix.
 
-    Columns are signal scenarios in strictly increasing SNR order and
-    must share the frame length.  Within a column all thresholds share
-    the same trials (exactly monotone down the grid); columns sharing a
-    seed also share noise and fading draws trial for trial.
+    Columns are signal scenarios in strictly increasing SNR order that
+    differ in ``snr_db`` only.  One pass draws every trial's noise,
+    signal and fading once and scores each column from it, so all
+    thresholds and all columns share trials (exactly monotone down the
+    grid).
     """
     if not columns:
         raise ValueError("pmd_table needs at least one scenario column")
-    n = columns[0].n_samples
-    for sc in columns:
-        if sc.noise_only:
-            raise ValueError("pmd_table columns must be signal scenarios")
-        if sc.n_samples != n:
-            raise ValueError("pmd_table columns must share the frame length")
+    if any(sc.noise_only for sc in columns):
+        raise ValueError("pmd_table columns must be signal scenarios")
+    if not _same_draws(columns):
+        raise ValueError("pmd_table columns must differ in snr_db only")
     snrs = [sc.snr_db for sc in columns]
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise ValueError("pmd_table columns must come in strictly increasing SNR order")
-    rows = len(grid.values)
-    values = np.empty((rows, len(columns)))
+    trials = columns[0].trials
+    counts = _run_blocks(tuple(columns), (spec,), TRIAL_DOMAIN, workers, grid.values)
+    values = np.empty((len(grid.values), len(columns)))
     stderr = np.empty_like(values)
-    for c, sc in enumerate(columns):
-        stats = trial_statistics(sc, spec, workers=workers)
-        for r, lam in enumerate(grid.values):
-            pmd = int(np.count_nonzero(stats < lam)) / sc.trials
+    for c, detections in enumerate(counts):
+        for r, det in enumerate(detections):
+            pmd = (trials - int(det)) / trials
             values[r, c] = pmd
-            stderr[r, c] = binomial_stderr(pmd, sc.trials)
+            stderr[r, c] = binomial_stderr(pmd, trials)
     return PmdTable(
         grid=grid,
         snr_list_db=tuple(float(s) for s in snrs),
@@ -477,22 +538,22 @@ class ComparisonReport:
     trials: int
     seed: int
 
+    def verdict(self, row: ComparisonRow) -> str:
+        """The measured sign of one row's delta, in words."""
+        if row.delta > 0:
+            return f"p={self.spec_b.p} misses less"
+        if row.delta < 0:
+            return f"p={self.spec_a.p} misses less"
+        return "no measured difference"
+
     def sign_summary(self) -> str:
         """State the measured sign of each delta; no outcome is assumed."""
-        lines = []
-        for row in self.rows:
-            if row.delta > 0:
-                verdict = f"p={self.spec_b.p} misses less"
-            elif row.delta < 0:
-                verdict = f"p={self.spec_a.p} misses less"
-            else:
-                verdict = "no measured difference"
-            lines.append(
-                f"target pfa {row.target_pfa:g}: "
-                f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
-                f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({verdict})"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"target pfa {row.target_pfa:g}: "
+            f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
+            f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({self.verdict(row)})"
+            for row in self.rows
+        )
 
 
 def compare_detectors(

@@ -15,6 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sensesim import analytic, montecarlo
 from sensesim.analytic import (
     CalibrationMethod,
     CalibrationResult,
@@ -28,7 +29,7 @@ from sensesim.analytic import (
 )
 from sensesim.detector import DetectorSpec
 from sensesim.rng import Stream
-from sensesim.signal_channel import AWGN, ChannelModel
+from sensesim.signal_channel import AWGN, RAYLEIGH, ChannelModel
 
 _LAM_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 
@@ -206,6 +207,68 @@ def test_calibrate_empirical_p3_orders_with_target():
         DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
     ).threshold
     assert again == lam_01
+
+
+def test_calibrate_empirical_grid_equals_independent_quantiles():
+    spec, n, seed = DetectorSpec(p=3), 4, 11
+    grid = [
+        calibrate_threshold(spec, n, t, CalibrationMethod.EMPIRICAL_QUANTILE, seed=seed)
+        for t in montecarlo.DEFAULT_PFA_TARGETS
+    ]
+    assert len(grid) == 26
+    for cal in grid:
+        fresh = montecarlo.calibration_h0_statistics(spec, n, 100_000, seed=seed)
+        lam = float(np.quantile(fresh, 1.0 - cal.target_pfa, method="linear"))
+        assert cal.threshold == lam
+        assert cal.achieved_pfa == float(np.mean(fresh >= lam))
+
+
+def test_calibration_memo_keys_on_every_input_of_the_draw(monkeypatch):
+    real = montecarlo.calibration_h0_statistics
+    draws = []
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "calibration_h0_statistics", counting)
+    monkeypatch.setattr(analytic, "_h0_memo", (None, None))
+    base = {"spec": DetectorSpec(p=3), "n": 4, "trials": 100_000, "channel": None, "seed": 3}
+
+    def calibrate(**changes):
+        kw = {**base, **changes}
+        cal = calibrate_threshold(
+            kw["spec"], kw["n"], 0.1, CalibrationMethod.EMPIRICAL_QUANTILE,
+            channel=kw["channel"], trials=kw["trials"], seed=kw["seed"],
+        )
+        fresh = real(kw["spec"], kw["n"], kw["trials"], channel=kw["channel"], seed=kw["seed"])
+        assert cal.threshold == float(np.quantile(fresh, 0.9, method="linear"))
+        key, stats = analytic._h0_memo  # one entry, one read-only array
+        assert key == (kw["spec"], kw["n"], kw["trials"], kw["channel"], kw["seed"])
+        assert isinstance(stats, np.ndarray) and not stats.flags.writeable
+        return cal
+
+    calibrate()
+    calibrate()
+    assert len(draws) == 1
+    # the analytic route neither draws nor evicts the memo
+    calibrate_threshold(DetectorSpec(p=2), 4, 0.1, CalibrationMethod.ANALYTIC)
+    calibrate()
+    assert len(draws) == 1
+    changes = [
+        {"seed": 4},
+        {"n": 5},
+        {"spec": DetectorSpec(p=2)},
+        {"spec": DetectorSpec(p=3, normalized=False)},
+        {"channel": ChannelModel(RAYLEIGH, 1.0)},
+        {"trials": 100_001},
+    ]
+    for i, change in enumerate(changes, start=2):
+        calibrate(**change)
+        calibrate(**change)
+        assert len(draws) == i
+    calibrate()
+    assert len(draws) == len(changes) + 2
 
 
 def test_calibrate_empirical_rejects_small_runs():

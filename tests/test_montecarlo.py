@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from sensesim import reference
+from sensesim import montecarlo, reference
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.montecarlo import (
     CALIBRATION_DOMAIN,
     TRIAL_DOMAIN,
+    ComparisonReport,
+    ComparisonRow,
     DEFAULT_PFA_TARGETS,
     Scenario,
     ThresholdGrid,
@@ -236,6 +238,23 @@ def test_roc_sweep_is_exactly_monotone():
     mismatched = _h1(n=12)
     with pytest.raises(ValueError):
         roc_sweep(sc1.as_noise_only(), mismatched, P2, grid)
+    # H0 must be the exact noise-only twin: same seed and trial count too
+    for h0 in (_h1(trials=20_000, seed=8).as_noise_only(), _h1(trials=1000).as_noise_only()):
+        with pytest.raises(ValueError):
+            roc_sweep(h0, sc1, P2, grid)
+    # several H1 columns differ in snr_db only
+    with pytest.raises(ValueError):
+        roc_sweep(sc1.as_noise_only(), [sc1, _h1(trials=20_000, signal=GaussianIid())], P2, grid)
+    with pytest.raises(ValueError):
+        roc_sweep(sc1.as_noise_only(), [], P2, grid)
+
+
+def test_roc_sweep_over_columns_equals_one_call_per_column():
+    grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, 10)
+    columns = [_h1(channel=CH_RAY, trials=3000, snr_db=s) for s in (10.0, -10.0, 0.0)]
+    h0 = columns[0].as_noise_only()
+    curves = roc_sweep(h0, columns, P2, grid)
+    assert curves == [roc_sweep(h0, sc, P2, grid) for sc in columns]
 
 
 def test_pmd_table_structure_and_reference_hookup():
@@ -268,6 +287,15 @@ def test_pmd_table_input_validation():
         pmd_table([_h1(snr_db=0.0), _h1(snr_db=-10.0)], P2, grid)
     with pytest.raises(ValueError):
         pmd_table([_h1(snr_db=0.0), _h1(snr_db=10.0, n=12)], P2, grid)
+    # columns share one draw, so they may differ in snr_db only
+    for other in (
+        _h1(snr_db=10.0, seed=8),
+        _h1(snr_db=10.0, trials=1000),
+        _h1(snr_db=10.0, channel=CH_RAY),
+        _h1(snr_db=10.0, signal=GaussianIid()),
+    ):
+        with pytest.raises(ValueError):
+            pmd_table([_h1(snr_db=0.0), other], P2, grid)
 
 
 def test_compare_same_spec_gives_exact_zero():
@@ -279,6 +307,20 @@ def test_compare_same_spec_gives_exact_zero():
         assert row.lambda_a == row.lambda_b
         assert row.pmd_a == row.pmd_b
     assert "no measured difference" in report.sign_summary()
+
+
+def test_compare_verdict_names_the_measured_detector():
+    rows = tuple(
+        ComparisonRow(target_pfa=0.1, lambda_a=1.0, lambda_b=1.0, pmd_a=0.5,
+                      pmd_b=0.5 - d, delta=d, stderr_delta=0.01)
+        for d in (0.25, -0.25, 0.0)
+    )
+    report = ComparisonReport(rows=rows, spec_a=P2, spec_b=DetectorSpec(p=4),
+                              snr_db=0.0, n_samples=10, trials=100, seed=0)
+    verdicts = ["p=4 misses less", "p=2 misses less", "no measured difference"]
+    assert [report.verdict(row) for row in rows] == verdicts
+    for line, verdict in zip(report.sign_summary().split("\n"), verdicts):
+        assert line.endswith(f"({verdict})")
 
 
 def test_compare_is_bitwise_reproducible():
@@ -334,3 +376,25 @@ def test_common_noise_pairs_hypotheses():
         y0, _ = transmit(x, sc1.channel, None, trial)
         amp = h.gain * math.sqrt(1.0 * sc1.channel.noise_variance)
         assert np.array_equal(y1.samples, amp * x.samples + y0.samples)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("channel", [CH_AWGN, ChannelModel(RAYLEIGH, 2.0)])
+@pytest.mark.parametrize(
+    "signal", [Bpsk(), Sinusoid(power=1.5, cycles_per_frame=1.0), GaussianIid(power=0.5)]
+)
+def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, signal):
+    specs = (P2, P3)
+    columns = [_h1(channel=channel, n=5, trials=101, seed=29, signal=signal, snr_db=s)
+               for s in (-5.0, 0.0, 7.0)]
+    h0 = columns[0].as_noise_only()
+    stats = [trial_statistics(sc, spec) for sc in (h0, *columns) for spec in specs]
+    # thresholds equal to trial statistics pin "ties detect" in every column
+    ties = np.concatenate([s[[0, 40, 100]] for s in stats])
+    lams = tuple(np.unique(np.concatenate([ties, [0.0, 1e9]]))[::-1].tolist())
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 16)  # six 16-trial blocks, then a ragged 5
+    counts = montecarlo._run_blocks(
+        (h0, *columns), specs, TRIAL_DOMAIN, workers, lams
+    )
+    expected = [[np.count_nonzero(s >= lam) for lam in lams] for s in stats]
+    assert counts.tolist() == expected
