@@ -6,118 +6,9 @@ absolute-cube variant (p=3) over AWGN and Rayleigh flat-fading channels,
 calibrates constant-false-alarm-rate thresholds, and cross-validates the
 simulation against closed-form chi-square results wherever the squaring
 detector admits them.
+
+The root exposes only ``__version__``; import everything else from its
+submodule (``sensesim.montecarlo``, ``sensesim.analytic``, ...).
 """
 
 __version__ = "0.1.0"
-
-from .analytic import (
-    CalibrationMethod,
-    CalibrationResult,
-    NumericError,
-    calibrate_threshold,
-    chi2_sf,
-    noncentral_chi2_sf,
-    pd_awgn_analytic,
-    pd_rayleigh_analytic,
-    pfa_analytic,
-)
-from .detector import H0, H1, Decision, DetectorSpec, decide, statistic
-from .metrics import (
-    ConfusionCounts,
-    RatePoint,
-    RocComparison,
-    RocCurve,
-    binomial_stderr,
-    rates_from_counts,
-    roc_assemble,
-    roc_dominates,
-)
-from .montecarlo import (
-    DEFAULT_PFA_TARGETS,
-    ComparisonReport,
-    ComparisonRow,
-    PmdTable,
-    Scenario,
-    ThresholdGrid,
-    compare_detectors,
-    default_threshold_grid,
-    estimate_pfa,
-    estimate_pmd,
-    grid_from_pfa_targets,
-    pmd_table,
-    roc_sweep,
-    trial_statistics,
-)
-from .rng import Stream
-from .signal_channel import (
-    AWGN,
-    RAYLEIGH,
-    Bpsk,
-    ChannelModel,
-    FadingDraw,
-    GaussianIid,
-    SampleFrame,
-    SignalModel,
-    Sinusoid,
-    draw_fading,
-    gen_primary,
-    noise_frame,
-    snr_to_linear,
-    transmit,
-)
-
-__all__ = [
-    "__version__",
-    "AWGN",
-    "RAYLEIGH",
-    "H0",
-    "H1",
-    "Bpsk",
-    "CalibrationMethod",
-    "CalibrationResult",
-    "ChannelModel",
-    "ComparisonReport",
-    "ComparisonRow",
-    "ConfusionCounts",
-    "DEFAULT_PFA_TARGETS",
-    "Decision",
-    "DetectorSpec",
-    "FadingDraw",
-    "GaussianIid",
-    "NumericError",
-    "PmdTable",
-    "RatePoint",
-    "RocComparison",
-    "RocCurve",
-    "SampleFrame",
-    "Scenario",
-    "SignalModel",
-    "Sinusoid",
-    "Stream",
-    "ThresholdGrid",
-    "binomial_stderr",
-    "calibrate_threshold",
-    "chi2_sf",
-    "compare_detectors",
-    "decide",
-    "default_threshold_grid",
-    "draw_fading",
-    "estimate_pfa",
-    "estimate_pmd",
-    "gen_primary",
-    "grid_from_pfa_targets",
-    "noncentral_chi2_sf",
-    "noise_frame",
-    "pd_awgn_analytic",
-    "pd_rayleigh_analytic",
-    "pfa_analytic",
-    "pmd_table",
-    "rates_from_counts",
-    "roc_assemble",
-    "roc_dominates",
-    "roc_sweep",
-    "snr_to_linear",
-    "statistic",
-    "transmit",
-    "trial_statistics",
-]

@@ -34,6 +34,7 @@ of :func:`calibrate_threshold`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -191,25 +192,28 @@ def pd_awgn_analytic(n: int, gamma: float, lam: float) -> float:
     return noncentral_chi2_sf(n, n * gamma, lam)
 
 
-_LAGUERRE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LAGUERRE_NODES = 128
 
 
-def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float, nodes: int = 128) -> float:
+@functools.cache
+def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
+    # Built on first use, not at import, so commands without the
+    # Rayleigh oracle do not pay for it.
+    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+
+
+def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
     """Rayleigh-averaged detection probability at mean linear SNR gamma_bar.
 
     Evaluates integral_0^inf pd_awgn(n, gamma_bar*u, lam) e^-u du by
-    Gauss-Laguerre quadrature; u = h^2 is exponential(1) under the
-    E[h^2] = 1 envelope convention.  128 nodes hold the result to about
-    1e-6 absolute over the SNR range of interest (cross-checked against
-    adaptive quadrature in the test suite).
+    128-node Gauss-Laguerre quadrature; u = h^2 is exponential(1) under
+    the E[h^2] = 1 envelope convention.  The rule holds the result to
+    about 1e-6 absolute over the SNR range of interest (cross-checked
+    against adaptive quadrature in the test suite).
     """
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise ValueError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
-    if nodes < 64:
-        raise ValueError(f"need at least 64 quadrature nodes, got {nodes}")
-    if nodes not in _LAGUERRE_CACHE:
-        _LAGUERRE_CACHE[nodes] = np.polynomial.laguerre.laggauss(nodes)
-    xs, ws = _LAGUERRE_CACHE[nodes]
+    xs, ws = _laguerre_rule()
     total = 0.0
     for xi, wi in zip(xs, ws):
         total += wi * pd_awgn_analytic(n, gamma_bar * float(xi), lam)
@@ -252,13 +256,17 @@ def calibrate_threshold(
     spec,
     n: int,
     target_pfa: float,
-    method: CalibrationMethod = CalibrationMethod.ANALYTIC,
+    method: CalibrationMethod | None = None,
     *,
     channel=None,
     trials: int = 100_000,
     seed: int = 0,
 ) -> CalibrationResult:
     """Find lambda such that the detector's P_FA hits ``target_pfa``.
+
+    Without ``method`` the route follows the exponent: analytic for the
+    squaring detector (p=2), empirical quantile for every other p.  This
+    is the one place that choice is made.
 
     Analytic: bisection on :func:`pfa_analytic`; available only for the
     p=2 detector, whose H0 law is known.  The normalized threshold is
@@ -279,6 +287,10 @@ def calibrate_threshold(
         raise ValueError(f"target_pfa must lie strictly inside (0, 1), got {target_pfa!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if method is None:
+        method = (
+            CalibrationMethod.ANALYTIC if spec.p == 2 else CalibrationMethod.EMPIRICAL_QUANTILE
+        )
 
     if method is CalibrationMethod.ANALYTIC:
         if spec.p != 2:

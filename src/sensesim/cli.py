@@ -35,7 +35,6 @@ import numpy as np
 
 from . import __version__, reference
 from .analytic import (
-    CalibrationMethod,
     calibrate_threshold,
     chi2_sf,
     noncentral_chi2_sf,
@@ -243,6 +242,30 @@ def _build_spec(cfg: dict) -> DetectorSpec:
     return DetectorSpec(p=cfg["detector_p"], normalized=cfg["normalized"])
 
 
+def _scenario(cfg: dict, snr: float, channel: ChannelModel) -> Scenario:
+    """The configured signal scenario at one SNR on ``channel``."""
+    return Scenario(
+        channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
+        seed=cfg["seed"], signal=_build_signal(cfg), snr_db=snr,
+    )
+
+
+def _oracle_pd(channel_kind: str, n: int, snr: float, lam: float) -> float:
+    """Closed-form P_D of the normalized p=2 detector for a unit-power
+    constant-envelope signal on an AWGN or Rayleigh channel."""
+    # Looked up by module-global name at call time, so a wrapper bound
+    # over either oracle in this module sees every call.
+    if channel_kind == AWGN:
+        return pd_awgn_analytic(n, snr_to_linear(snr), lam)
+    return pd_rayleigh_analytic(n, snr_to_linear(snr), lam)
+
+
+def _write_svg(path: str, series, **labels) -> None:
+    with open(path, "w") as handle:
+        handle.write(line_plot(series, **labels))
+    print(f"wrote {path}")
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -316,16 +339,9 @@ def _snr_tag(snr: float) -> str:
 def cmd_roc(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
-    signal = _build_signal(cfg)
     targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
     grid = _grid_for(cfg, spec, targets)
-    columns = [
-        Scenario(
-            channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
-            seed=cfg["seed"], signal=signal, snr_db=snr,
-        )
-        for snr in cfg["snr_db"]
-    ]
+    columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
     curves = roc_sweep(
         columns[0].as_noise_only(), columns, spec, grid, workers=cfg["workers"]
     )
@@ -349,46 +365,26 @@ def cmd_roc(cfg: dict) -> int:
             if spec.p == 2 and spec.normalized:
                 lams = list(curve.thresholds)
                 ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in lams]
-                if cfg["channel"] == AWGN:
-                    ana_pd = [
-                        pd_awgn_analytic(cfg["samples"], snr_to_linear(snr), lam)
-                        for lam in lams
-                    ]
-                else:
-                    ana_pd = [
-                        pd_rayleigh_analytic(cfg["samples"], snr_to_linear(snr), lam)
-                        for lam in lams
-                    ]
+                ana_pd = [_oracle_pd(cfg["channel"], cfg["samples"], snr, lam) for lam in lams]
                 series.append(Series(ana_pfa, ana_pd, label="analytic"))
-            svg = line_plot(
-                series,
+            _write_svg(
+                os.path.join(cfg["out"], stem + ".svg"), series,
                 title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
                 xlabel="P_FA", ylabel="P_D", logx=use_logx,
             )
-            svg_path = os.path.join(cfg["out"], stem + ".svg")
-            with open(svg_path, "w") as handle:
-                handle.write(svg)
-            print(f"wrote {svg_path}")
     return 0
 
 
 def cmd_pmd_table(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
-    signal = _build_signal(cfg)
     targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
     grid = _grid_for(cfg, spec, targets)
-    snrs = sorted(set(cfg["snr_db"]))
-    columns = [
-        Scenario(
-            channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
-            seed=cfg["seed"], signal=signal, snr_db=snr,
-        )
-        for snr in snrs
-    ]
+    columns = [_scenario(cfg, snr, channel) for snr in sorted(set(cfg["snr_db"]))]
     table = pmd_table(columns, spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
-    path = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}.csv")
+    stem = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}")
+    path = stem + ".csv"
 
     header = ["threshold_index", "lambda"]
     for snr in table.snr_list_db:
@@ -429,28 +425,20 @@ def cmd_pmd_table(cfg: dict) -> int:
             Series(idx, table.values[:, c], label=f"{snr:g} dB")
             for c, snr in enumerate(table.snr_list_db)
         ]
-        svg = line_plot(
-            series,
+        _write_svg(
+            stem + ".svg", series,
             title=f"P_MD table, p={spec.p}, {cfg['channel']}",
             xlabel="threshold index", ylabel="P_MD",
         )
-        svg_path = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}.svg")
-        with open(svg_path, "w") as handle:
-            handle.write(svg)
-        print(f"wrote {svg_path}")
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
     channel = _build_channel(cfg)
-    signal = _build_signal(cfg)
     targets = cfg["pfa_targets"] or (0.01, 0.1)
     os.makedirs(cfg["out"], exist_ok=True)
     for snr in cfg["snr_db"]:
-        sc_h1 = Scenario(
-            channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
-            seed=cfg["seed"], signal=signal, snr_db=snr,
-        )
+        sc_h1 = _scenario(cfg, snr, channel)
         report = compare_detectors(
             sc_h1.as_noise_only(), sc_h1, targets,
             cal_trials=cfg["cal_trials"], workers=cfg["workers"],
@@ -470,7 +458,8 @@ def cmd_compare(cfg: dict) -> int:
             ]
             for row in report.rows
         ]
-        path = os.path.join(cfg["out"], f"compare_{cfg['channel']}_{_snr_tag(snr)}.csv")
+        stem = os.path.join(cfg["out"], f"compare_{cfg['channel']}_{_snr_tag(snr)}")
+        path = stem + ".csv"
         _write_csv(
             path, meta,
             ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
@@ -486,15 +475,11 @@ def cmd_compare(cfg: dict) -> int:
                 Series(xs, [row.pmd_a for row in report.rows], label="p=2"),
                 Series(xs, [row.pmd_b for row in report.rows], label="p=3"),
             ]
-            svg = line_plot(
-                series,
+            _write_svg(
+                stem + ".svg", series,
                 title=f"P_MD at matched P_FA, {cfg['channel']}, {snr:g} dB",
                 xlabel="target P_FA", ylabel="P_MD", logx=True,
             )
-            svg_path = os.path.join(cfg["out"], f"compare_{cfg['channel']}_{_snr_tag(snr)}.svg")
-            with open(svg_path, "w") as handle:
-                handle.write(svg)
-            print(f"wrote {svg_path}")
     return 0
 
 
@@ -502,13 +487,10 @@ def cmd_calibrate(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
     targets = cfg["pfa_targets"] or (0.1,)
-    method = (
-        CalibrationMethod.ANALYTIC if spec.p == 2 else CalibrationMethod.EMPIRICAL_QUANTILE
-    )
     for target in targets:
         cal = calibrate_threshold(
-            spec, cfg["samples"], target, method,
-            channel=channel, trials=max(cfg["cal_trials"], 100_000), seed=cfg["seed"],
+            spec, cfg["samples"], target,
+            channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
         )
         extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
         print(
@@ -521,7 +503,6 @@ def cmd_calibrate(cfg: dict) -> int:
 
 def cmd_validate(cfg: dict) -> int:
     channel = _build_channel(cfg)
-    signal = _build_signal(cfg)
     n = cfg["samples"]
     trials = cfg["trials"]
     seed = cfg["seed"]
@@ -562,34 +543,17 @@ def cmd_validate(cfg: dict) -> int:
     check("h0-false-alarm", worst_sigmas <= 3.0,
           f"worst |pfa - target| = {worst_sigmas:.2f} sigma")
 
-    awgn_channel = ChannelModel(AWGN, cfg["noise_variance"])
-    worst_sigmas = 0.0
-    lam = calibrate_threshold(spec, n, 0.1, channel=awgn_channel).threshold
-    for snr in cfg["snr_db"]:
-        sc = Scenario(
-            channel=awgn_channel, n_samples=n, trials=trials, seed=seed,
-            signal=signal, snr_db=snr,
-        )
-        point = estimate_pmd(sc, spec, lam, workers=workers)
-        pd_ref = pd_awgn_analytic(n, snr_to_linear(snr), lam)
-        sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
-        worst_sigmas = max(worst_sigmas, abs(point.pd - pd_ref) / sig)
-    check("awgn-pd-oracle", worst_sigmas <= 3.0,
-          f"worst |pd - analytic| = {worst_sigmas:.2f} sigma (bpsk oracle)")
-
-    ray_channel = ChannelModel(RAYLEIGH, cfg["noise_variance"])
-    worst_sigmas = 0.0
-    for snr in cfg["snr_db"]:
-        sc = Scenario(
-            channel=ray_channel, n_samples=n, trials=trials, seed=seed,
-            signal=signal, snr_db=snr,
-        )
-        point = estimate_pmd(sc, spec, lam, workers=workers)
-        pd_ref = pd_rayleigh_analytic(n, snr_to_linear(snr), lam)
-        sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
-        worst_sigmas = max(worst_sigmas, abs(point.pd - pd_ref) / sig)
-    check("rayleigh-pd-oracle", worst_sigmas <= 3.0,
-          f"worst |pd - quadrature| = {worst_sigmas:.2f} sigma")
+    lam = calibrate_threshold(spec, n, 0.1).threshold
+    for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
+        oracle_channel = ChannelModel(kind, cfg["noise_variance"])
+        worst_sigmas = 0.0
+        for snr in cfg["snr_db"]:
+            point = estimate_pmd(_scenario(cfg, snr, oracle_channel), spec, lam, workers=workers)
+            pd_ref = _oracle_pd(kind, n, snr, lam)
+            sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
+            worst_sigmas = max(worst_sigmas, abs(point.pd - pd_ref) / sig)
+        check(f"{kind}-pd-oracle", worst_sigmas <= 3.0,
+              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma (bpsk oracle)")
 
     rng = np.random.default_rng(seed)
     bad = 0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_HARD_TOL = 1e-12  # monotonicity slack for exact (analytic) curves
+_HARD_TOL = 1e-12  # rounding slack on top of the 3-stderr monotonicity band
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,12 @@ class RocCurve:
         return np.array([pt.pd for _, pt in self.points], dtype=np.float64)
 
 
-def roc_assemble(points, analytic: bool = False) -> RocCurve:
+def roc_assemble(points) -> RocCurve:
     """Order (lambda, RatePoint) pairs into a curve and check monotonicity.
 
     Thresholds must be distinct; points are sorted by decreasing lambda.
-    Along the sorted list pfa and pd must be non-decreasing: for
-    empirical points violations beyond 3 * (stderr_i + stderr_j) raise a
-    warning, while ``analytic=True`` demands exact monotonicity (to a
-    1e-12 slack) and raises on violation.
+    Along the sorted list pfa and pd should be non-decreasing; violations
+    beyond 3 * (stderr_i + stderr_j) raise a warning.
     """
     pts = list(points)
     if not pts:
@@ -170,19 +168,13 @@ def roc_assemble(points, analytic: bool = False) -> RocCurve:
     for (_, a), (_, b) in zip(pts, pts[1:]):
         for attr, se_attr in (("pfa", "stderr_pfa"), ("pd", "stderr_pd")):
             lo, hi = getattr(a, attr), getattr(b, attr)
-            if analytic:
-                if hi < lo - _HARD_TOL:
-                    raise ValueError(
-                        f"analytic curve not monotone in {attr}: {lo!r} then {hi!r}"
-                    )
-            else:
-                slack = 3.0 * ((getattr(a, se_attr) or 0.0) + (getattr(b, se_attr) or 0.0))
-                if hi < lo - slack - _HARD_TOL:
-                    warnings.warn(
-                        f"empirical curve not monotone in {attr} beyond 3 stderr: "
-                        f"{lo!r} then {hi!r}",
-                        stacklevel=2,
-                    )
+            slack = 3.0 * ((getattr(a, se_attr) or 0.0) + (getattr(b, se_attr) or 0.0))
+            if hi < lo - slack - _HARD_TOL:
+                warnings.warn(
+                    f"empirical curve not monotone in {attr} beyond 3 stderr: "
+                    f"{lo!r} then {hi!r}",
+                    stacklevel=2,
+                )
     return RocCurve(tuple(pts))
 
 

@@ -56,8 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import reference
-from .analytic import CalibrationMethod, calibrate_threshold
+from .analytic import calibrate_threshold
 from .detector import DetectorSpec, statistic_rows
 from .metrics import (
     ConfusionCounts,
@@ -148,10 +147,6 @@ class ThresholdGrid:
         if self.pfa_targets is not None and len(self.pfa_targets) != len(self.values):
             raise ValueError("pfa_targets must pair one-to-one with thresholds")
 
-    @classmethod
-    def explicit(cls, values) -> "ThresholdGrid":
-        return cls(tuple(float(v) for v in values))
-
 
 DEFAULT_PFA_TARGETS = tuple(float(t) for t in np.geomspace(0.001, 0.9, 26))
 
@@ -167,23 +162,18 @@ def grid_from_pfa_targets(
 ) -> ThresholdGrid:
     """Calibrate one threshold per P_FA target (given in increasing order).
 
-    The squaring detector calibrates analytically; any other exponent
-    goes through the empirical quantile of seeded calibration-domain
-    noise statistics.
+    Each target goes through :func:`calibrate_threshold` on its default
+    route: analytic for p=2, the empirical quantile of ``cal_trials``
+    seeded calibration-domain noise statistics otherwise.
     """
     targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("pfa targets must be strictly increasing")
-    method = (
-        CalibrationMethod.ANALYTIC if spec.p == 2 else CalibrationMethod.EMPIRICAL_QUANTILE
+    lams = tuple(
+        calibrate_threshold(spec, n, t, channel=channel, trials=cal_trials, seed=seed).threshold
+        for t in targets
     )
-    lams = []
-    for t in targets:
-        cal = calibrate_threshold(
-            spec, n, t, method, channel=channel, trials=cal_trials, seed=seed
-        )
-        lams.append(cal.threshold)
-    return ThresholdGrid(tuple(lams), pfa_targets=tuple(targets))
+    return ThresholdGrid(lams, pfa_targets=tuple(targets))
 
 
 def default_threshold_grid(
@@ -458,18 +448,6 @@ class PmdTable:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "stderr", se)
 
-    @property
-    def reference_pmd(self) -> np.ndarray | None:
-        """The bundled reference table matching this detector's exponent,
-        when the simulated shape lines up with it (26 rows, SNR -10/0/10 dB)."""
-        if self.detector.p not in (2, 3):
-            return None
-        if len(self.grid.values) != reference.REFERENCE_ROWS:
-            return None
-        if tuple(self.snr_list_db) != reference.REFERENCE_SNR_DB:
-            return None
-        return reference.reference_for(self.detector.p)
-
 
 def pmd_table(
     columns: Sequence[Scenario],
@@ -568,8 +546,8 @@ def compare_detectors(
 ) -> ComparisonReport:
     """Calibrate both detectors to each target P_FA and compare their P_MD.
 
-    Thresholds come from the analytic route when the exponent admits one
-    (p=2) and from the empirical quantile otherwise, both anchored to
+    Each threshold comes from :func:`calibrate_threshold` on its default
+    route (analytic for p=2, empirical quantile otherwise), anchored to
     ``sc_h0``'s channel and seed.  Both detectors then score the
     identical received frames of ``sc_h1``, and each row reports the
     paired difference delta = pmd_a - pmd_b with its paired standard
@@ -588,17 +566,9 @@ def compare_detectors(
             raise ValueError(f"pfa targets must lie strictly inside (0, 1), got {t!r}")
 
     def calibrate(spec: DetectorSpec, target: float) -> float:
-        method = (
-            CalibrationMethod.ANALYTIC if spec.p == 2 else CalibrationMethod.EMPIRICAL_QUANTILE
-        )
         cal = calibrate_threshold(
-            spec,
-            sc_h0.n_samples,
-            target,
-            method,
-            channel=sc_h0.channel,
-            trials=cal_trials,
-            seed=sc_h0.seed,
+            spec, sc_h0.n_samples, target,
+            channel=sc_h0.channel, trials=cal_trials, seed=sc_h0.seed,
         )
         return cal.threshold
 

@@ -92,11 +92,3 @@ def improved_array() -> np.ndarray:
     """The cubing-detector reference table as a (26, 3) float array."""
     return np.array(PMD_IMPROVED, dtype=np.float64)
 
-
-def reference_for(p: int) -> np.ndarray:
-    """Reference table matching a detector exponent (2 or 3)."""
-    if p == 2:
-        return conventional_array()
-    if p == 3:
-        return improved_array()
-    raise ValueError(f"no reference table for detector exponent p={p}")

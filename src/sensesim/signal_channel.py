@@ -82,8 +82,16 @@ class Bpsk(SignalModel):
 class Sinusoid(SignalModel):
     """Deterministic cosine, ``cycles_per_frame`` periods across the frame.
 
-    Amplitude is ``sqrt(2*power)`` so the mean-square value over whole
-    cycles equals ``power``.
+    Amplitude is ``sqrt(2*power)``.  With c = ``cycles_per_frame`` and n
+    samples the frame's mean square is exactly
+
+        power * (1 + sin(2*pi*c) * cos(2*pi*c*(n-1)/n) / (n * sin(2*pi*c/n)))
+
+    when n does not divide 2c, and ``2*power`` when it does (every sample
+    lands on +-amplitude).  It equals ``power`` when 2c is an integer
+    that n does not divide (whole half-cycles, for example c=1 at n=8);
+    other values generally miss it: at n=10, c=5 gives 2.0*power and
+    c=0.3 gives 0.936*power.
     """
 
     power: float = 1.0

@@ -137,8 +137,6 @@ def test_pd_rayleigh_against_adaptive_quadrature():
 def test_pd_rayleigh_extremes_and_node_floor():
     assert pd_rayleigh_analytic(10, 1.0, 0.0) == pytest.approx(1.0, abs=1e-9)
     assert pd_rayleigh_analytic(10, 1.0, 500.0) < 1e-6
-    with pytest.raises(ValueError):
-        pd_rayleigh_analytic(10, 1.0, 5.0, nodes=32)
 
 
 def test_calibrate_analytic_roundtrip():
@@ -164,6 +162,19 @@ def test_calibrate_unnormalized_rescales_by_noise_power():
     assert raw.threshold == norm.threshold * 4.0
     with pytest.raises(ValueError):
         calibrate_threshold(DetectorSpec(p=2, normalized=False), 10, 0.1)
+
+
+def test_calibrate_default_route_follows_exponent():
+    cal = calibrate_threshold(DetectorSpec(p=2), 10, 0.1)
+    assert cal.method is CalibrationMethod.ANALYTIC
+    assert cal.mc_trials == 0
+    cal = calibrate_threshold(DetectorSpec(p=3), 10, 0.1, trials=100_000, seed=5)
+    assert cal.method is CalibrationMethod.EMPIRICAL_QUANTILE
+    assert cal.mc_trials == 100_000
+    explicit = calibrate_threshold(
+        DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
+    )
+    assert cal == explicit
 
 
 def test_calibrate_analytic_rejects_other_exponents():

@@ -1,0 +1,37 @@
+"""The benchmark's per-layer tracer must still hook every function it names.
+
+``bench/tracer.py`` looks each hooked function up with ``getattr`` and
+swaps it by identity in every sensesim module that bound it.  A rename
+or deletion in ``src/`` breaks ``bench/run.py --trace 1``; this test
+catches that without running a workload.  It imports ``bench/`` and
+writes nothing there.
+"""
+
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_wraps_and_restores_by_identity(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    from sensesim import analytic, cli
+    from sensesim.signal_channel import RAYLEIGH
+
+    original = analytic.pd_rayleigh_analytic
+    tracer = Tracer()
+    tracer.install()
+    try:
+        wrapped = analytic.pd_rayleigh_analytic
+        assert wrapped is not original
+        assert wrapped.__wrapped__ is original
+        assert cli.pd_rayleigh_analytic is wrapped
+        # the CLI oracle helper resolves the oracle at call time, so the
+        # wrapper sees the call
+        cli._oracle_pd(RAYLEIGH, 4, 0.0, 5.0)
+        assert [s.name for s in tracer.spans].count("analytic.pd_rayleigh") == 1
+    finally:
+        tracer.restore()
+    assert analytic.pd_rayleigh_analytic is original
+    assert cli.pd_rayleigh_analytic is original

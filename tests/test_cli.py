@@ -29,7 +29,18 @@ def test_calibrate_empirical_route_for_p3(capsys):
                "--pfa-targets", "0.1", "--trials", "2000") == 0
     out = capsys.readouterr().out
     assert "method=empirical-quantile" in out
-    assert "mc_trials=100000" in out  # floor enforced regardless of --trials
+    assert "mc_trials=100000" in out  # cal_trials, not --trials, sizes the draw
+
+
+def test_small_cal_trials_exit_two_on_every_command(tmp_path, capsys):
+    # one calibration route: no command quietly raises cal_trials to the floor
+    ini = tmp_path / "small.ini"
+    ini.write_text("[run]\ncal_trials = 5000\n")
+    common = ("--config", str(ini), "--detector-p", "3", "--trials", "1000",
+              "--pfa-targets", "0.1", "--out", str(tmp_path / "out"))
+    assert run("calibrate", *common) == 2
+    assert run("pmd-table", *common) == 2
+    assert "needs >= 1e5 trials" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path):

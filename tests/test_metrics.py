@@ -114,10 +114,8 @@ def test_roc_assemble_rejects_duplicates_and_bad_points():
 
 
 def test_roc_assemble_monotonicity_policies():
-    # a clear reversal: analytic assembly raises, empirical warns
+    # a clear reversal warns
     bad = [(2.0, _point(0.2, 0.8)), (1.0, _point(0.3, 0.5))]
-    with pytest.raises(ValueError):
-        roc_assemble(bad, analytic=True)
     with pytest.warns(UserWarning):
         roc_assemble(bad)
     # a reversal within 3 stderr passes silently

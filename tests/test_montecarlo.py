@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sensesim import montecarlo, reference
+from sensesim import montecarlo
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.montecarlo import (
@@ -99,8 +99,7 @@ def test_threshold_grid_validation():
         ThresholdGrid((2.0, -1.0))
     with pytest.raises(ValueError):
         ThresholdGrid((2.0, 1.0), pfa_targets=(0.1,))
-    g = ThresholdGrid.explicit([3, 2, 1])
-    assert g.values == (3.0, 2.0, 1.0)
+    assert ThresholdGrid((3.0, 2.0, 1.0)).values == (3.0, 2.0, 1.0)
 
 
 def test_default_grid_matches_analytic_calibration():
@@ -263,18 +262,8 @@ def test_pmd_table_structure_and_reference_hookup():
     table = pmd_table(columns, P2, grid)
     assert table.values.shape == (26, 3)
     assert not table.values.flags.writeable
-    assert np.array_equal(table.reference_pmd, reference.reference_for(2))
     # down-column trend is exact under shared trials
     assert np.all(table.values[1:, :] <= table.values[:-1, :])
-
-
-def test_pmd_table_reference_absent_for_other_shapes():
-    grid = grid_from_pfa_targets([0.1, 0.5], P2, 10)
-    columns = [_h1(trials=2000, snr_db=s, seed=19) for s in (-10.0, 0.0, 10.0)]
-    assert pmd_table(columns, P2, grid).reference_pmd is None
-    columns = [_h1(trials=2000, snr_db=s, seed=19) for s in (0.0, 10.0)]
-    grid26 = default_threshold_grid(P2, 10)
-    assert pmd_table(columns, P2, grid26).reference_pmd is None
 
 
 def test_pmd_table_input_validation():

@@ -2,7 +2,6 @@
 and do not satisfy."""
 
 import numpy as np
-import pytest
 
 from sensesim import reference
 
@@ -42,13 +41,6 @@ def test_reference_is_not_row_monotone_in_snr():
     impr = reference.improved_array()
     assert np.any(conv[:, 2] > conv[:, 1])
     assert np.any(impr[:, 2] > impr[:, 1])
-
-
-def test_reference_for_exponent():
-    assert np.array_equal(reference.reference_for(2), reference.conventional_array())
-    assert np.array_equal(reference.reference_for(3), reference.improved_array())
-    with pytest.raises(ValueError):
-        reference.reference_for(4)
 
 
 def test_accessors_return_fresh_arrays():

@@ -84,6 +84,17 @@ def test_sinusoid_exact_formula_and_power():
     # over whole cycles the mean square equals the nominal power
     y = gen_primary(Sinusoid(power=0.5, cycles_per_frame=4.0), 64, _trial(0, 0))
     assert y.mean_power() == pytest.approx(0.5, rel=1e-9)
+    # n divides 2c: every sample sits on +-amplitude, twice the power
+    z = gen_primary(Sinusoid(power=0.5, cycles_per_frame=5.0), 10, _trial(0, 0))
+    assert z.mean_power() == pytest.approx(2.0 * 0.5, rel=1e-9)
+    # 2c not an integer: the documented closed form, 0.936 * power at n=10
+    c, n = 0.3, 10
+    f = gen_primary(Sinusoid(power=0.5, cycles_per_frame=c), n, _trial(0, 0))
+    ratio = 1.0 + math.sin(2 * math.pi * c) * math.cos(2 * math.pi * c * (n - 1) / n) / (
+        n * math.sin(2 * math.pi * c / n)
+    )
+    assert f.mean_power() == pytest.approx(0.5 * ratio, rel=1e-9)
+    assert ratio == pytest.approx(0.936, abs=5e-4)
 
 
 def test_gaussian_signal_power_and_scaling():
