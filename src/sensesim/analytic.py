@@ -1,12 +1,13 @@
 """Closed-form oracles for the squaring detector and threshold calibration.
 
 Under pure noise the normalized p=2 statistic sum(y^2)/sigma^2 of n
-Gaussian samples is chi-square with n degrees of freedom.  With a
-constant-envelope unit-power signal at linear SNR gamma and fading gain
-h it is noncentral chi-square with noncentrality delta = n*gamma*h^2.
-Averaging the AWGN detection probability over the Rayleigh gain
-distribution (h^2 exponential with mean 1, so instantaneous SNR is
-exponential with mean gamma_bar) gives the fading-averaged P_D.
+Gaussian samples is chi-square with n degrees of freedom.  With a known
+frame x at linear SNR gamma and fading gain h it is noncentral chi-square
+with noncentrality delta = gamma*h^2*sum(x_k^2) (Urkowitz, Proc. IEEE
+1967); the P_D routines take gamma times x's mean square.  Averaging
+the AWGN detection probability over the Rayleigh gain distribution (h^2
+exponential with mean 1, so instantaneous SNR is exponential with mean
+gamma_bar) gives the fading-averaged P_D.
 
 The incomplete gamma functions are implemented here rather than taken
 from a heavier dependency so that the simulation and its oracle share
@@ -185,7 +186,8 @@ def pd_awgn_analytic(n: int, gamma: float, lam: float) -> float:
     """Detection probability on AWGN at linear SNR gamma (gain h = 1).
 
     The normalized statistic is noncentral chi-square with n dof and
-    noncentrality n*gamma for a unit-power constant-envelope signal.
+    noncentrality snr*sum(x_k^2) = n*gamma for a known frame x, where
+    the caller passes ``gamma`` = snr * mean(x_k^2).
     """
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
@@ -207,9 +209,12 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
 
     Evaluates integral_0^inf pd_awgn(n, gamma_bar*u, lam) e^-u du by
     128-node Gauss-Laguerre quadrature; u = h^2 is exponential(1) under
-    the E[h^2] = 1 envelope convention.  The rule holds the result to
-    about 1e-6 absolute over the SNR range of interest (cross-checked
-    against adaptive quadrature in the test suite).
+    the E[h^2] = 1 envelope convention.  Measured absolute error at n=10,
+    lam=15.99 against the exact series sum_k theta^k/(1+theta)^(k+1) *
+    Q(n/2+k, lam/2), theta = n*gamma_bar/2: at most 1.8e-7 up to 10 dB,
+    1.2e-4 at 20 dB, 8.1e-4 at 30 dB, and up to 3.0e-3 near 23.5 dB.
+    Plain adaptive quadrature over [0, 60] misses the dip near
+    u = lam/(n*gamma_bar) at high SNR, just as this rule does.
     """
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise ValueError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")

@@ -30,6 +30,7 @@ import csv
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -55,15 +56,7 @@ from .montecarlo import (
     pmd_table,
     roc_sweep,
 )
-from .signal_channel import (
-    AWGN,
-    RAYLEIGH,
-    Bpsk,
-    ChannelModel,
-    GaussianIid,
-    Sinusoid,
-    snr_to_linear,
-)
+from .signal_channel import AWGN, RAYLEIGH, SIGNAL_MODELS, ChannelModel, snr_to_linear
 from .svgplot import Series, line_plot
 
 DEFAULT_SEED = 0
@@ -109,10 +102,11 @@ _RUN_KEYS = {
     "cal_trials": int,
 }
 
+# [signal] key -> (config name, type); the other keys name model fields
 _SIGNAL_KEYS = {
-    "kind": str,
-    "power": float,
-    "cycles_per_frame": float,
+    "kind": ("signal", str),
+    "power": ("signal_power", float),
+    "cycles_per_frame": ("cycles_per_frame", float),
 }
 
 
@@ -168,10 +162,8 @@ def _load_config_file(path: str) -> dict:
             for key, raw in parser.items("signal"):
                 if key not in _SIGNAL_KEYS:
                     raise ConfigError(f"unknown [signal] key {key!r} in {path}")
-                name = "signal" if key == "kind" else (
-                    "signal_power" if key == "power" else key
-                )
-                out[name] = _coerce(key, _SIGNAL_KEYS[key], raw)
+                name, kind = _SIGNAL_KEYS[key]
+                out[name] = _coerce(key, kind, raw)
         else:
             raise ConfigError(f"unknown config section [{section}] in {path}")
     return out
@@ -214,16 +206,13 @@ def _validate_config(cfg: dict) -> None:
     for key in ("trials", "samples", "workers", "cal_trials"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if cfg["channel"] not in (AWGN, RAYLEIGH):
-        raise ConfigError(f"channel must be '{AWGN}' or '{RAYLEIGH}', got {cfg['channel']!r}")
     if cfg["pfa_targets"] is not None:
         for t in cfg["pfa_targets"]:
             if not 0.0 < t < 1.0:
                 raise ConfigError(f"pfa targets must lie in (0, 1), got {t}")
-    if cfg["signal"] not in ("bpsk", "sinusoid", "gaussian"):
-        raise ConfigError(
-            f"signal must be 'bpsk', 'sinusoid', or 'gaussian', got {cfg['signal']!r}"
-        )
+    if cfg["signal"] not in SIGNAL_MODELS:
+        names = ", ".join(repr(name) for name in SIGNAL_MODELS)
+        raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
 
 
 def _build_channel(cfg: dict) -> ChannelModel:
@@ -231,11 +220,8 @@ def _build_channel(cfg: dict) -> ChannelModel:
 
 
 def _build_signal(cfg: dict):
-    if cfg["signal"] == "bpsk":
-        return Bpsk(power=cfg["signal_power"])
-    if cfg["signal"] == "sinusoid":
-        return Sinusoid(power=cfg["signal_power"], cycles_per_frame=cfg["cycles_per_frame"])
-    return GaussianIid(power=cfg["signal_power"])
+    model = SIGNAL_MODELS[cfg["signal"]]
+    return model(**{f.name: cfg[_SIGNAL_KEYS[f.name][0]] for f in fields(model)})
 
 
 def _build_spec(cfg: dict) -> DetectorSpec:
@@ -250,14 +236,19 @@ def _scenario(cfg: dict, snr: float, channel: ChannelModel) -> Scenario:
     )
 
 
-def _oracle_pd(channel_kind: str, n: int, snr: float, lam: float) -> float:
-    """Closed-form P_D of the normalized p=2 detector for a unit-power
-    constant-envelope signal on an AWGN or Rayleigh channel."""
+def _oracle_pd(sc: Scenario, lam: float) -> float | None:
+    """Closed-form P_D of the normalized p=2 detector on signal scenario
+    ``sc`` (run at SNR times the frame's mean square), or None when its
+    frames do not share one mean square."""
+    mean_square = sc.signal.mean_square(sc.n_samples)
+    if mean_square is None:
+        return None
+    gamma = snr_to_linear(sc.snr_db) * mean_square
     # Looked up by module-global name at call time, so a wrapper bound
     # over either oracle in this module sees every call.
-    if channel_kind == AWGN:
-        return pd_awgn_analytic(n, snr_to_linear(snr), lam)
-    return pd_rayleigh_analytic(n, snr_to_linear(snr), lam)
+    if sc.channel.kind == AWGN:
+        return pd_awgn_analytic(sc.n_samples, gamma, lam)
+    return pd_rayleigh_analytic(sc.n_samples, gamma, lam)
 
 
 def _write_svg(path: str, series, **labels) -> None:
@@ -290,7 +281,7 @@ def _meta(cfg: dict, command: str, targets=None) -> dict:
         "snr_db": _fmt_value(cfg["snr_db"]),
         "cal_trials": cfg["cal_trials"],
     }
-    if cfg["signal"] == "sinusoid":
+    if hasattr(_build_signal(cfg), "cycles_per_frame"):
         meta["cycles_per_frame"] = _fmt_value(cfg["cycles_per_frame"])
     if targets is not None:
         meta["pfa_targets"] = _fmt_value(tuple(targets))
@@ -342,11 +333,10 @@ def cmd_roc(cfg: dict) -> int:
     targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
     grid = _grid_for(cfg, spec, targets)
     columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
-    curves = roc_sweep(
-        columns[0].as_noise_only(), columns, spec, grid, workers=cfg["workers"]
-    )
+    curves = roc_sweep(columns, spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
-    for snr, curve in zip(cfg["snr_db"], curves):
+    for sc, curve in zip(columns, curves):
+        snr = sc.snr_db
         stem = f"roc_{cfg['channel']}_{_snr_tag(snr)}"
         path = os.path.join(cfg["out"], stem + ".csv")
         rows = [
@@ -364,9 +354,10 @@ def cmd_roc(cfg: dict) -> int:
             series = [Series(curve.pfa, curve.pd, label="simulated")]
             if spec.p == 2 and spec.normalized:
                 lams = list(curve.thresholds)
-                ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in lams]
-                ana_pd = [_oracle_pd(cfg["channel"], cfg["samples"], snr, lam) for lam in lams]
-                series.append(Series(ana_pfa, ana_pd, label="analytic"))
+                ana_pd = [_oracle_pd(sc, lam) for lam in lams]
+                if None not in ana_pd:
+                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in lams]
+                    series.append(Series(ana_pfa, ana_pd, label="analytic"))
             _write_svg(
                 os.path.join(cfg["out"], stem + ".svg"), series,
                 title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
@@ -438,9 +429,8 @@ def cmd_compare(cfg: dict) -> int:
     targets = cfg["pfa_targets"] or (0.01, 0.1)
     os.makedirs(cfg["out"], exist_ok=True)
     for snr in cfg["snr_db"]:
-        sc_h1 = _scenario(cfg, snr, channel)
         report = compare_detectors(
-            sc_h1.as_noise_only(), sc_h1, targets,
+            _scenario(cfg, snr, channel), targets,
             cal_trials=cfg["cal_trials"], workers=cfg["workers"],
         )
         meta = _meta(cfg, "compare", targets)
@@ -546,14 +536,18 @@ def cmd_validate(cfg: dict) -> int:
     lam = calibrate_threshold(spec, n, 0.1).threshold
     for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
         oracle_channel = ChannelModel(kind, cfg["noise_variance"])
+        columns = [_scenario(cfg, snr, oracle_channel) for snr in cfg["snr_db"]]
+        pd_refs = [_oracle_pd(sc, lam) for sc in columns]
+        if None in pd_refs:
+            print(f"SKIP {kind}-pd-oracle: {columns[0].signal} frames differ in mean square")
+            continue
         worst_sigmas = 0.0
-        for snr in cfg["snr_db"]:
-            point = estimate_pmd(_scenario(cfg, snr, oracle_channel), spec, lam, workers=workers)
-            pd_ref = _oracle_pd(kind, n, snr, lam)
+        for sc, pd_ref in zip(columns, pd_refs):
+            point = estimate_pmd(sc, spec, lam, workers=workers)
             sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
             worst_sigmas = max(worst_sigmas, abs(point.pd - pd_ref) / sig)
         check(f"{kind}-pd-oracle", worst_sigmas <= 3.0,
-              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma (bpsk oracle)")
+              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma ({columns[0].signal} oracle)")
 
     rng = np.random.default_rng(seed)
     bad = 0

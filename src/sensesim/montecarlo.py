@@ -72,12 +72,8 @@ from .signal_channel import (
     FADING_ROLE,
     NOISE_ROLE,
     RAYLEIGH,
-    SIGNAL_ROLE,
-    Bpsk,
     ChannelModel,
-    GaussianIid,
     SignalModel,
-    Sinusoid,
     snr_to_linear,
 )
 
@@ -190,29 +186,6 @@ def default_threshold_grid(
     )
 
 
-def _signal_block(signal: SignalModel, keys: np.ndarray, n: int) -> np.ndarray:
-    """Unit-convention signal samples for a block of trial keys."""
-    if isinstance(signal, Bpsk):
-        u = uniform_block(fold_in(keys, SIGNAL_ROLE), n)
-        return np.where(u < 0.5, -1.0, 1.0) * math.sqrt(signal.power)
-    if isinstance(signal, Sinusoid):
-        k = np.arange(n, dtype=np.float64)
-        row = math.sqrt(2.0 * signal.power) * np.cos(
-            2.0 * np.pi * signal.cycles_per_frame * k / n
-        )
-        return np.broadcast_to(row, (keys.size, n))
-    if isinstance(signal, GaussianIid):
-        return normal_block(fold_in(keys, SIGNAL_ROLE), n) * math.sqrt(signal.power)
-    raise ValueError(f"unknown signal model {signal!r}")
-
-
-def _same_draws(columns: Sequence[Scenario]) -> bool:
-    """True when signal scenarios differ in ``snr_db`` only, so that one
-    draw of keys, noise, signal and fading serves them all."""
-    first = columns[0]
-    return all(replace(sc, snr_db=first.snr_db) == first for sc in columns)
-
-
 def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
     """Statistics of trials [lo, hi), one vector per (column, spec) pair.
 
@@ -232,7 +205,7 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
     w = normal_block(fold_in(keys, NOISE_ROLE), n) * sigma
     signal = next((c.signal for c in columns if not c.noise_only), None)
     if signal is not None:
-        x = _signal_block(signal, keys, n)
+        x = signal.block(keys, n)
         if channel.kind == RAYLEIGH:
             u = uniform_block(fold_in(keys, FADING_ROLE), 1)[:, 0]
             gain = np.sqrt(-np.log(u))
@@ -266,12 +239,20 @@ def _block_ranges(trials: int, n: int):
 def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     """Run :func:`_stats_block` over all trial blocks of ``columns``.
 
+    Every column is drawn from ``columns[0]``'s seed, channel and signal,
+    so all columns must have the same noise-only twin and every signal
+    column the same model: they may differ in SNR, or in being that twin.
+
     Without ``lams``: one per-trial statistic array per (column, spec),
     in trial order.  With ``lams``: an int64 array of detection counts,
     one row per (column, spec) and one column per threshold, summed over
     blocks, so memory stays O(block) and the totals are worker-invariant.
     """
     sc = columns[0]
+    twin = sc.as_noise_only()
+    signal = next((c.signal for c in columns if not c.noise_only), None)
+    if any(c.as_noise_only() != twin or c.signal not in (None, signal) for c in columns):
+        raise ValueError("columns share one draw, so they may differ in snr_db only")
     ranges = _block_ranges(sc.trials, sc.n_samples)
     rows = len(columns) * len(specs)
 
@@ -369,34 +350,25 @@ def estimate_pmd(
 
 
 def roc_sweep(
-    sc_h0: Scenario,
-    sc_h1: Scenario | Sequence[Scenario],
+    columns: Sequence[Scenario],
     spec: DetectorSpec,
     grid: ThresholdGrid,
     *,
     workers: int = 1,
-) -> RocCurve | list[RocCurve]:
-    """One operating point per threshold, all thresholds sharing trials.
+) -> list[RocCurve]:
+    """One ROC curve per SNR column, all thresholds sharing trials.
 
-    ``sc_h1`` is one signal scenario, or a sequence of SNR columns for
-    which a list of curves comes back in the same order.  ``sc_h0`` must
-    be their noise-only twin and the columns may differ in ``snr_db``
-    only: one pass draws every trial once and scores H0 and each column
-    from it, so the empirical curves are exactly monotone.
+    The columns are signal scenarios that differ in ``snr_db`` only, and
+    H0 is their noise-only twin.  One pass draws every trial once and
+    scores H0 and each column from it, so the empirical curves are
+    exactly monotone.  Curves come back in column order.
     """
-    single = isinstance(sc_h1, Scenario)
-    columns = (sc_h1,) if single else tuple(sc_h1)
+    columns = tuple(columns)
     if not columns:
         raise ValueError("roc_sweep needs at least one signal scenario")
     if any(sc.noise_only for sc in columns):
-        raise ValueError("sc_h1 must carry a signal")
-    if not _same_draws(columns):
-        raise ValueError("H1 scenarios must differ in snr_db only")
-    if sc_h0 != columns[0].as_noise_only():
-        raise ValueError(
-            "sc_h0 must be the noise-only twin of sc_h1 "
-            "(same channel, frame length, trials and seed)"
-        )
+        raise ValueError("roc_sweep columns must be signal scenarios")
+    sc_h0 = columns[0].as_noise_only()
     counts = _run_blocks((sc_h0, *columns), (spec,), TRIAL_DOMAIN, workers, grid.values)
     trials = sc_h0.trials
     curves = []
@@ -409,7 +381,7 @@ def roc_sweep(
             for lam, fa, det in zip(grid.values, counts[0], detections)
         ]
         curves.append(roc_assemble(points))
-    return curves[0] if single else curves
+    return curves
 
 
 @dataclass(frozen=True)
@@ -468,8 +440,6 @@ def pmd_table(
         raise ValueError("pmd_table needs at least one scenario column")
     if any(sc.noise_only for sc in columns):
         raise ValueError("pmd_table columns must be signal scenarios")
-    if not _same_draws(columns):
-        raise ValueError("pmd_table columns must differ in snr_db only")
     snrs = [sc.snr_db for sc in columns]
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise ValueError("pmd_table columns must come in strictly increasing SNR order")
@@ -535,8 +505,7 @@ class ComparisonReport:
 
 
 def compare_detectors(
-    sc_h0: Scenario,
-    sc_h1: Scenario,
+    sc: Scenario,
     pfa_targets,
     spec_a: DetectorSpec = DetectorSpec(p=2),
     spec_b: DetectorSpec = DetectorSpec(p=3),
@@ -548,32 +517,25 @@ def compare_detectors(
 
     Each threshold comes from :func:`calibrate_threshold` on its default
     route (analytic for p=2, empirical quantile otherwise), anchored to
-    ``sc_h0``'s channel and seed.  Both detectors then score the
-    identical received frames of ``sc_h1``, and each row reports the
-    paired difference delta = pmd_a - pmd_b with its paired standard
-    error.  The sign of delta is measured, never assumed.
+    ``sc``'s channel and seed.  Both detectors then score the identical
+    received frames of ``sc``, and each row reports the paired
+    difference delta = pmd_a - pmd_b with its paired standard error.
+    The sign of delta is measured, never assumed.
 
-    ``sc_h1`` may itself be noise-only: that is the degenerate no-signal
+    ``sc`` may itself be noise-only: that is the degenerate no-signal
     check, where both detectors should miss at rate 1 - target.
     """
-    if not sc_h0.noise_only:
-        raise ValueError("sc_h0 must be noise-only")
-    if sc_h0.n_samples != sc_h1.n_samples or sc_h0.channel != sc_h1.channel:
-        raise ValueError("scenarios must share frame length and channel")
     targets = [float(t) for t in pfa_targets]
     for t in targets:
         if not 0.0 < t < 1.0:
             raise ValueError(f"pfa targets must lie strictly inside (0, 1), got {t!r}")
 
     def calibrate(spec: DetectorSpec, target: float) -> float:
-        cal = calibrate_threshold(
-            spec, sc_h0.n_samples, target,
-            channel=sc_h0.channel, trials=cal_trials, seed=sc_h0.seed,
-        )
-        return cal.threshold
+        return calibrate_threshold(spec, sc.n_samples, target, channel=sc.channel,
+                                   trials=cal_trials, seed=sc.seed).threshold
 
-    stats_a, stats_b = trial_statistics_pair(sc_h1, spec_a, spec_b, workers=workers)
-    trials = sc_h1.trials
+    stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b, workers=workers)
+    trials = sc.trials
     rows = []
     for t in targets:
         lam_a = calibrate(spec_a, t)
@@ -599,8 +561,8 @@ def compare_detectors(
         rows=tuple(rows),
         spec_a=spec_a,
         spec_b=spec_b,
-        snr_db=sc_h1.snr_db,
-        n_samples=sc_h1.n_samples,
+        snr_db=sc.snr_db,
+        n_samples=sc.n_samples,
         trials=trials,
-        seed=sc_h1.seed,
+        seed=sc.seed,
     )

@@ -2,9 +2,9 @@
 
 Samples are real baseband amplitudes under a unit-noise-variance
 convention: the channel adds zero-mean Gaussian noise of variance
-``noise_variance`` (default 1.0), and SNR gamma is the ratio of average
-received signal power (at fading gain 1) to that noise power, so
-``transmit`` scales a unit-power signal frame by ``sqrt(gamma * sigma^2)``.
+``noise_variance`` (default 1.0), and ``transmit`` scales a frame by
+``sqrt(gamma * sigma^2)``: the received SNR at fading gain 1 is gamma
+times the frame's mean square, so gamma itself for a unit-power frame.
 
 Fading is flat block fading: one envelope gain per frame, drawn fresh
 each frame and held constant across its samples.  The Rayleigh envelope
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, fold_in, normal_block, uniform_block
 
 AWGN = "awgn"
 RAYLEIGH = "rayleigh"
@@ -63,9 +63,21 @@ class SampleFrame:
 
 
 class SignalModel:
-    """Base class for primary-user signal models; see the variants below."""
+    """Base class for primary-user signal models; see the variants below.
+
+    ``block(keys, n)`` draws one engine frame per trial key from its
+    ``SIGNAL_ROLE`` sub-stream, bit for bit the frame :func:`gen_primary`
+    draws from ``Stream(key)``; ``mean_square(n)`` is the mean of x[k]^2
+    every frame shares, or None when frames differ in it.
+    """
 
     power: float
+
+    def block(self, keys: np.ndarray, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def mean_square(self, n: int) -> float | None:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,13 @@ class Bpsk(SignalModel):
 
     def __post_init__(self):
         _check_power(self.power)
+
+    def block(self, keys, n):
+        u = uniform_block(fold_in(keys, SIGNAL_ROLE), n)
+        return np.where(u < 0.5, -1.0, 1.0) * math.sqrt(self.power)
+
+    def mean_square(self, n):
+        return float(self.power)
 
 
 @dataclass(frozen=True)
@@ -103,6 +122,16 @@ class Sinusoid(SignalModel):
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError(f"cycles_per_frame must be a positive finite number, got {c!r}")
 
+    def _row(self, n: int) -> np.ndarray:
+        k = np.arange(n, dtype=np.float64)
+        return math.sqrt(2.0 * self.power) * np.cos(2.0 * np.pi * self.cycles_per_frame * k / n)
+
+    def block(self, keys, n):
+        return np.broadcast_to(self._row(n), (keys.size, n))
+
+    def mean_square(self, n):
+        return float(np.mean(self._row(n) ** 2))
+
 
 @dataclass(frozen=True)
 class GaussianIid(SignalModel):
@@ -112,6 +141,15 @@ class GaussianIid(SignalModel):
 
     def __post_init__(self):
         _check_power(self.power)
+
+    def block(self, keys, n):
+        return normal_block(fold_in(keys, SIGNAL_ROLE), n) * math.sqrt(self.power)
+
+    def mean_square(self, n):
+        return None
+
+
+SIGNAL_MODELS = {"bpsk": Bpsk, "sinusoid": Sinusoid, "gaussian": GaussianIid}
 
 
 def _check_power(power) -> None:
@@ -210,7 +248,7 @@ def transmit(
     snr_db: float | None,
     rng: Stream,
 ) -> tuple[SampleFrame, FadingDraw]:
-    """Pass a unit-power frame through the channel at the given SNR.
+    """Pass a signal frame through the channel at the given SNR.
 
     Returns ``(y, h)`` with ``y[k] = h * sqrt(gamma * sigma^2) * x[k] + w[k]``,
     where w is i.i.d. zero-mean Gaussian of variance sigma^2 and h is one

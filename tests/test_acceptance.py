@@ -164,17 +164,16 @@ def test_acceptance_05_pmd_table_trends_and_reference_embedding(tmp_path):
 def test_acceptance_06_detector_comparison_controls():
     trials = 100_000
     sc_h1 = _h1(CH_AWGN, -10.0, trials)
-    sc_h0 = sc_h1.as_noise_only()
     targets = [0.01, 0.1]
 
-    first = compare_detectors(sc_h0, sc_h1, targets)
-    second = compare_detectors(sc_h0, sc_h1, targets)
+    first = compare_detectors(sc_h1, targets)
+    second = compare_detectors(sc_h1, targets)
     assert first == second  # bit-for-bit reproducible
 
-    selfcmp = compare_detectors(sc_h0, sc_h1, targets, spec_a=P2, spec_b=P2)
+    selfcmp = compare_detectors(sc_h1, targets, spec_a=P2, spec_b=P2)
     assert all(r.delta == 0.0 and r.stderr_delta == 0.0 for r in selfcmp.rows)
 
-    nosignal = compare_detectors(sc_h0, sc_h0, targets)
+    nosignal = compare_detectors(sc_h1.as_noise_only(), targets)
     for row in nosignal.rows:
         assert abs(row.delta) <= 3.0 * row.stderr_delta + 1e-12
 

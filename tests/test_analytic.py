@@ -134,6 +134,26 @@ def test_pd_rayleigh_against_adaptive_quadrature():
     assert worst <= 1e-6
 
 
+@pytest.mark.xfail(strict=True, reason="the 128-node rule misses the exact value at 20 dB")
+def test_pd_rayleigh_high_snr_matches_split_integral():
+    # P_D at n=10, 20 dB, lam for P_FA 0.1, integrated by scipy in two
+    # pieces split at u=0.05 so the steep rise near lam/(n*gamma_bar) is
+    # resolved; the sum is 0.99194876 and agrees with the exact series
+    # sum_k theta^k/(1+theta)^(k+1) Q(n/2+k, lam/2) to 1e-15.  An exact
+    # Rayleigh route makes this pass, and then the marker must go.
+    n, gbar, lam = 10, 100.0, 15.987179172225296
+
+    def integrand(u):
+        return scipy.stats.ncx2.sf(lam, n, n * gbar * u) * math.exp(-u)
+
+    want = sum(
+        scipy.integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+        for a, b in ((0.0, 0.05), (0.05, math.inf))
+    )
+    assert want == pytest.approx(0.99194876, abs=1e-8)
+    assert pd_rayleigh_analytic(n, gbar, lam) == pytest.approx(want, abs=1e-6)
+
+
 def test_pd_rayleigh_extremes_and_node_floor():
     assert pd_rayleigh_analytic(10, 1.0, 0.0) == pytest.approx(1.0, abs=1e-9)
     assert pd_rayleigh_analytic(10, 1.0, 500.0) < 1e-6

@@ -17,7 +17,8 @@ def test_tracer_wraps_and_restores_by_identity(monkeypatch):
     from tracer import Tracer
 
     from sensesim import analytic, cli
-    from sensesim.signal_channel import RAYLEIGH
+    from sensesim.montecarlo import Scenario
+    from sensesim.signal_channel import RAYLEIGH, Bpsk, ChannelModel
 
     original = analytic.pd_rayleigh_analytic
     tracer = Tracer()
@@ -29,7 +30,9 @@ def test_tracer_wraps_and_restores_by_identity(monkeypatch):
         assert cli.pd_rayleigh_analytic is wrapped
         # the CLI oracle helper resolves the oracle at call time, so the
         # wrapper sees the call
-        cli._oracle_pd(RAYLEIGH, 4, 0.0, 5.0)
+        sc = Scenario(channel=ChannelModel(RAYLEIGH), n_samples=4, trials=1, seed=0,
+                      signal=Bpsk(), snr_db=0.0)
+        cli._oracle_pd(sc, 5.0)
         assert [s.name for s in tracer.spans].count("analytic.pd_rayleigh") == 1
     finally:
         tracer.restore()

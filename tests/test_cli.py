@@ -108,6 +108,10 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--config", str(ini)) == 2
     ini.write_text("[mystery]\nx = 1\n")
     assert run("roc", "--config", str(ini)) == 2
+    ini.write_text("[run]\nchannel = laplace\n")
+    assert run("roc", "--config", str(ini)) == 2
+    ini.write_text("[signal]\nkind = qpsk\n")
+    assert run("roc", "--config", str(ini)) == 2
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
@@ -196,6 +200,33 @@ def test_validate_command_passes(capsys):
     assert "all checks passed" in out
     assert "FAIL" not in out
     assert out.count("PASS") == 7
+
+
+@pytest.mark.parametrize("signal, skips", [
+    ("kind = gaussian", 2),
+    ("power = 2.0", 0),
+    ("kind = sinusoid\ncycles_per_frame = 5", 0),
+], ids=["gaussian", "bpsk-power-2", "sinusoid-c5"])
+def test_validate_scales_the_oracle_to_the_signal(tmp_path, capsys, signal, skips):
+    # the p=2 oracle runs at SNR times the frame's mean square, and skips
+    # signals whose frames do not share one
+    ini = tmp_path / "signal.ini"
+    ini.write_text(f"[signal]\n{signal}\n")
+    assert run("validate", "--trials", "20000", "--config", str(ini)) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.count("SKIP") == skips
+    assert out.count("PASS") == 7 - skips
+
+
+def test_roc_svg_overlays_the_oracle_only_where_it_applies(tmp_path):
+    for kind, overlaid in (("gaussian", False), ("bpsk", True)):
+        ini = tmp_path / f"{kind}.ini"
+        ini.write_text(f"[signal]\nkind = {kind}\n")
+        out = tmp_path / kind
+        assert run("roc", "--trials", "1000", "--snr-db=0", "--svg",
+                   "--config", str(ini), "--out", str(out)) == 0
+        assert ("analytic" in (out / "roc_awgn_0dB.svg").read_text()) == overlaid
 
 
 def test_version_flag(capsys):

@@ -226,34 +226,42 @@ def test_calibration_domain_is_disjoint_from_trials():
 def test_roc_sweep_is_exactly_monotone():
     sc1 = _h1(trials=20_000)
     grid = default_threshold_grid(P2, 10)
-    curve = roc_sweep(sc1.as_noise_only(), sc1, P2, grid)
+    (curve,) = roc_sweep([sc1], P2, grid)
     assert len(curve.points) == 26
     assert np.all(np.diff(curve.pfa) >= 0.0)  # shared trials: no wiggle at all
     assert np.all(np.diff(curve.pd) >= 0.0)
     with pytest.raises(ValueError):
-        roc_sweep(sc1, sc1, P2, grid)
-    with pytest.raises(ValueError):
-        roc_sweep(sc1.as_noise_only(), sc1.as_noise_only(), P2, grid)
-    mismatched = _h1(n=12)
-    with pytest.raises(ValueError):
-        roc_sweep(sc1.as_noise_only(), mismatched, P2, grid)
-    # H0 must be the exact noise-only twin: same seed and trial count too
-    for h0 in (_h1(trials=20_000, seed=8).as_noise_only(), _h1(trials=1000).as_noise_only()):
-        with pytest.raises(ValueError):
-            roc_sweep(h0, sc1, P2, grid)
+        roc_sweep([sc1.as_noise_only()], P2, grid)
     # several H1 columns differ in snr_db only
     with pytest.raises(ValueError):
-        roc_sweep(sc1.as_noise_only(), [sc1, _h1(trials=20_000, signal=GaussianIid())], P2, grid)
+        roc_sweep([sc1, _h1(trials=20_000, signal=GaussianIid())], P2, grid)
     with pytest.raises(ValueError):
-        roc_sweep(sc1.as_noise_only(), [], P2, grid)
+        roc_sweep([], P2, grid)
+
+
+def test_run_blocks_needs_one_shared_draw():
+    # every column is drawn from the first one's seed, trials, frame
+    # length, channel and signal: H0 must be the exact noise-only twin
+    # and all signal columns must carry the same model
+    sc1 = _h1(trials=200)
+    h0 = sc1.as_noise_only()
+    mismatched = (_h1(trials=200, seed=8), _h1(trials=100), _h1(trials=200, n=12),
+                  _h1(trials=200, channel=CH_RAY))
+    for columns in (
+        *((h0, other) for other in mismatched),
+        *((sc1, other) for other in mismatched),
+        (h0, sc1, _h1(trials=200, signal=GaussianIid())),
+    ):
+        with pytest.raises(ValueError):
+            montecarlo._run_blocks(columns, (P2,), TRIAL_DOMAIN, 1)
+    montecarlo._run_blocks((h0, sc1, _h1(trials=200, snr_db=5.0)), (P2,), TRIAL_DOMAIN, 1)
 
 
 def test_roc_sweep_over_columns_equals_one_call_per_column():
     grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, 10)
     columns = [_h1(channel=CH_RAY, trials=3000, snr_db=s) for s in (10.0, -10.0, 0.0)]
-    h0 = columns[0].as_noise_only()
-    curves = roc_sweep(h0, columns, P2, grid)
-    assert curves == [roc_sweep(h0, sc, P2, grid) for sc in columns]
+    curves = roc_sweep(columns, P2, grid)
+    assert curves == [roc_sweep([sc], P2, grid)[0] for sc in columns]
 
 
 def test_pmd_table_structure_and_reference_hookup():
@@ -289,7 +297,7 @@ def test_pmd_table_input_validation():
 
 def test_compare_same_spec_gives_exact_zero():
     sc1 = _h1(trials=20_000)
-    report = compare_detectors(sc1.as_noise_only(), sc1, [0.01, 0.1], spec_a=P2, spec_b=P2)
+    report = compare_detectors(sc1, [0.01, 0.1], spec_a=P2, spec_b=P2)
     for row in report.rows:
         assert row.delta == 0.0
         assert row.stderr_delta == 0.0
@@ -314,14 +322,14 @@ def test_compare_verdict_names_the_measured_detector():
 
 def test_compare_is_bitwise_reproducible():
     sc1 = _h1(trials=20_000, snr_db=-10.0)
-    a = compare_detectors(sc1.as_noise_only(), sc1, [0.01, 0.1])
-    b = compare_detectors(sc1.as_noise_only(), sc1, [0.01, 0.1])
+    a = compare_detectors(sc1, [0.01, 0.1])
+    b = compare_detectors(sc1, [0.01, 0.1])
     assert a == b  # frozen dataclasses of floats: bit-for-bit equality
 
 
 def test_compare_no_signal_shows_no_difference():
     sc0 = _h1(trials=50_000).as_noise_only()
-    report = compare_detectors(sc0, sc0, [0.1])
+    report = compare_detectors(sc0, [0.1])
     row = report.rows[0]
     # both detectors run at the same false-alarm budget on pure noise:
     # each misses at about 1 - target, and the paired delta straddles 0
@@ -332,7 +340,7 @@ def test_compare_no_signal_shows_no_difference():
 
 def test_compare_rows_follow_targets():
     sc1 = _h1(trials=10_000, snr_db=0.0)
-    report = compare_detectors(sc1.as_noise_only(), sc1, [0.01, 0.1])
+    report = compare_detectors(sc1, [0.01, 0.1])
     assert [r.target_pfa for r in report.rows] == [0.01, 0.1]
     r_strict, r_loose = report.rows
     assert r_strict.lambda_a > r_loose.lambda_a
@@ -340,9 +348,7 @@ def test_compare_rows_follow_targets():
     assert r_strict.pmd_a >= r_loose.pmd_a
     assert report.sign_summary().count("\n") == 1
     with pytest.raises(ValueError):
-        compare_detectors(sc1.as_noise_only(), sc1, [0.0])
-    with pytest.raises(ValueError):
-        compare_detectors(sc1, sc1, [0.1])
+        compare_detectors(sc1, [0.0])
 
 
 def test_pair_statistics_share_frames():

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sensesim.rng import Stream
+from sensesim.rng import Stream, fold_range
 from sensesim.signal_channel import (
     AWGN,
     RAYLEIGH,
+    SIGNAL_MODELS,
     Bpsk,
     ChannelModel,
     FadingDraw,
@@ -104,6 +105,35 @@ def test_gaussian_signal_power_and_scaling():
     unit = gen_primary(GaussianIid(power=1.0), 50, _trial(2, 1))
     four = gen_primary(GaussianIid(power=4.0), 50, _trial(2, 1))
     assert np.array_equal(four.samples, 2.0 * unit.samples)
+
+
+# each configurable model at its defaults, plus the non-unit cases the
+# p=2 oracles must scale for; a model added to SIGNAL_MODELS is covered
+_MODELS = [cls() for cls in SIGNAL_MODELS.values()] + [
+    Bpsk(power=2.0),
+    Sinusoid(cycles_per_frame=0.3),
+    Sinusoid(cycles_per_frame=5.0),
+    GaussianIid(power=0.5),
+]
+
+
+def test_signal_models_table_covers_every_model():
+    assert set(SIGNAL_MODELS.values()) == set(SignalModel.__subclasses__())
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=repr)
+def test_model_block_matches_scalar_reference(model):
+    n = 10
+    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(6, dtype=np.uint64))
+    block = model.block(keys, n)
+    assert block.shape == (keys.size, n)
+    mean_square = model.mean_square(n)
+    for r in range(keys.size):
+        frame = gen_primary(model, n, Stream(int(keys[r]))).samples
+        assert np.array_equal(block[r], frame)
+        if mean_square is not None:
+            assert mean_square == pytest.approx(np.mean(frame**2), rel=1e-15, abs=0.0)
+    assert (mean_square is None) == isinstance(model, GaussianIid)
 
 
 def test_awgn_fading_is_unity():
