@@ -18,13 +18,23 @@ nothing but IEEE arithmetic:
   modified Lentz continued fraction otherwise (Numerical Recipes
   section 6.2), good to about 1e-12 absolute.
 * The noncentral survival function is the Poisson mixture
-  sum_k w_k(delta/2) * chi2_sf(nu+2k, lam) with the central values
-  obtained by the stable upward recurrence
-  Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1).  Summation starts at the
-  Poisson mode (so the first weight never underflows) and expands both
-  ways until the remaining Poisson tail mass is below 1e-12.  A Marcum-Q
-  routine would compute the same quantity; the mixture needs nothing
-  beyond the incomplete gamma and has an explicit truncation bound.
+  sum_k Pois(k; delta/2) * Q(nu/2+k, lam/2).  One kernel evaluates it
+  for a whole vector of Poisson means.  A ladder of central tails is
+  built from one Q(nu/2, lam/2) by the stable upward recurrence
+  Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1) until Q rounds to 1, so
+  its length K depends on (nu, lam) only.  Each mean then takes its
+  Poisson weights of k < K against the ladder as one matrix product,
+  plus the mass of k >= K as one lower incomplete gamma P(K, delta/2).
+  Nothing is cut off by an absolute mass bound, so a survival value of
+  1e-35 keeps its relative accuracy: about 2e-13 against mpmath for
+  delta up to 1e3.  Beyond that the weights' exponent
+  k*ln(h) - h - lgamma(k+1), h = delta/2, cancels large terms, and the
+  relative error grows to 5e-12 at delta = 1e4 and 2e-11 at 1e5 (lam
+  near delta).  Weight rows go through the ladder in chunks of at most
+  2^20 entries (8 MiB), so memory stays bounded however long the ladder
+  grows.  The Rayleigh oracle passes all 128 quadrature nodes as one
+  vector.  A Marcum-Q routine would compute the same quantity; the
+  mixture needs nothing beyond the incomplete gamma.
 
 No closed form is attempted for the cubing detector: a sum of |Gaussian|^3
 terms has no standard distribution, which is the gap the Monte Carlo
@@ -43,9 +53,10 @@ import numpy as np
 
 _GAMMA_EPS = 1e-16
 _GAMMA_ITMAX = 10000
-_MIXTURE_TAIL = 1e-12
-_MIXTURE_ITMAX = 1_000_000
-_BISECT_TOL = 1e-10  # inner solve tolerance; round-trip contract is 1e-9
+# Inner solve tolerance, absolute and relative to the target; the
+# round-trip contract is ten times looser, min(1e-9, 1e-6 * target).
+_BISECT_TOL = 1e-10
+_BISECT_REL = 1e-7
 
 
 class NumericError(RuntimeError):
@@ -103,12 +114,16 @@ def gammaq(a: float, x: float) -> float:
     return _gammaq_contfrac(a, x)
 
 
-def chi2_sf(nu: int, lam: float) -> float:
-    """P(chi-square with nu dof > lam) = Q(nu/2, lam/2)."""
+def _check_dof_and_threshold(nu, lam) -> None:
     if not isinstance(nu, (int, np.integer)) or nu < 1:
         raise ValueError(f"degrees of freedom must be an integer >= 1, got {nu!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+
+
+def chi2_sf(nu: int, lam: float) -> float:
+    """P(chi-square with nu dof > lam) = Q(nu/2, lam/2)."""
+    _check_dof_and_threshold(nu, lam)
     return gammaq(nu / 2.0, lam / 2.0)
 
 
@@ -119,62 +134,64 @@ def _qterm(a: float, x: float) -> float:
     return math.exp(a * math.log(x) - x - math.lgamma(a + 1.0))
 
 
+def _poisson_tail(k: int, h: float) -> float:
+    # P(N >= k) for N ~ Poisson(h), the regularized lower gamma P(k, h).
+    # Below the mean the series sums it directly, so a tiny tail keeps
+    # its relative accuracy; above it 1 - Q loses nothing.
+    if k == 0:
+        return 1.0
+    if h == 0.0:
+        return 0.0
+    if h < k + 1.0:
+        return _gammap_series(float(k), h)
+    return 1.0 - gammaq(float(k), h)
+
+
+_MIXTURE_BUDGET = 1 << 20  # Poisson weights held at once (8 MiB of float64)
+
+
+def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
+    """sum_k Pois(k; h) * Q(a0 + k, x) for every Poisson mean h in ``hs``."""
+    # The ladder Q(a0+k, x), k < K, runs upward until Q rounds to 1 (or,
+    # past the peak of the steps, stops moving a rounding short of it).
+    # It depends on (a0, x) alone, so every h shares it.
+    ladder = []
+    q, t, a = gammaq(a0, x), _qterm(a0, x), a0
+    while q < 1.0 and (a <= x or q + t > q):
+        ladder.append(q)
+        q += t
+        a += 1.0
+        # Re-derive a step that has left the normal range so that no
+        # denormal's lost digits carry into the recurrence.
+        t = t * x / a if t > 1e-280 else _qterm(a, x)
+    ladder = np.array(ladder)
+    k = np.arange(len(ladder), dtype=float)
+    log_k_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    log_h = np.log(np.maximum(hs, np.finfo(float).tiny))
+    out = np.array([_poisson_tail(len(ladder), float(h)) for h in hs])
+    # Rows of Poisson weights go through the ladder in chunks, so memory
+    # stays bounded however long the ladder grows.
+    step = max(1, _MIXTURE_BUDGET // max(len(ladder), 1))
+    for s in range(0, len(hs), step):
+        w = np.multiply.outer(log_h[s:s + step], k)
+        w -= hs[s:s + step, None]
+        w -= log_k_fact
+        out[s:s + step] += np.exp(w, out=w) @ ladder
+    return out
+
+
 def noncentral_chi2_sf(nu: int, delta: float, lam: float) -> float:
     """Survival function of the noncentral chi-square (nu dof, noncentrality delta).
 
     delta == 0 short-circuits to the central :func:`chi2_sf` exactly.
     """
-    if not isinstance(nu, (int, np.integer)) or nu < 1:
-        raise ValueError(f"degrees of freedom must be an integer >= 1, got {nu!r}")
+    _check_dof_and_threshold(nu, lam)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"noncentrality must be finite and >= 0, got {delta!r}")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     if delta == 0.0:
         return chi2_sf(nu, lam)
-
-    a0 = nu / 2.0
-    x = lam / 2.0
-    half = delta / 2.0
-    k0 = int(half)  # Poisson mode: the largest weight, never underflows
-    logw0 = -half if k0 == 0 else k0 * math.log(half) - half - math.lgamma(k0 + 1.0)
-    w0 = math.exp(logw0)
-    q0 = gammaq(a0 + k0, x)
-
-    acc = w0 * q0
-    mass = w0
-
-    # Upward from the mode: weights via w_{k+1} = w_k * half/(k+1), central
-    # survival via the stable upward recurrence on Q.
-    w = w0
-    q = q0
-    t = _qterm(a0 + k0, x)
-    k = k0
-    while mass < 1.0 - _MIXTURE_TAIL:
-        k += 1
-        if k - k0 > _MIXTURE_ITMAX:
-            raise NumericError(
-                f"noncentral mixture exceeded {_MIXTURE_ITMAX} terms "
-                f"(nu={nu}, delta={delta}, lam={lam})"
-            )
-        q = min(q + t, 1.0)
-        t *= x / (a0 + k)
-        w *= half / k
-        acc += w * q
-        mass += w
-        if w < 1e-300 and k > half:
-            break
-    # Downward from the mode when it is interior.
-    w = w0
-    k = k0
-    while k > 0 and mass < 1.0 - _MIXTURE_TAIL:
-        w *= k / half
-        k -= 1
-        acc += w * gammaq(a0 + k, x)
-        mass += w
-        if w < 1e-300 and k < half:
-            break
-    return min(max(acc, 0.0), 1.0)
+    pd = float(_poisson_mixture(nu / 2.0, np.array([delta / 2.0]), lam / 2.0)[0])
+    return min(max(pd, 0.0), 1.0)
 
 
 def pfa_analytic(n: int, lam: float) -> float:
@@ -209,19 +226,24 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
 
     Evaluates integral_0^inf pd_awgn(n, gamma_bar*u, lam) e^-u du by
     128-node Gauss-Laguerre quadrature; u = h^2 is exponential(1) under
-    the E[h^2] = 1 envelope convention.  Measured absolute error at n=10,
-    lam=15.99 against the exact series sum_k theta^k/(1+theta)^(k+1) *
-    Q(n/2+k, lam/2), theta = n*gamma_bar/2: at most 1.8e-7 up to 10 dB,
-    1.2e-4 at 20 dB, 8.1e-4 at 30 dB, and up to 3.0e-3 near 23.5 dB.
-    Plain adaptive quadrature over [0, 60] misses the dip near
-    u = lam/(n*gamma_bar) at high SNR, just as this rule does.
+    the E[h^2] = 1 envelope convention.  All nodes share one ladder of
+    central tails, so a call costs one Poisson-mixture evaluation.
+
+    The rule's error is not monotone in SNR.  Measured absolute error at
+    n=10, lam=15.99 (P_FA 0.1) against the exact series sum_k
+    theta^k/(1+theta)^(k+1) * Q(n/2+k, lam/2), theta = n*gamma_bar/2, on
+    a 0.5 dB grid: at most 1.8e-7 up to 10 dB (5.2e-7 at lam for P_FA
+    1e-3), but 1.2e-3 near 18 dB, 1.2e-4 at 20 dB, 3.0e-3 near 23.5 dB
+    and 8.1e-4 at 30 dB, so a value between the decade points is not
+    bounded by the 20 dB figure.  Plain adaptive quadrature over [0, 60]
+    misses the dip near u = lam/(n*gamma_bar) at high SNR, just as this
+    rule does.
     """
+    _check_dof_and_threshold(n, lam)
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise ValueError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
     xs, ws = _laguerre_rule()
-    total = 0.0
-    for xi, wi in zip(xs, ws):
-        total += wi * pd_awgn_analytic(n, gamma_bar * float(xi), lam)
+    total = float(ws @ _poisson_mixture(n / 2.0, n * gamma_bar * xs / 2.0, lam / 2.0))
     if not (math.isfinite(total) and -1e-9 <= total <= 1.0 + 1e-9):
         raise NumericError(f"quadrature produced {total!r} for n={n}, "
                            f"gamma_bar={gamma_bar}, lam={lam}")
@@ -314,7 +336,7 @@ def calibrate_threshold(
             target_pfa=target_pfa,
             achieved_pfa=achieved,
             method=method,
-            tolerance=1e-9,
+            tolerance=min(1e-9, 1e-6 * target_pfa),
         )
 
     if method is CalibrationMethod.EMPIRICAL_QUANTILE:
@@ -365,20 +387,37 @@ def _sorted_h0_statistics(spec, n, trials, channel, seed) -> np.ndarray:
 
 
 def _bisect_chi2_isf(n: int, target: float) -> float:
-    """Solve chi2_sf(n, lam) = target by bisection to |residual| <= 1e-10."""
+    """Solve chi2_sf(n, lam) = target by bisection to
+    |residual| <= min(1e-10, 1e-7 * target).
+
+    A target the solve cannot resolve to that accuracy is rejected with
+    ``ValueError``: one below the normal double range, where the tail
+    itself keeps fewer digits, or one whose bracket shrinks to adjacent
+    doubles first.
+    """
+    if target < np.finfo(float).tiny:
+        raise ValueError(
+            f"target_pfa {target!r} lies below the normal double range, where its "
+            f"threshold cannot be resolved to relative accuracy {_BISECT_REL}"
+        )
+    tol = min(_BISECT_TOL, _BISECT_REL * target)
     lo = 0.0
     hi = max(4.0 * n, 8.0)
     while pfa_analytic(n, hi) > target:
         hi *= 2.0
         if hi > 1e12:
             raise NumericError(f"could not bracket threshold for n={n}, target={target}")
-    for _ in range(500):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            raise ValueError(
+                f"target_pfa {target!r}: no threshold at n={n} resolves it to "
+                f"relative accuracy {_BISECT_REL}"
+            )
         f = pfa_analytic(n, mid)
-        if abs(f - target) <= _BISECT_TOL:
+        if abs(f - target) <= tol:
             return mid
         if f > target:
             lo = mid
         else:
             hi = mid
-    raise NumericError(f"threshold bisection stalled for n={n}, target={target}")

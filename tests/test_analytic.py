@@ -6,7 +6,9 @@ scipy's, to quadrature, and to brute-force Monte Carlo.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -58,8 +60,8 @@ def test_chi2_sf_against_scipy():
 def test_noncentral_chi2_sf_against_scipy():
     worst = 0.0
     for nu in (1, 2, 5, 10, 50):
-        for delta in (1e-8, 0.1, 1.0, 5.0, 20.0, 100.0):
-            for lam in _LAM_GRID:
+        for delta in (1e-8, 0.1, 1.0, 5.0, 20.0, 100.0, 1e4, 1e5):
+            for lam in _LAM_GRID + [500.0, 2000.0]:
                 worst = max(
                     worst,
                     abs(
@@ -68,6 +70,41 @@ def test_noncentral_chi2_sf_against_scipy():
                     ),
                 )
     assert worst <= 1e-10
+
+
+def _mp_noncentral_sf(nu, delta, lam):
+    # Poisson mixture at 30 digits, summed from k = 0 until past the
+    # Poisson mean the terms stop mattering at that precision.
+    with mpmath.workdps(30):
+        h, x = mpmath.mpf(delta) / 2, mpmath.mpf(lam) / 2
+        total, k = mpmath.mpf(0), 0
+        while True:
+            weight = mpmath.exp(k * mpmath.log(h) - h - mpmath.loggamma(k + 1))
+            q = mpmath.gammainc(mpmath.mpf(nu) / 2 + k, x, mpmath.inf, regularized=True)
+            term = weight * q
+            total += term
+            if k > h and term < total * mpmath.mpf("1e-32"):
+                return total
+            k += 1
+
+
+def test_noncentral_chi2_sf_relative_accuracy_against_mpmath():
+    # Relative, not absolute: a 1e-35 tail must keep its digits too.
+    # (10, 1, 200) is 8.2e-35, where a cut-off on the Poisson mass at
+    # 1e-12 used to cost 1e-3 of the value.
+    worst = 0.0
+    points = [(10, 1.0, 200.0)] + [
+        (nu, delta, lam)
+        for nu in (1, 2, 10, 50)
+        for delta in (0.1, 1.0, 20.0, 100.0)
+        for lam in (1.0, 20.0, 200.0)
+    ]
+    for nu, delta, lam in points:
+        want = _mp_noncentral_sf(nu, delta, lam)
+        if want > mpmath.mpf("1e-300"):
+            got = noncentral_chi2_sf(nu, delta, lam)
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-12
 
 
 def test_noncentral_zero_offset_degenerates_to_central():
@@ -134,6 +171,82 @@ def test_pd_rayleigh_against_adaptive_quadrature():
     assert worst <= 1e-6
 
 
+def test_pd_rayleigh_equals_scipy_node_sum():
+    # The same 128-node rule summed over scipy's noncentral tail: the
+    # shared-ladder kernel must not add error of its own.
+    xs, ws = np.polynomial.laguerre.laggauss(128)
+    worst = 0.0
+    for n in (1, 2, 10, 50):
+        for pfa in (1e-4, 1e-2, 0.1, 0.5, 0.9):
+            lam = calibrate_threshold(DetectorSpec(p=2), n, pfa).threshold
+            for snr_db in range(-20, 31, 5):
+                gbar = 10.0 ** (snr_db / 10.0)
+                want = float(ws @ scipy.stats.ncx2.sf(lam, n, n * gbar * xs))
+                worst = max(worst, abs(pd_rayleigh_analytic(n, gbar, lam) - want))
+    assert worst <= 1e-13
+
+
+def _exact_rayleigh_pd(n, gbar, lam):
+    # sum_k theta^k/(1+theta)^(k+1) Q(n/2+k, lam/2), theta = n*gbar/2.
+    # K runs 20 sigma past lam/2, where Q is 1 to double precision, so the
+    # geometric remainder (theta/(1+theta))^K closes the sum exactly.
+    theta = n * gbar / 2.0
+    k = np.arange(int(lam / 2.0 + 20.0 * math.sqrt(lam / 2.0 + 1.0) + 50.0))
+    q = scipy.special.gammaincc(n / 2.0 + k, lam / 2.0)
+    r = theta / (1.0 + theta)
+    return float(np.sum(r**k * q) / (1.0 + theta) + r ** len(k))
+
+
+def test_pd_rayleigh_rule_error_up_to_10_db():
+    # The SNR range the roc --svg overlay plots, on a 0.5 dB grid at n=10.
+    # At lam for P_FA 0.1 this is the docstring's 1.8e-7; over the
+    # overlay's targets the worst is 5.2e-7, at P_FA 1e-3 and 10 dB.
+    snrs = np.arange(-20.0, 10.01, 0.5)
+    for pfa, bound in ((0.1, 2e-7), (1e-3, 6e-7), (1e-2, 6e-7), (0.5, 6e-7)):
+        lam = calibrate_threshold(DetectorSpec(p=2), 10, pfa).threshold
+        worst = max(
+            abs(pd_rayleigh_analytic(10, g, lam) - _exact_rayleigh_pd(10, g, lam))
+            for g in 10.0 ** (snrs / 10.0)
+        )
+        assert worst <= bound
+
+
+def test_pd_rayleigh_memory_stays_bounded(monkeypatch):
+    # n = 20000 grows the ladder to about a thousand rungs, and the peak
+    # stays small.  With a budget of one weight every node row is its own
+    # chunk, which must give the same value.
+    lam = calibrate_threshold(DetectorSpec(p=2), 20000, 0.01).threshold
+    tracemalloc.start()
+    try:
+        pd = pd_rayleigh_analytic(20000, 1.0, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < pd < 1.0
+    assert peak < 32 * 2**20
+    monkeypatch.setattr(analytic, "_MIXTURE_BUDGET", 1)
+    assert pd_rayleigh_analytic(20000, 1.0, lam) == pytest.approx(pd, abs=1e-15)
+
+
+def test_mixture_gammaq_call_counts(monkeypatch):
+    # Call counts repeat exactly, so they guard the shared ladder without
+    # a wall-clock bound: one Q for the ladder, at most one per node for
+    # its Poisson tail (152,347 calls before the ladder was shared).
+    calls = []
+    real = analytic.gammaq
+
+    def counting(a, x):
+        calls.append((a, x))
+        return real(a, x)
+
+    monkeypatch.setattr(analytic, "gammaq", counting)
+    pd_rayleigh_analytic(10, 10.0, 15.99)
+    assert 1 <= len(calls) <= 128 + 2
+    calls.clear()
+    noncentral_chi2_sf(10, 5.0, 16.0)
+    assert 1 <= len(calls) <= 2
+
+
 @pytest.mark.xfail(strict=True, reason="the 128-node rule misses the exact value at 20 dB")
 def test_pd_rayleigh_high_snr_matches_split_integral():
     # P_D at n=10, 20 dB, lam for P_FA 0.1, integrated by scipy in two
@@ -166,6 +279,20 @@ def test_calibrate_analytic_roundtrip():
             assert abs(pfa_analytic(n, cal.threshold) - target) <= 1e-9
             assert abs(cal.achieved_pfa - target) <= 1e-9
             assert cal.method is CalibrationMethod.ANALYTIC
+
+
+def test_calibrate_analytic_relative_roundtrip():
+    # The solve stops at min(1e-10, 1e-7 * target), so a tiny target keeps
+    # its relative accuracy instead of passing on an absolute 1e-9.
+    for n in (1, 10, 50):
+        for target in (1e-6, 1e-11, 1e-300):
+            cal = calibrate_threshold(DetectorSpec(p=2), n, target)
+            assert abs(pfa_analytic(n, cal.threshold) - target) <= 1e-7 * target
+            assert cal.tolerance == min(1e-9, 1e-6 * target)
+    # Below the normal double range no threshold resolves the target.
+    for target in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="relative accuracy"):
+            calibrate_threshold(DetectorSpec(p=2), 10, target)
 
 
 def test_calibrate_known_value():

@@ -43,6 +43,15 @@ def test_small_cal_trials_exit_two_on_every_command(tmp_path, capsys):
     assert "needs >= 1e5 trials" in capsys.readouterr().err
 
 
+def test_calibrate_rejects_a_target_it_cannot_resolve(capsys):
+    assert run("calibrate", "--pfa-targets", "1e-300") == 0
+    out = capsys.readouterr().out
+    achieved = float(out.split("achieved_pfa=")[1].split()[0])
+    assert achieved == pytest.approx(1e-300, rel=1e-7)
+    assert run("calibrate", "--pfa-targets", "1e-310") == 2
+    assert "relative accuracy" in capsys.readouterr().err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ("roc", "--trials", "2000", "--snr-db=0", "--seed", "42")
