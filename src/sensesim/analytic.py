@@ -305,6 +305,9 @@ def calibrate_threshold(
     evaluation trials); works for every p.  ``channel`` defaults to AWGN
     with unit noise variance.  The sorted draw of the latest (spec, n,
     trials, channel, seed) is kept, so a grid of targets costs one draw.
+    A target no larger than its own tolerance at ``trials`` (3 binomial
+    stderr, at least 2/trials) raises ``ValueError`` naming the trials
+    it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
     """
     from .detector import DetectorSpec
 
@@ -342,23 +345,35 @@ def calibrate_threshold(
     if method is CalibrationMethod.EMPIRICAL_QUANTILE:
         if trials < 100_000:
             raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
+        if _quantile_tolerance(target_pfa, trials) >= target_pfa:
+            needed = math.floor(max(9.0 * (1.0 - target_pfa), 2.0) / target_pfa) + 1
+            while _quantile_tolerance(target_pfa, needed) >= target_pfa:
+                needed += 1
+            raise ValueError(
+                f"target_pfa {target_pfa:g} is within its own tolerance at {trials} "
+                f"calibration trials; it needs cal_trials >= {needed}"
+            )
         stats = _sorted_h0_statistics(spec, n, trials, channel, seed)
         # The quantile depends only on order statistics, so the sorted
         # draw gives the same bits as the raw one.
         lam = float(np.quantile(stats, 1.0 - target_pfa, method="linear"))
         achieved = (trials - int(np.searchsorted(stats, lam, side="left"))) / trials
-        stderr = math.sqrt(achieved * (1.0 - achieved) / trials)
         return CalibrationResult(
             threshold=lam,
             target_pfa=target_pfa,
             achieved_pfa=achieved,
             method=method,
-            tolerance=max(3.0 * stderr, 2.0 / trials),
+            tolerance=_quantile_tolerance(achieved, trials),
             mc_trials=trials,
-            stderr_pfa=stderr,
+            stderr_pfa=math.sqrt(achieved * (1.0 - achieved) / trials),
         )
 
     raise ValueError(f"unknown calibration method {method!r}")
+
+
+def _quantile_tolerance(pfa: float, trials: int) -> float:
+    """Empirical calibration tolerance: 3 binomial stderr, at least 2/trials."""
+    return max(3.0 * math.sqrt(pfa * (1.0 - pfa) / trials), 2.0 / trials)
 
 
 # (key, sorted statistics) of the last empirical calibration draw.  One

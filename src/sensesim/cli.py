@@ -434,6 +434,7 @@ def cmd_compare(cfg: dict) -> int:
             cal_trials=cfg["cal_trials"], workers=cfg["workers"],
         )
         meta = _meta(cfg, "compare", targets)
+        del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
         meta["snr_db_this_file"] = _fmt_value(float(snr))
         # Matched-index headline from the bundled reference tables (row 1
         # at -10 dB); trend context only, not a target for these numbers.
@@ -523,7 +524,7 @@ def cmd_validate(cfg: dict) -> int:
             worst = max(worst, abs(pfa_analytic(nn, cal.threshold) - target))
     check("calibrate-roundtrip", worst <= 1e-9, f"max |achieved - target| = {worst:.3e}")
 
-    sc_h0 = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, noise_only=True)
+    sc_h0 = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
     worst_sigmas = 0.0
     for target in (0.01, 0.1, 0.5):
         cal = calibrate_threshold(spec, n, target, channel=channel)

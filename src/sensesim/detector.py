@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_channel import SampleFrame
-
 H0 = "H0"
 H1 = "H1"
 
@@ -55,10 +53,10 @@ class Decision:
 def statistic(y, spec: DetectorSpec, sigma: float = 1.0) -> float:
     """T = sum |y[k]|^p, divided by sigma^p when ``spec.normalized``.
 
-    ``y`` may be a :class:`SampleFrame` or any 1-D array-like; ``sigma``
-    is the noise amplitude (square root of the channel noise variance).
+    ``y`` is any 1-D array-like; ``sigma`` is the noise amplitude
+    (square root of the channel noise variance).
     """
-    a = y.samples if isinstance(y, SampleFrame) else np.asarray(y, dtype=np.float64)
+    a = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("statistic requires finite samples")
     t = float(np.sum(np.abs(a) ** spec.p))

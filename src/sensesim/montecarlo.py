@@ -3,25 +3,17 @@
 Reproducibility contract
 ------------------------
 Every estimator here is a pure function of (scenario, detector spec,
-thresholds, seed).  Trial t of a run draws from the per-trial stream
+thresholds, seed).  Trial t of a run draws from the per-trial key
 
     Stream.from_seed(scenario.seed).child(TRIAL_DOMAIN, t)
 
-and hands it to the frame primitives of :mod:`sensesim.signal_channel`,
-which read their fixed role sub-streams from it.  A naive loop over
-trials,
-
-    root = Stream.from_seed(sc.seed)
-    for t in range(sc.trials):
-        trial = root.child(TRIAL_DOMAIN, t)
-        x = gen_primary(sc.signal, sc.n_samples, trial)
-        y, _ = transmit(x, sc.channel, sc.snr_db, trial)
-        hit = statistic(y, spec, sc.channel.noise_std) >= lam
-
-reproduces the engine's statistics and counts bit for bit (H0 frames via
-``noise_frame`` or the ``snr_db=None`` sentinel).  The engine merely
-vectorizes that loop in fixed-size trial blocks; block boundaries and
-worker counts cannot change any value, only wall-clock time.
+and reads its noise, fading gain and signal from that key's fixed role
+sub-streams (:mod:`sensesim.signal_channel`).  Any one trial can thus be
+redrawn on its own: the per-trial loop of ``tests/oracle_scalar.py``
+reproduces the engine's statistics and counts bit for bit, H0 frames
+included.  The engine vectorizes that loop in fixed-size trial blocks;
+block boundaries and worker counts cannot change any value, only
+wall-clock time.
 
 Empirical-quantile threshold calibration draws from
 ``child(CALIBRATION_DOMAIN, t)`` instead, so calibration noise is
@@ -88,7 +80,8 @@ _BLOCK_BUDGET = 4_194_304  # samples per block
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: channel, frame length, SNR (or noise-only), trials, seed."""
+    """One experiment: channel, frame length, trials, seed, and a signal
+    model at an SNR; without a signal it is the noise-only (H0) case."""
 
     channel: ChannelModel
     n_samples: int
@@ -96,7 +89,6 @@ class Scenario:
     seed: int
     signal: SignalModel | None = None
     snr_db: float | None = None
-    noise_only: bool = False
 
     def __post_init__(self):
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
@@ -105,23 +97,26 @@ class Scenario:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.noise_only:
-            if self.signal is not None or self.snr_db is not None:
-                raise ValueError("a noise-only scenario carries no signal model or SNR")
+        if self.signal is None:
+            if self.snr_db is not None:
+                raise ValueError("an SNR needs a signal model; the noise-only case has neither")
         else:
-            if self.signal is None:
-                raise ValueError("a signal scenario needs a signal model")
             if not isinstance(self.signal, SignalModel):
                 raise ValueError(f"signal must be a SignalModel, got {self.signal!r}")
             if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
                 raise ValueError(
                     f"snr_db must be finite, got {self.snr_db!r} "
-                    "(use noise_only=True for the H0 case, not an SNR sentinel)"
+                    "(leave out the signal for the H0 case, not an SNR sentinel)"
                 )
+
+    @property
+    def noise_only(self) -> bool:
+        """True for the H0 case, the scenario without a signal."""
+        return self.signal is None
 
     def as_noise_only(self) -> "Scenario":
         """The H0 twin: same channel, frame length, trials, and seed."""
-        return replace(self, signal=None, snr_db=None, noise_only=True)
+        return replace(self, signal=None, snr_db=None)
 
 
 @dataclass(frozen=True)
@@ -282,9 +277,8 @@ def trial_statistics(
 ) -> np.ndarray:
     """Detection statistics of every trial, in trial order.
 
-    Identical values for any worker count; element t equals the scalar
-    recomputation through the per-trial stream recipe in the module
-    docstring.
+    Identical values for any worker count; element t equals the
+    per-trial recomputation described in the module docstring.
     """
     return _run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers)[0]
 
@@ -308,7 +302,7 @@ def calibration_h0_statistics(
 ) -> np.ndarray:
     """Pure-noise statistics from the calibration domain of ``seed``."""
     channel = channel if channel is not None else ChannelModel(AWGN, 1.0)
-    sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, noise_only=True)
+    sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
     return _run_blocks((sc,), (spec,), CALIBRATION_DOMAIN, workers)[0]
 
 

@@ -25,9 +25,12 @@ Stream layout
   the full last pair and discards the trailing normal, so the mapping
   from counter positions to values never depends on the request size.
 
-Scalar draws run on Python integers (numpy warns on scalar uint64
-overflow); bulk draws run on uint64 arrays, which wrap silently.  The
-two paths are bit-identical and that equivalence is under test.
+Key derivation (``mix64``, ``fold``, ``Stream``) runs on Python integers
+(numpy warns on scalar uint64 overflow); draws run on uint64 arrays,
+which wrap silently.  The scalar and array paths are bit-identical, and
+the tests compare them: ``fold`` against ``fold_range``, and single
+uniforms mixed on Python integers (``tests/oracle_scalar.py``) against
+``uniform_block``.
 """
 
 from __future__ import annotations
@@ -142,20 +145,3 @@ class Stream:
                 raise ValueError(f"path components must be non-negative ints, got {component!r}")
             key = fold(key, component)
         return Stream(key)
-
-    def uniform(self, index: int) -> float:
-        """The ``index``-th uniform of this stream, in the open (0, 1)."""
-        if index < 0:
-            raise ValueError(f"draw index must be >= 0, got {index}")
-        z = mix64((self.key + index * GOLDEN) & MASK64)
-        return float(bits_to_uniform(np.array([z], dtype=np.uint64))[0])
-
-    def uniforms(self, count: int, start: int = 0) -> np.ndarray:
-        """Uniform draws ``start .. start+count-1`` as a float64 vector."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        return uniform_block(np.array([self.key], dtype=np.uint64), count, start)[0]
-
-    def normals(self, count: int) -> np.ndarray:
-        """The first ``count`` standard normals of this stream."""
-        return normal_block(np.array([self.key], dtype=np.uint64), count)[0]

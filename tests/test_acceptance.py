@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from oracle_scalar import received_frame
 
 from sensesim import reference
 from sensesim.analytic import (
@@ -38,9 +39,7 @@ from sensesim.signal_channel import (
     RAYLEIGH,
     Bpsk,
     ChannelModel,
-    gen_primary,
     snr_to_linear,
-    transmit,
 )
 
 SEED = 1234
@@ -62,7 +61,7 @@ def _h1(channel, snr_db, trials, n=10, seed=SEED):
 
 
 def _h0(channel, trials, n=10, seed=SEED):
-    return Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, noise_only=True)
+    return Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
 
 
 def test_acceptance_01_h0_false_alarm_matches_targets():
@@ -256,8 +255,7 @@ def test_acceptance_10_engine_equals_naive_loop():
         naive_count = 0
         for t in range(trials):
             trial = root.child(TRIAL_DOMAIN, t)
-            x = gen_primary(Bpsk(), n, trial)
-            y, _ = transmit(x, channel, snr, trial)
+            y, _ = received_frame(Bpsk(), channel, snr, n, trial)
             stat = statistic(y, P2, channel.noise_std)
             assert stat == engine_stats[t], (channel.kind, snr, t)
             naive_count += stat >= lam

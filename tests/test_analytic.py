@@ -30,7 +30,7 @@ from sensesim.analytic import (
     pfa_analytic,
 )
 from sensesim.detector import DetectorSpec
-from sensesim.rng import Stream
+from sensesim.rng import Stream, normal_block
 from sensesim.signal_channel import AWGN, RAYLEIGH, ChannelModel
 
 _LAM_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
@@ -116,7 +116,8 @@ def test_noncentral_zero_offset_degenerates_to_central():
 def test_noncentral_against_monte_carlo():
     # brute-force oracle: (z + mu)^2 sums with total offset delta
     nu, delta, trials = 10, 12.5, 400_000
-    z = Stream.from_seed(314).normals(trials * nu).reshape(trials, nu)
+    z = normal_block(np.array([Stream.from_seed(314).key], dtype=np.uint64), trials * nu)
+    z = z.reshape(trials, nu)
     z[:, 0] += math.sqrt(delta)
     t = np.sum(z**2, axis=1)
     for lam in (10.0, 20.0, 30.0):
@@ -195,6 +196,32 @@ def _exact_rayleigh_pd(n, gbar, lam):
     q = scipy.special.gammaincc(n / 2.0 + k, lam / 2.0)
     r = theta / (1.0 + theta)
     return float(np.sum(r**k * q) / (1.0 + theta) + r ** len(k))
+
+
+def _digham_rayleigh_pd(n, gbar, lam):
+    # Closed form of Digham, Alouini & Simon, IEEE Trans. Commun. 55(1),
+    # 2007, for Rayleigh fading and 2u degrees of freedom at mean SNR g;
+    # in this code's units u = n/2 and g = n*gbar/2, so n must be even.
+    u, g, half = n // 2, n * gbar / 2.0, lam / 2.0
+    head = sum(half**k / math.factorial(k) for k in range(u - 1))
+    shrunk = sum((half * g / (1.0 + g)) ** k / math.factorial(k) for k in range(u - 1))
+    return math.exp(-half) * head + ((1.0 + g) / g) ** (u - 1) * (
+        math.exp(-half / (1.0 + g)) - math.exp(-half) * shrunk
+    )
+
+
+def test_pd_rayleigh_digham_closed_form_is_a_second_oracle():
+    # An oracle independent of both the series and the 128-node rule.  The
+    # rule is only held to it up to 5 dB: at n=20 it is already off by
+    # 2.2e-5 at 10 dB and 2.5e-3 at 20 dB (ROADMAP item 4a).
+    for n in (2, 4, 10, 20):
+        lam = calibrate_threshold(DetectorSpec(p=2), n, 0.1).threshold
+        for snr in np.arange(-10.0, 30.01, 0.5):
+            gbar = 10.0 ** (snr / 10.0)
+            want = _digham_rayleigh_pd(n, gbar, lam)
+            assert abs(_exact_rayleigh_pd(n, gbar, lam) - want) <= 1e-11
+            if n in (2, 10) and snr <= 5.0:
+                assert abs(pd_rayleigh_analytic(n, gbar, lam) - want) <= 1e-12
 
 
 def test_pd_rayleigh_rule_error_up_to_10_db():

@@ -52,6 +52,25 @@ def test_calibrate_rejects_a_target_it_cannot_resolve(capsys):
     assert "relative accuracy" in capsys.readouterr().err
 
 
+def test_empirical_calibrate_refuses_a_target_inside_its_tolerance(tmp_path, capsys):
+    # at 1e5 draws the tolerance max(3 stderr, 2/trials) reaches 1e-5
+    common = ("calibrate", "--samples", "4", "--detector-p", "3", "--pfa-targets")
+    assert run(*common, "1e-6") == 2
+    assert "needs cal_trials >= 8999992" in capsys.readouterr().err
+    assert run(*common, "1e-4") == 0
+    out = capsys.readouterr().out
+    assert "method=empirical-quantile" in out and "mc_trials=100000" in out
+    assert run(*common, "1e-5") == 2
+    needed = int(capsys.readouterr().err.split("needs cal_trials >= ")[1])
+    assert needed == pytest.approx(9e5, abs=10)
+    # the named run size is the smallest one that resolves the target
+    ini = tmp_path / "cal.ini"
+    for cal_trials, code in ((needed - 1, 2), (needed, 0)):
+        ini.write_text(f"[run]\ncal_trials = {cal_trials}\n")
+        assert run(*common, "1e-5", "--config", str(ini)) == code
+    assert f"mc_trials={needed}" in capsys.readouterr().out
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ("roc", "--trials", "2000", "--snr-db=0", "--seed", "42")
@@ -171,6 +190,13 @@ def test_compare_records_measured_sign(tmp_path, capsys):
         "p=2 misses less", "p=3 misses less", "no measured difference"
     )
     assert "reference_squaring_row1_-10dB" in meta
+    # compare always runs the normalized p=2 and p=3 detectors, so it
+    # neither echoes nor reads the detector settings
+    assert "detector_p" not in meta and "normalized" not in meta
+    assert run("compare", "--trials", "4000", "--snr-db=-10", "--detector-p", "4",
+               "--out", str(tmp_path / "p4")) == 0
+    name = "compare_awgn_-10dB.csv"
+    assert (tmp_path / "p4" / name).read_bytes() == (tmp_path / name).read_bytes()
     assert [r["target_pfa"] for r in rows] == ["0.01", "0.1"]
     for r in rows:
         delta = float(r["delta"])

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from sensesim.detector import H0, H1, Decision, DetectorSpec, decide, statistic, statistic_rows
 from sensesim.rng import Stream, normal_block
-from sensesim.signal_channel import SampleFrame
 
 P2 = DetectorSpec(p=2)
 P3 = DetectorSpec(p=3)
@@ -22,11 +21,6 @@ def test_worked_examples():
     assert statistic([-1.0, 2.0], P3) == 9.0  # magnitudes, not signed cubes
     assert statistic([0.0, 0.0], P2) == 0.0
     assert statistic([2.0, 2.0], P2, sigma=2.0) == 2.0
-
-
-def test_sample_frame_and_array_agree():
-    y = np.array([0.5, -1.5, 2.5])
-    assert statistic(SampleFrame(y), P3) == statistic(y, P3)
 
 
 def test_unnormalized_ignores_sigma():

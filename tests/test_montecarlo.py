@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracle_scalar import frame, received_frame
 
 from sensesim import montecarlo
 from sensesim.analytic import calibrate_threshold
@@ -36,8 +37,6 @@ from sensesim.signal_channel import (
     ChannelModel,
     GaussianIid,
     Sinusoid,
-    gen_primary,
-    transmit,
 )
 
 P2 = DetectorSpec(p=2)
@@ -54,35 +53,34 @@ def _h1(channel=CH_AWGN, n=10, trials=2000, seed=7, signal=Bpsk(), snr_db=0.0):
 
 
 def _naive_statistics(sc: Scenario, spec: DetectorSpec) -> np.ndarray:
-    """The reference loop from the module docstring, one trial at a time."""
+    """The per-trial reference loop of ``oracle_scalar``, one trial at a time."""
     root = Stream.from_seed(sc.seed)
     out = np.empty(sc.trials)
     for t in range(sc.trials):
         trial = root.child(TRIAL_DOMAIN, t)
-        if sc.noise_only:
-            x = gen_primary(Bpsk(), sc.n_samples, trial)  # placeholder frame
-            y, _ = transmit(x, sc.channel, None, trial)
-        else:
-            x = gen_primary(sc.signal, sc.n_samples, trial)
-            y, _ = transmit(x, sc.channel, sc.snr_db, trial)
+        y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
         out[t] = statistic(y, spec, sc.channel.noise_std)
     return out
 
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0)  # no signal
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, snr_db=0.0)  # no signal
+    with pytest.raises(ValueError):
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, signal=Bpsk())  # no SNR
     with pytest.raises(ValueError):
         Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0,
                  signal=Bpsk(), snr_db=float("inf"))
+    with pytest.raises(TypeError):  # noise-only is read from the signal, never set
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, noise_only=True)
     with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0,
-                 signal=Bpsk(), snr_db=0.0, noise_only=True)
+        Scenario(channel=CH_AWGN, n_samples=0, trials=10, seed=0)
     with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=0, trials=10, seed=0, noise_only=True)
-    with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=-1, noise_only=True)
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=-1)
+    h0 = Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0)
+    assert h0.noise_only and h0.as_noise_only() == h0
     sc = _h1()
+    assert not sc.noise_only
     twin = sc.as_noise_only()
     assert twin.noise_only and twin.signal is None and twin.snr_db is None
     assert (twin.seed, twin.trials, twin.n_samples) == (sc.seed, sc.trials, sc.n_samples)
@@ -195,8 +193,7 @@ def test_multi_block_boundaries_match_scalar_recipe():
     root = Stream.from_seed(sc.seed)
     for t in (0, 2096, 2097, 2999):  # straddle an internal block edge
         trial = root.child(TRIAL_DOMAIN, t)
-        x = gen_primary(sc.signal, sc.n_samples, trial)
-        y, _ = transmit(x, sc.channel, sc.snr_db, trial)
+        y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
         assert stats[t] == statistic(y, P2, sc.channel.noise_std)
 
 
@@ -218,8 +215,7 @@ def test_calibration_domain_is_disjoint_from_trials():
     root = Stream.from_seed(7)
     t = 137
     rng = root.child(CALIBRATION_DOMAIN, t)
-    x = gen_primary(Bpsk(), 10, rng)
-    y, _ = transmit(x, CH_AWGN, None, rng)
+    y, _ = received_frame(None, CH_AWGN, None, 10, rng)
     assert cal[t] == statistic(y, P2, 1.0)
 
 
@@ -366,11 +362,11 @@ def test_common_noise_pairs_hypotheses():
     root = Stream.from_seed(sc1.seed)
     for t in range(sc1.trials):
         trial = root.child(TRIAL_DOMAIN, t)
-        x = gen_primary(sc1.signal, sc1.n_samples, trial)
-        y1, h = transmit(x, sc1.channel, sc1.snr_db, trial)
-        y0, _ = transmit(x, sc1.channel, None, trial)
-        amp = h.gain * math.sqrt(1.0 * sc1.channel.noise_variance)
-        assert np.array_equal(y1.samples, amp * x.samples + y0.samples)
+        x = frame(sc1.signal, sc1.n_samples, trial)
+        y1, h = received_frame(sc1.signal, sc1.channel, sc1.snr_db, sc1.n_samples, trial)
+        y0, _ = received_frame(sc1.signal, sc1.channel, None, sc1.n_samples, trial)
+        amp = h * math.sqrt(1.0 * sc1.channel.noise_variance)
+        assert np.array_equal(y1, amp * x + y0)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -1,27 +1,27 @@
-"""Signal, channel, and fading primitives: exact pins and moment checks."""
+"""Signal, channel, and fading models: exact pins and moment checks.
+
+The per-trial frames come from the test-side scalar reference,
+``oracle_scalar``, which the model blocks must match bit for bit.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from oracle_scalar import fading_gain, frame, normals, received_frame
 
 from sensesim.rng import Stream, fold_range
 from sensesim.signal_channel import (
     AWGN,
+    NOISE_ROLE,
     RAYLEIGH,
     SIGNAL_MODELS,
     Bpsk,
     ChannelModel,
-    FadingDraw,
     GaussianIid,
-    SampleFrame,
     SignalModel,
     Sinusoid,
-    draw_fading,
-    gen_primary,
-    noise_frame,
     snr_to_linear,
-    transmit,
 )
 
 
@@ -29,24 +29,8 @@ def _trial(seed: int, t: int) -> Stream:
     return Stream.from_seed(seed).child(1, t)
 
 
-def test_sample_frame_basics():
-    f = SampleFrame(np.array([3.0, 4.0]))
-    assert f.n == 2
-    assert f.mean_power() == 12.5
-    assert not f.samples.flags.writeable
-    with pytest.raises(ValueError):
-        SampleFrame(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        SampleFrame(np.array([]))
-    with pytest.raises(ValueError):
-        SampleFrame(np.array([1.0, np.nan]))
-
-
-def test_sample_frame_copies_input():
-    raw = np.array([1.0, 2.0])
-    f = SampleFrame(raw)
-    raw[0] = 99.0
-    assert f.samples[0] == 1.0
+def _mean_power(y):
+    return float(np.mean(y**2))
 
 
 def test_snr_to_linear():
@@ -61,50 +45,50 @@ def test_snr_to_linear():
 
 
 def test_bpsk_samples_are_antipodal():
-    x = gen_primary(Bpsk(power=2.0), 64, _trial(0, 0))
+    x = frame(Bpsk(power=2.0), 64, _trial(0, 0))
     root = math.sqrt(2.0)
-    assert set(np.round(np.abs(x.samples), 12)) == {round(root, 12)}
-    assert (x.samples > 0).any() and (x.samples < 0).any()
-    assert x.mean_power() == pytest.approx(2.0, rel=1e-12)
+    assert set(np.round(np.abs(x), 12)) == {round(root, 12)}
+    assert (x > 0).any() and (x < 0).any()
+    assert _mean_power(x) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_bpsk_deterministic_per_stream():
-    a = gen_primary(Bpsk(), 32, _trial(5, 3))
-    b = gen_primary(Bpsk(), 32, _trial(5, 3))
-    c = gen_primary(Bpsk(), 32, _trial(5, 4))
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    a = frame(Bpsk(), 32, _trial(5, 3))
+    b = frame(Bpsk(), 32, _trial(5, 3))
+    c = frame(Bpsk(), 32, _trial(5, 4))
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sinusoid_exact_formula_and_power():
     n, cycles, power = 8, 1.0, 0.5
-    x = gen_primary(Sinusoid(power=power, cycles_per_frame=cycles), n, _trial(0, 0))
+    x = frame(Sinusoid(power=power, cycles_per_frame=cycles), n, _trial(0, 0))
     k = np.arange(n, dtype=np.float64)
     want = math.sqrt(2.0 * power) * np.cos(2.0 * np.pi * cycles * k / n)
-    assert np.array_equal(x.samples, want)
+    assert np.array_equal(x, want)
     # over whole cycles the mean square equals the nominal power
-    y = gen_primary(Sinusoid(power=0.5, cycles_per_frame=4.0), 64, _trial(0, 0))
-    assert y.mean_power() == pytest.approx(0.5, rel=1e-9)
+    y = frame(Sinusoid(power=0.5, cycles_per_frame=4.0), 64, _trial(0, 0))
+    assert _mean_power(y) == pytest.approx(0.5, rel=1e-9)
     # n divides 2c: every sample sits on +-amplitude, twice the power
-    z = gen_primary(Sinusoid(power=0.5, cycles_per_frame=5.0), 10, _trial(0, 0))
-    assert z.mean_power() == pytest.approx(2.0 * 0.5, rel=1e-9)
+    z = frame(Sinusoid(power=0.5, cycles_per_frame=5.0), 10, _trial(0, 0))
+    assert _mean_power(z) == pytest.approx(2.0 * 0.5, rel=1e-9)
     # 2c not an integer: the documented closed form, 0.936 * power at n=10
     c, n = 0.3, 10
-    f = gen_primary(Sinusoid(power=0.5, cycles_per_frame=c), n, _trial(0, 0))
+    f = frame(Sinusoid(power=0.5, cycles_per_frame=c), n, _trial(0, 0))
     ratio = 1.0 + math.sin(2 * math.pi * c) * math.cos(2 * math.pi * c * (n - 1) / n) / (
         n * math.sin(2 * math.pi * c / n)
     )
-    assert f.mean_power() == pytest.approx(0.5 * ratio, rel=1e-9)
+    assert _mean_power(f) == pytest.approx(0.5 * ratio, rel=1e-9)
     assert ratio == pytest.approx(0.936, abs=5e-4)
 
 
 def test_gaussian_signal_power_and_scaling():
-    big = gen_primary(GaussianIid(power=1.0), 1_000_000, _trial(2, 0))
+    big = frame(GaussianIid(power=1.0), 1_000_000, _trial(2, 0))
     # mean square of 1e6 unit normals: sd sqrt(2/n) ~ 0.0014, 4-sigma band
-    assert 0.9943 <= big.mean_power() <= 1.0057
-    unit = gen_primary(GaussianIid(power=1.0), 50, _trial(2, 1))
-    four = gen_primary(GaussianIid(power=4.0), 50, _trial(2, 1))
-    assert np.array_equal(four.samples, 2.0 * unit.samples)
+    assert 0.9943 <= _mean_power(big) <= 1.0057
+    unit = frame(GaussianIid(power=1.0), 50, _trial(2, 1))
+    four = frame(GaussianIid(power=4.0), 50, _trial(2, 1))
+    assert np.array_equal(four, 2.0 * unit)
 
 
 # each configurable model at its defaults, plus the non-unit cases the
@@ -129,21 +113,25 @@ def test_model_block_matches_scalar_reference(model):
     assert block.shape == (keys.size, n)
     mean_square = model.mean_square(n)
     for r in range(keys.size):
-        frame = gen_primary(model, n, Stream(int(keys[r]))).samples
-        assert np.array_equal(block[r], frame)
+        row = frame(model, n, Stream(int(keys[r])))
+        assert np.array_equal(block[r], row)
         if mean_square is not None:
-            assert mean_square == pytest.approx(np.mean(frame**2), rel=1e-15, abs=0.0)
+            assert mean_square == pytest.approx(np.mean(row**2), rel=1e-15, abs=0.0)
     assert (mean_square is None) == isinstance(model, GaussianIid)
 
 
+def _noise(channel, n, trial):
+    return received_frame(None, channel, None, n, trial)[0]
+
+
 def test_awgn_fading_is_unity():
-    assert draw_fading(ChannelModel(AWGN, 1.0), _trial(0, 0)).gain == 1.0
+    assert fading_gain(ChannelModel(AWGN, 1.0), _trial(0, 0)) == 1.0
 
 
 def test_rayleigh_fading_moments():
     ch = ChannelModel(RAYLEIGH, 1.0)
     gains = np.array(
-        [draw_fading(ch, _trial(7, t)).gain for t in range(50_000)]
+        [fading_gain(ch, _trial(7, t)) for t in range(50_000)]
     )
     h2 = gains**2
     # h^2 is Exp(1): unit mean, unit variance
@@ -155,38 +143,36 @@ def test_rayleigh_fading_moments():
 
 def test_noise_frame_variance_and_role():
     ch = ChannelModel(AWGN, 2.0)
-    w = noise_frame(ch, 1_000_000, _trial(3, 0))
-    assert abs(w.mean_power() - 2.0) < 0.02
+    w = _noise(ch, 1_000_000, _trial(3, 0))
+    assert abs(_mean_power(w) - 2.0) < 0.02
     # the noise role is distinct from the signal role on the same stream
-    x = gen_primary(GaussianIid(), 100, _trial(3, 1))
-    w2 = noise_frame(ChannelModel(AWGN, 1.0), 100, _trial(3, 1))
-    assert not np.array_equal(x.samples, w2.samples)
+    x = frame(GaussianIid(), 100, _trial(3, 1))
+    w2 = _noise(ChannelModel(AWGN, 1.0), 100, _trial(3, 1))
+    assert not np.array_equal(x, w2)
 
 
 def test_transmit_noise_only_sentinel_matches_noise_frame():
     ch = ChannelModel(AWGN, 1.5)
-    x = gen_primary(Bpsk(), 20, _trial(9, 0))
-    y, h = transmit(x, ch, None, _trial(9, 0))
-    w = noise_frame(ch, 20, _trial(9, 0))
-    assert h.gain == 0.0
-    assert np.array_equal(y.samples, w.samples)
+    y, h = received_frame(Bpsk(), ch, None, 20, _trial(9, 0))
+    w = normals(_trial(9, 0).child(NOISE_ROLE), 20) * ch.noise_std
+    assert h == 0.0
+    assert np.array_equal(y, w)
 
 
 def test_transmit_vanishing_noise_recovers_scaled_signal():
     ch = ChannelModel(AWGN, 1e-12)
-    x = gen_primary(Bpsk(power=1.0), 16, _trial(1, 0))
-    y, h = transmit(x, ch, 0.0, _trial(1, 0))
-    amp = h.gain * math.sqrt(1.0 * 1e-12)
-    assert h.gain == 1.0
-    assert np.allclose(y.samples, amp * x.samples, atol=1e-5)
+    x = frame(Bpsk(power=1.0), 16, _trial(1, 0))
+    y, h = received_frame(Bpsk(power=1.0), ch, 0.0, 16, _trial(1, 0))
+    amp = h * math.sqrt(1.0 * 1e-12)
+    assert h == 1.0
+    assert np.allclose(y, amp * x, atol=1e-5)
 
 
 def test_transmit_awgn_mean_power():
     # E|y|^2 = gamma*sigma^2 + sigma^2 = 2 at 0 dB with unit noise
     ch = ChannelModel(AWGN, 1.0)
-    x = gen_primary(Bpsk(), 1_000_000, _trial(4, 0))
-    y, _ = transmit(x, ch, 0.0, _trial(4, 0))
-    assert 1.994 <= y.mean_power() <= 2.006
+    y, _ = received_frame(Bpsk(), ch, 0.0, 1_000_000, _trial(4, 0))
+    assert 1.994 <= _mean_power(y) <= 2.006
 
 
 def test_transmit_rayleigh_block_fading():
@@ -194,11 +180,9 @@ def test_transmit_rayleigh_block_fading():
     powers = []
     gains = []
     for t in range(2000):
-        rng = _trial(8, t)
-        x = gen_primary(Bpsk(), 100, rng)
-        y, h = transmit(x, ch, 0.0, rng)
-        powers.append(y.mean_power())
-        gains.append(h.gain)
+        y, h = received_frame(Bpsk(), ch, 0.0, 100, _trial(8, t))
+        powers.append(_mean_power(y))
+        gains.append(h)
     gains = np.array(gains)
     assert np.unique(gains).size > 1900  # fresh draw per frame
     # averaged over frames: E|y|^2 = gamma*E[h^2]*sigma^2 + sigma^2 = 2
@@ -212,11 +196,11 @@ def test_transmit_same_noise_with_and_without_signal():
     # the fading and signal roles never touch the noise sub-stream
     ch = ChannelModel(RAYLEIGH, 1.0)
     rng = _trial(12, 0)
-    x = gen_primary(Bpsk(), 50, rng)
-    y1, h = transmit(x, ch, 0.0, rng)
-    y0, _ = transmit(x, ch, None, rng)
-    amp = h.gain * math.sqrt(snr_to_linear(0.0) * ch.noise_variance)
-    assert np.array_equal(y1.samples, amp * x.samples + y0.samples)
+    x = frame(Bpsk(), 50, rng)
+    y1, h = received_frame(Bpsk(), ch, 0.0, 50, rng)
+    y0, _ = received_frame(Bpsk(), ch, None, 50, rng)
+    amp = h * math.sqrt(snr_to_linear(0.0) * ch.noise_variance)
+    assert np.array_equal(y1, amp * x + y0)
 
 
 def test_model_validation():
@@ -232,16 +216,6 @@ def test_model_validation():
         ChannelModel("laplace", 1.0)
     with pytest.raises(ValueError):
         ChannelModel(AWGN, 0.0)
-    with pytest.raises(ValueError):
-        FadingDraw(-0.5)
-    with pytest.raises(ValueError):
-        gen_primary(Bpsk(), 0, _trial(0, 0))
-
-    class Unknown(SignalModel):
-        power = 1.0
-
-    with pytest.raises(ValueError):
-        gen_primary(Unknown(), 4, _trial(0, 0))
 
 
 def test_channel_noise_std():
