@@ -20,11 +20,12 @@ nothing but IEEE arithmetic:
 * The noncentral survival function is the Poisson mixture
   sum_k Pois(k; delta/2) * Q(nu/2+k, lam/2).  One kernel evaluates it
   for a whole vector of Poisson means.  A ladder of central tails is
-  built from one Q(nu/2, lam/2) by the stable upward recurrence
-  Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1) until Q rounds to 1, so
-  its length K depends on (nu, lam) only.  Each mean then takes its
-  Poisson weights of k < K against the ladder as one matrix product,
-  plus the mass of k >= K as one lower incomplete gamma P(K, delta/2).
+  built from one Q(nu/2+k0, lam/2) by the stable upward recurrence
+  Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1) until Q rounds to 1
+  (k0 > 0 skips steps below 1e-280 when lam >> nu, so the walk is
+  O(sqrt(lam))); k0 and the length K depend on (nu, lam) only.  Each
+  mean then takes its Poisson weights of k0 <= k < K against the ladder
+  as one matrix product, plus the mass of k >= K as one P(K, delta/2).
   Nothing is cut off by an absolute mass bound, so a survival value of
   1e-35 keeps its relative accuracy: about 2e-13 against mpmath for
   delta up to 1e3.  Beyond that the weights' exponent
@@ -148,15 +149,28 @@ def _poisson_tail(k: int, h: float) -> float:
 
 
 _MIXTURE_BUDGET = 1 << 20  # Poisson weights held at once (8 MiB of float64)
+_LADDER_FLOOR = 1e-280  # below the peak, the ladder starts at its first step this large
 
 
 def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
     """sum_k Pois(k; h) * Q(a0 + k, x) for every Poisson mean h in ``hs``."""
-    # The ladder Q(a0+k, x), k < K, runs upward until Q rounds to 1 (or,
-    # past the peak of the steps, stops moving a rounding short of it).
-    # It depends on (a0, x) alone, so every h shares it.
+    # The ladder Q(a0+k, x), k0 <= k < K, runs upward until Q rounds to 1
+    # (or, past the peak of the steps, stops moving a rounding short of
+    # it).  It depends on (a0, x) alone, so every h shares it.  The steps
+    # rise up to a ~ x; k0 is bisected as the first whose step reaches
+    # _LADDER_FLOOR, so the walk is O(sqrt(x)), and the rungs dropped below
+    # it add at most Q(a0+k0, x), about 1e-280 * sqrt(x), to any value.
+    k0 = 0
+    if a0 < x and _qterm(a0, x) < _LADDER_FLOOR:
+        lo, k0 = 0, math.ceil(x - a0)
+        while k0 - lo > 1:
+            mid = (lo + k0) // 2
+            if _qterm(a0 + mid, x) < _LADDER_FLOOR:
+                lo = mid
+            else:
+                k0 = mid
     ladder = []
-    q, t, a = gammaq(a0, x), _qterm(a0, x), a0
+    q, t, a = gammaq(a0 + k0, x), _qterm(a0 + k0, x), a0 + k0
     while q < 1.0 and (a <= x or q + t > q):
         ladder.append(q)
         q += t
@@ -165,10 +179,11 @@ def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
         # denormal's lost digits carry into the recurrence.
         t = t * x / a if t > 1e-280 else _qterm(a, x)
     ladder = np.array(ladder)
-    k = np.arange(len(ladder), dtype=float)
-    log_k_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    ks = range(k0, k0 + len(ladder))
+    k = np.arange(k0, ks.stop, dtype=float)
+    log_k_fact = np.array([math.lgamma(i + 1.0) for i in ks])
     log_h = np.log(np.maximum(hs, np.finfo(float).tiny))
-    out = np.array([_poisson_tail(len(ladder), float(h)) for h in hs])
+    out = np.array([_poisson_tail(ks.stop, float(h)) for h in hs])
     # Rows of Poisson weights go through the ladder in chunks, so memory
     # stays bounded however long the ladder grows.
     step = max(1, _MIXTURE_BUDGET // max(len(ladder), 1))

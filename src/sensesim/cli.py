@@ -32,6 +32,9 @@ import os
 import sys
 from dataclasses import fields
 
+# --workers is the only parallelism; no BLAS thread pool starts with numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, reference

@@ -29,10 +29,10 @@ and fading gains once, scores H0 (the noise alone) and then every SNR
 column, formed by scale-and-add in one reused buffer.  ``roc_sweep``
 and ``pmd_table`` reduce each column's block statistics to integer
 counts against the whole threshold grid (sort, then ``searchsorted``)
-and sum the counts over blocks.  Memory stays O(block) however many
-trials run, the integer totals are independent of the worker count,
-and empirical ROC curves and P_MD columns are exactly monotone, not just
-statistically so.  Empirical calibration draws its H0 statistics once
+and sum the counts over blocks.  A block holds 2^16 samples, so it stays
+in L2, and memory is O(workers x block) however many trials run.  The
+integer totals are independent of the worker count, and empirical ROC
+curves and P_MD columns are exactly monotone, not just statistically so.  Empirical calibration draws its H0 statistics once
 per (spec, n, trials, channel, seed) and takes every P_FA target's
 quantile from them.  The detector comparison evaluates both exponents
 on the identical received frames and reports a paired-difference
@@ -72,10 +72,9 @@ from .signal_channel import (
 TRIAL_DOMAIN = 1
 CALIBRATION_DOMAIN = 2
 
-# Trials per vectorized block, shrunk for very long frames to bound the
-# working set.  Block size affects memory and speed only, never values.
-_BLOCK_TRIALS = 65536
-_BLOCK_BUDGET = 4_194_304  # samples per block
+# Samples per vectorized block: 512 KiB per float64 array, so a block
+# stays in L2.  Block size affects memory and speed only, never values.
+_BLOCK_SAMPLES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,8 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
     sigma = channel.noise_std
     dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
-    w = normal_block(fold_in(keys, NOISE_ROLE), n) * sigma
+    w = normal_block(fold_in(keys, NOISE_ROLE), n)
+    w *= sigma
     signal = next((c.signal for c in columns if not c.noise_only), None)
     if signal is not None:
         x = signal.block(keys, n)
@@ -226,11 +226,6 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
     return out
 
 
-def _block_ranges(trials: int, n: int):
-    block = max(1, min(_BLOCK_TRIALS, _BLOCK_BUDGET // max(1, n)))
-    return [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
-
-
 def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     """Run :func:`_stats_block` over all trial blocks of ``columns``.
 
@@ -241,35 +236,38 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     Without ``lams``: one per-trial statistic array per (column, spec),
     in trial order.  With ``lams``: an int64 array of detection counts,
     one row per (column, spec) and one column per threshold, summed over
-    blocks, so memory stays O(block) and the totals are worker-invariant.
+    blocks, so the totals are worker-invariant.  Worker w of W runs
+    blocks w, w + W, ..., so memory is O(W x block) at any block count.
     """
     sc = columns[0]
     twin = sc.as_noise_only()
     signal = next((c.signal for c in columns if not c.noise_only), None)
     if any(c.as_noise_only() != twin or c.signal not in (None, signal) for c in columns):
         raise ValueError("columns share one draw, so they may differ in snr_db only")
-    ranges = _block_ranges(sc.trials, sc.n_samples)
+    trials, size = sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples)
+    starts = range(0, trials, size)
+    workers = max(1, min(workers, len(starts)))
     rows = len(columns) * len(specs)
+    outs = None if lams is not None else [np.empty(trials) for _ in range(rows)]
 
-    def block(bounds):
-        return _stats_block(columns, specs, *bounds, domain, lams)
-
-    def collect(results):
-        if lams is None:
-            outs = [np.empty(sc.trials, dtype=np.float64) for _ in range(rows)]
-            for (lo, hi), stats in zip(ranges, results):
+    def run(first):
+        counts = np.zeros((rows, len(lams)), dtype=np.int64) if outs is None else None
+        for lo in starts[first::workers]:
+            hi = min(lo + size, trials)
+            stats = _stats_block(columns, specs, lo, hi, domain, lams)
+            if outs is None:
+                counts += stats
+            else:
                 for out, block_stats in zip(outs, stats):
                     out[lo:hi] = block_stats
-            return outs
-        totals = np.zeros((rows, len(lams)), dtype=np.int64)
-        for counts in results:
-            totals += counts
-        return totals
+        return counts
 
-    if workers <= 1:
-        return collect(map(block, ranges))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return collect(pool.map(block, ranges))
+    if workers == 1:
+        parts = [run(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(workers)))
+    return outs if outs is not None else sum(parts)
 
 
 def trial_statistics(

@@ -67,7 +67,8 @@ class Bpsk(SignalModel):
 
     def block(self, keys, n):
         u = uniform_block(fold_in(keys, SIGNAL_ROLE), n)
-        return np.where(u < 0.5, -1.0, 1.0) * math.sqrt(self.power)
+        a = math.sqrt(self.power)
+        return np.where(u < 0.5, -a, a)
 
     def mean_square(self, n):
         return float(self.power)

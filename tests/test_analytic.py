@@ -274,6 +274,37 @@ def test_mixture_gammaq_call_counts(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_ladder_start_keeps_large_thresholds_cheap(monkeypatch):
+    # With lam >> n nearly every rung from Q(n/2, lam/2) up is an exact
+    # 0.0; the ladder starts where its steps become representable, so the
+    # walk is O(sqrt(lam)) (474,966 step re-derivations at lam = 1e6
+    # when it started at k = 0).
+    calls = []
+    real = analytic._qterm
+    monkeypatch.setattr(analytic, "_qterm", lambda a, x: calls.append(a) or real(a, x))
+    lam = 1e6
+    assert 0.0 < pd_rayleigh_analytic(10, 1000.0, lam) < 1e-40
+    assert len(calls) <= 40 * math.sqrt(lam / 2)
+
+
+def test_ladder_start_drops_only_unrepresentable_rungs(monkeypatch):
+    # A floor of 0 walks the whole ladder from k = 0; every value the
+    # shortened ladder gives that is not itself near underflow agrees.
+    cases = [(noncentral_chi2_sf, 10, lam + c * math.sqrt(lam), lam)
+             for lam in (1e4, 1e5) for c in (-60.0, -4.0, 0.0, 4.0)]
+    cases += [(pd_rayleigh_analytic, 10, g, lam)
+              for lam in (1e4, 1e5) for g in (100.0, 1000.0, 1e4)]
+    # a full walk at lam = 1e6 takes about a second each
+    cases += [(noncentral_chi2_sf, 10, 1e6 - 6e4, 1e6), (pd_rayleigh_analytic, 10, 1000.0, 1e6)]
+    fast = [f(n, p, lam) for f, n, p, lam in cases]
+    monkeypatch.setattr(analytic, "_LADDER_FLOOR", 0.0)
+    full = [f(n, p, lam) for f, n, p, lam in cases]
+    checked = [(a, b) for a, b in zip(fast, full) if b >= 1e-250]
+    assert len(checked) >= 10
+    for a, b in checked:
+        assert a == pytest.approx(b, rel=1e-13)
+
+
 @pytest.mark.xfail(strict=True, reason="the 128-node rule misses the exact value at 20 dB")
 def test_pd_rayleigh_high_snr_matches_split_integral():
     # P_D at n=10, 20 dB, lam for P_FA 0.1, integrated by scipy in two

@@ -1,11 +1,15 @@
 """End-to-end CLI tests: precedence, exit codes, CSV round-trips, SVG."""
 
 import math
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import numpy as np
 import pytest
 
+import sensesim
 from sensesim import reference
 from sensesim.cli import main, read_result_csv
 from sensesim.detector import DetectorSpec
@@ -269,3 +273,25 @@ def test_version_flag(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "sensesim" in capsys.readouterr().out
+
+
+def _import_cli(**env):
+    """OPENBLAS_NUM_THREADS and the Threads: count of a fresh process after
+    ``import sensesim.cli``."""
+    code = ("import os, re, sensesim.cli\n"
+            "with open('/proc/self/status') as f:\n"
+            "    threads = re.search(r'Threads:\\s*(\\d+)', f.read()).group(1)\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(sensesim.__file__))
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                         capture_output=True, text=True, check=True).stdout
+    return out.split()
+
+
+def test_cli_import_starts_no_blas_thread_pool():
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc to count threads")
+    assert _import_cli() == ["1", "1"]  # --workers is the only parallelism
+    assert _import_cli(OPENBLAS_NUM_THREADS="2")[0] == "2"  # an explicit setting wins

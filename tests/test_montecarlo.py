@@ -1,6 +1,8 @@
 """Engine tests: exact scalar equivalence, determinism, CRN structure."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,7 +193,7 @@ def test_multi_block_boundaries_match_scalar_recipe():
     sc = _h1(trials=3000, n=2000, seed=23)
     stats = trial_statistics(sc, P2)
     root = Stream.from_seed(sc.seed)
-    for t in (0, 2096, 2097, 2999):  # straddle an internal block edge
+    for t in (0, 2047, 2048, 2999):  # straddle an internal block edge (32-trial blocks)
         trial = root.child(TRIAL_DOMAIN, t)
         y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
         assert stats[t] == statistic(y, P2, sc.channel.noise_std)
@@ -383,9 +385,50 @@ def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, sig
     # thresholds equal to trial statistics pin "ties detect" in every column
     ties = np.concatenate([s[[0, 40, 100]] for s in stats])
     lams = tuple(np.unique(np.concatenate([ties, [0.0, 1e9]]))[::-1].tolist())
-    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 16)  # six 16-trial blocks, then a ragged 5
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 16 * 5)  # six 16-trial blocks, then a ragged 5
     counts = montecarlo._run_blocks(
         (h0, *columns), specs, TRIAL_DOMAIN, workers, lams
     )
     expected = [[np.count_nonzero(s >= lam) for lam in lams] for s in stats]
     assert counts.tolist() == expected
+
+
+@pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
+def test_block_size_and_workers_never_change_results(monkeypatch, channel):
+    n = 10
+    columns = [_h1(channel=channel, n=n, trials=500, seed=31, snr_db=s) for s in (-3.0, 4.0)]
+    grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, n)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' writes as finely as possible
+    try:
+        for samples in (n, 7 * n, 1 << 16):  # 1-trial, 7-trial and single blocks
+            monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
+            for workers in (1, 2, 3):
+                table = pmd_table(columns, P2, grid, workers=workers)
+                h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
+                                               workers=workers)
+                results.append((roc_sweep(columns, P2, grid, workers=workers),
+                                table.values.tolist(), h0.tolist()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers):
+    n = 10
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * n)  # 8-trial blocks
+    grid = ThresholdGrid((30.0, 10.0, 3.0))
+
+    def peak(blocks):
+        sc = _h1(n=n, trials=8 * blocks, seed=5)
+        tracemalloc.start()
+        try:
+            roc_sweep([sc], P2, grid, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # warm up, so one-time allocations land in neither measurement
+    assert peak(10_000) <= 1.25 * peak(2_500)
