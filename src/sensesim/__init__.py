@@ -11,4 +11,10 @@ The root exposes only ``__version__``; import everything else from its
 submodule (``sensesim.montecarlo``, ``sensesim.analytic``, ...).
 """
 
+import os as _os
+
+# --workers is the only parallelism: no BLAS thread pool starts with numpy.
+# Set here, ahead of every numpy import; an explicit setting still wins.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"

@@ -53,6 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _GAMMA_EPS = 1e-16
+# Iteration cap of both incomplete gamma routines, plus 32 sqrt(x): near
+# a = x the series needs about 8 sqrt(x) terms, the continued fraction fewer.
 _GAMMA_ITMAX = 10000
 # Inner solve tolerance, absolute and relative to the target; the
 # round-trip contract is ten times looser, min(1e-9, 1e-6 * target).
@@ -64,12 +66,16 @@ class NumericError(RuntimeError):
     """An iterative numeric routine failed to converge."""
 
 
+def _gamma_itmax(x: float) -> int:
+    return _GAMMA_ITMAX + int(32.0 * math.sqrt(x))
+
+
 def _gammap_series(a: float, x: float) -> float:
     # Power series for P(a, x); converges fast for x < a + 1.
     term = 1.0 / a
     total = term
     ap = a
-    for _ in range(_GAMMA_ITMAX):
+    for _ in range(_gamma_itmax(x)):
         ap += 1.0
         term *= x / ap
         total += term
@@ -85,7 +91,7 @@ def _gammaq_contfrac(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, _GAMMA_ITMAX + 1):
+    for i in range(1, _gamma_itmax(x) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -303,6 +309,7 @@ def calibrate_threshold(
     channel=None,
     trials: int = 100_000,
     seed: int = 0,
+    workers: int = 1,
 ) -> CalibrationResult:
     """Find lambda such that the detector's P_FA hits ``target_pfa``.
 
@@ -319,7 +326,8 @@ def calibrate_threshold(
     from the calibration domain of the seed's stream (disjoint from
     evaluation trials); works for every p.  ``channel`` defaults to AWGN
     with unit noise variance.  The sorted draw of the latest (spec, n,
-    trials, channel, seed) is kept, so a grid of targets costs one draw.
+    trials, channel, seed) is kept, so a grid of targets costs one draw,
+    made on ``workers`` threads (the same draw for any worker count).
     A target no larger than its own tolerance at ``trials`` (3 binomial
     stderr, at least 2/trials) raises ``ValueError`` naming the trials
     it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
@@ -368,7 +376,7 @@ def calibrate_threshold(
                 f"target_pfa {target_pfa:g} is within its own tolerance at {trials} "
                 f"calibration trials; it needs cal_trials >= {needed}"
             )
-        stats = _sorted_h0_statistics(spec, n, trials, channel, seed)
+        stats = _sorted_h0_statistics(spec, n, trials, channel, seed, workers)
         # The quantile depends only on order statistics, so the sorted
         # draw gives the same bits as the raw one.
         lam = float(np.quantile(stats, 1.0 - target_pfa, method="linear"))
@@ -397,9 +405,9 @@ def _quantile_tolerance(pfa: float, trials: int) -> float:
 _h0_memo: tuple = (None, None)
 
 
-def _sorted_h0_statistics(spec, n, trials, channel, seed) -> np.ndarray:
+def _sorted_h0_statistics(spec, n, trials, channel, seed, workers=1) -> np.ndarray:
     """Sorted, read-only calibration-domain H0 statistics, drawn once per
-    (spec, n, trials, channel, seed) while that key stays the latest."""
+    (spec, n, trials, channel, seed), not workers, while that key is latest."""
     global _h0_memo
     key = (spec, n, trials, channel, seed)
     memo_key, stats = _h0_memo
@@ -409,7 +417,8 @@ def _sorted_h0_statistics(spec, n, trials, channel, seed) -> np.ndarray:
         # disjoint from every evaluation trial of the same seed.
         from .montecarlo import calibration_h0_statistics
 
-        stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed)
+        stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed,
+                                          workers=workers)
         stats.sort()
         stats.setflags(write=False)
         _h0_memo = (key, stats)

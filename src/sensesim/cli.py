@@ -32,9 +32,6 @@ import os
 import sys
 from dataclasses import fields
 
-# --workers is the only parallelism; no BLAS thread pool starts with numpy.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 
 from . import __version__, reference
@@ -323,6 +320,7 @@ def _grid_for(cfg: dict, spec: DetectorSpec, targets) -> ThresholdGrid:
     return grid_from_pfa_targets(
         targets, spec, cfg["samples"],
         channel=channel, cal_trials=cfg["cal_trials"], seed=cfg["seed"],
+        workers=cfg["workers"],
     )
 
 
@@ -485,6 +483,7 @@ def cmd_calibrate(cfg: dict) -> int:
         cal = calibrate_threshold(
             spec, cfg["samples"], target,
             channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
+            workers=cfg["workers"],
         )
         extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
         print(

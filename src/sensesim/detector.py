@@ -68,20 +68,48 @@ def statistic(y, spec: DetectorSpec, sigma: float = 1.0) -> float:
 
 
 def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.ndarray:
-    """Row-wise :func:`statistic` over a (trials, n) block.
+    """Row-wise :func:`statistic` over a (trials, n) block, overwriting ``y``.
 
     Element r equals ``statistic(y[r], spec, sigma)`` bit for bit; the
-    Monte Carlo engine relies on that equivalence.  ``y`` is left
-    unchanged, and the only (trials, n) temporary is powered in place.
+    Monte Carlo engine relies on that equivalence.  ``y`` (writable
+    float64) becomes |y|^p and may then be the accumulator: score a copy
+    to keep it.  If ``y`` is sample-major (a transposed C-ordered (n,
+    trials) array, as the engine stores short frames) the sums run in
+    numpy's pairwise order as additions of long contiguous rows;
+    otherwise ``np.sum`` runs along each frame.
     """
-    a = np.abs(y)
-    a **= spec.p
-    t = np.sum(a, axis=1)
+    if spec.normalized and not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    np.abs(y, out=y)
+    y **= spec.p
+    t = _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
     if spec.normalized:
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
         t /= sigma**spec.p
     return t
+
+
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """Sum a (m, trials) array down axis 0 into ``a[0]``, equal to
+    ``np.sum(a[:, t])`` bit for bit: numpy's pairwise order is a running
+    sum below 8 terms, eight partial sums up to 128 combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail, and two halves
+    split at a multiple of 8 above."""
+    m = a.shape[0]
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        _pairwise_sum(a[:half])
+        a[0] += _pairwise_sum(a[half:])
+        return a[0]
+    tail = 1
+    if m >= 8:
+        tail = m - m % 8
+        for i in range(8, tail, 8):
+            a[:8] += a[i : i + 8]
+        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            a[i] += a[j]
+    for i in range(tail, m):
+        a[0] += a[i]
+    return a[0]
 
 
 def decide(t: float, threshold: float) -> Decision:

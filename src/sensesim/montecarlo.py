@@ -26,17 +26,19 @@ share every draw trial for trial: noise, fading gain and signal live on
 separate role streams of the same per-trial key.  The engine exploits
 that directly.  For each trial block it draws the keys, noise, signal
 and fading gains once, scores H0 (the noise alone) and then every SNR
-column, formed by scale-and-add in one reused buffer.  ``roc_sweep``
-and ``pmd_table`` reduce each column's block statistics to integer
-counts against the whole threshold grid (sort, then ``searchsorted``)
-and sum the counts over blocks.  A block holds 2^16 samples, so it stays
-in L2, and memory is O(workers x block) however many trials run.  The
-integer totals are independent of the worker count, and empirical ROC
-curves and P_MD columns are exactly monotone, not just statistically so.  Empirical calibration draws its H0 statistics once
-per (spec, n, trials, channel, seed) and takes every P_FA target's
-quantile from them.  The detector comparison evaluates both exponents
-on the identical received frames and reports a paired-difference
-standard error.
+column, formed by scale-and-add.  ``roc_sweep`` and ``pmd_table``
+reduce each column's block statistics to integer counts against the
+whole threshold grid (sort, then ``searchsorted``) and sum the counts
+over blocks.  A block holds 2^16 samples, so it stays in L2, and each
+worker draws, forms and scores all its blocks in one set of buffers
+(sample-major for short frames), so memory is O(workers x block)
+however many trials run.  The integer totals are independent of the
+worker count, and empirical ROC curves and P_MD columns are exactly
+monotone, not just statistically so.  Empirical calibration draws its
+H0 statistics once per (spec, n, trials, channel, seed) and takes every
+P_FA target's quantile from them.  The detector comparison evaluates
+both exponents on the identical received frames and reports a
+paired-difference standard error.
 """
 
 from __future__ import annotations
@@ -149,18 +151,21 @@ def grid_from_pfa_targets(
     channel: ChannelModel | None = None,
     cal_trials: int = 100_000,
     seed: int = 0,
+    workers: int = 1,
 ) -> ThresholdGrid:
     """Calibrate one threshold per P_FA target (given in increasing order).
 
     Each target goes through :func:`calibrate_threshold` on its default
-    route: analytic for p=2, the empirical quantile of ``cal_trials``
-    seeded calibration-domain noise statistics otherwise.
+    route: analytic for p=2, otherwise the empirical quantile of
+    ``cal_trials`` calibration-domain noise statistics on ``workers``.
     """
     targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("pfa targets must be strictly increasing")
     lams = tuple(
-        calibrate_threshold(spec, n, t, channel=channel, trials=cal_trials, seed=seed).threshold
+        calibrate_threshold(
+            spec, n, t, channel=channel, trials=cal_trials, seed=seed, workers=workers
+        ).threshold
         for t in targets
     )
     return ThresholdGrid(lams, pfa_targets=tuple(targets))
@@ -180,44 +185,45 @@ def default_threshold_grid(
     )
 
 
-def _stats_block(columns, specs, lo: int, hi: int, domain: int, lams=None):
+def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, lams=None):
     """Statistics of trials [lo, hi), one vector per (column, spec) pair.
 
     ``columns`` are scenarios that differ only in SNR or in being the
     noise-only twin.  The block's keys, noise, signal and fading gains
-    are drawn once; H0 is the noise alone and each signal column is
-    formed as ``amp * x + w`` in one reused buffer.  With ``lams`` each
-    statistic vector is reduced to its detection counts, element i
-    counting the trials with statistic >= lams[i] (ties detect).
+    are drawn once into the worker's ``buffers``; each (column, spec)
+    pair is formed, as a copy of the noise for H0 and ``amp * x + w``
+    otherwise, and scored in the draw scratch, reused as float64.  With
+    ``lams`` each statistic vector is reduced to its detection counts,
+    element i counting the trials with statistic >= lams[i] (ties detect).
     """
     sc = columns[0]
     n = sc.n_samples
     channel = sc.channel
     sigma = channel.noise_std
+    w_buf, x_buf, work, gains = (b[: hi - lo] for b in buffers)
     dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
-    w = normal_block(fold_in(keys, NOISE_ROLE), n)
+    w = normal_block(fold_in(keys, NOISE_ROLE), n, out=w_buf, work=work)
     w *= sigma
     signal = next((c.signal for c in columns if not c.noise_only), None)
     if signal is not None:
-        x = signal.block(keys, n)
+        x = signal.block(keys, n, out=x_buf, work=work)
         if channel.kind == RAYLEIGH:
-            u = uniform_block(fold_in(keys, FADING_ROLE), 1)[:, 0]
-            gain = np.sqrt(-np.log(u))
-        buf = np.empty_like(w)
+            gain, scaled = gains.T
+            uniform_block(fold_in(keys, FADING_ROLE), 1, out=gains, work=work)
+            np.sqrt(np.negative(np.log(gain, out=gain), out=gain), out=gain)
+    y = work.view(np.float64)[:, :n]
     out = []
     for col in columns:
-        if col.noise_only:
-            y = w
-        else:
-            root_power = math.sqrt(snr_to_linear(col.snr_db) * channel.noise_variance)
+        if not col.noise_only:
+            amp = math.sqrt(snr_to_linear(col.snr_db) * channel.noise_variance)
             if channel.kind == RAYLEIGH:
-                np.multiply((gain * root_power)[:, None], x, out=buf)
-            else:
-                np.multiply(root_power, x, out=buf)
-            buf += w
-            y = buf
+                amp = np.multiply(gain, amp, out=scaled)[:, None]
         for spec in specs:
+            if col.noise_only:
+                np.copyto(y, w)
+            else:
+                np.add(np.multiply(amp, x, out=y), w, out=y)
             t = statistic_rows(y, spec, sigma)
             if lams is not None:
                 t.sort()
@@ -237,14 +243,15 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     in trial order.  With ``lams``: an int64 array of detection counts,
     one row per (column, spec) and one column per threshold, summed over
     blocks, so the totals are worker-invariant.  Worker w of W runs
-    blocks w, w + W, ..., so memory is O(W x block) at any block count.
+    blocks w, w + W, ... in one set of block buffers, so memory is
+    O(W x block) at any block count and no block allocates a block.
     """
     sc = columns[0]
     twin = sc.as_noise_only()
     signal = next((c.signal for c in columns if not c.noise_only), None)
     if any(c.as_noise_only() != twin or c.signal not in (None, signal) for c in columns):
         raise ValueError("columns share one draw, so they may differ in snr_db only")
-    trials, size = sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples)
+    trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples))
     starts = range(0, trials, size)
     workers = max(1, min(workers, len(starts)))
     rows = len(columns) * len(specs)
@@ -252,9 +259,14 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
 
     def run(first):
         counts = np.zeros((rows, len(lams)), dtype=np.int64) if outs is None else None
+        # (trials, n) noise, signal and uint64 scratch, n padded to Box-Muller
+        # pairs, longer side contiguous; then fading gain and per-SNR scaling.
+        pad = sc.n_samples + sc.n_samples % 2
+        buffers = [np.empty((pad, size), dt).T if size >= pad else np.empty((size, pad), dt)
+                   for dt in (np.float64, np.float64, np.uint64)] + [np.empty((2, size)).T]
         for lo in starts[first::workers]:
             hi = min(lo + size, trials)
-            stats = _stats_block(columns, specs, lo, hi, domain, lams)
+            stats = _stats_block(columns, specs, lo, hi, domain, buffers, lams)
             if outs is None:
                 counts += stats
             else:
@@ -524,7 +536,8 @@ def compare_detectors(
 
     def calibrate(spec: DetectorSpec, target: float) -> float:
         return calibrate_threshold(spec, sc.n_samples, target, channel=sc.channel,
-                                   trials=cal_trials, seed=sc.seed).threshold
+                                   trials=cal_trials, seed=sc.seed,
+                                   workers=workers).threshold
 
     stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b, workers=workers)
     trials = sc.trials

@@ -57,21 +57,28 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a uint64 array."""
-    z = z + _U64(GOLDEN)
-    z = (z ^ (z >> _U64(30))) * _U64(_M1)
-    z = (z ^ (z >> _U64(27))) * _U64(_M2)
-    return z ^ (z >> _U64(31))
+def mix64_array(z: np.ndarray, *, out=None, work=None) -> np.ndarray:
+    """Vectorized :func:`mix64` over a uint64 array, into ``out`` (may be
+    ``z``) with uint64 scratch ``work``; each is allocated if not given."""
+    z = np.add(z, _U64(GOLDEN), out=out)
+    work = np.empty_like(z) if work is None else work
+    for shift, factor in ((30, _M1), (27, _M2), (31, None)):
+        np.right_shift(z, _U64(shift), out=work)
+        z ^= work
+        if factor is not None:
+            z *= _U64(factor)
+    return z
 
 
-def bits_to_uniform(z: np.ndarray) -> np.ndarray:
+def bits_to_uniform(z: np.ndarray, *, out=None) -> np.ndarray:
     """Map mixed 64-bit words to float64 uniforms in the open (0, 1).
 
     Uses the top 53 bits; the +0.5 offset keeps both endpoints excluded
-    (minimum 2^-54, maximum 1 - 2^-54).
+    (minimum 2^-54, maximum 1 - 2^-54).  With a float64 ``out`` the
+    uniforms go there and ``z`` is shifted in place, as scratch.
     """
-    return ((z >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    z = np.right_shift(z, _U64(11), out=None if out is None else z)
+    return np.multiply(np.add(z, 0.5, out=out), 2.0**-53, out=out)
 
 
 def fold(key: int, component: int) -> int:
@@ -90,32 +97,45 @@ def fold_in(keys: np.ndarray, component: int) -> np.ndarray:
     return mix64_array(keys ^ _U64(mix64(component & MASK64)))
 
 
-def uniform_block(keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+def uniform_block(keys: np.ndarray, count: int, start: int = 0, *, out=None, work=None):
     """Uniforms for many streams at once.
 
     Returns shape ``(len(keys), count)``; row r holds draws
-    ``start .. start+count-1`` of the stream keyed by ``keys[r]``.
+    ``start .. start+count-1`` of the stream keyed by ``keys[r]``.  The
+    draw runs in ``out`` (float64) and ``work`` (uint64 scratch), with at
+    least ``count`` columns, and returns ``out[:, :count]``.  Each is
+    allocated sample-major if not given (a transposed C-ordered
+    ``(count, len(keys))`` array: one contiguous row per draw position).
     """
-    ctr = np.arange(start, start + count, dtype=np.uint64)
-    return bits_to_uniform(mix64_array(keys[:, None] + ctr[None, :] * _U64(GOLDEN)))
+    work = np.empty((count, keys.size), np.uint64).T if work is None else work[:, :count]
+    out = np.empty((count, keys.size)).T if out is None else out[:, :count]
+    ctr = np.arange(start, start + count, dtype=np.uint64) * _U64(GOLDEN)
+    np.add(keys[:, None], ctr, out=work)
+    mix64_array(work, out=work, work=out.view(np.uint64))
+    return bits_to_uniform(work, out=out)
 
 
-def normal_block(keys: np.ndarray, count: int) -> np.ndarray:
+def normal_block(keys: np.ndarray, count: int, *, out=None, work=None) -> np.ndarray:
     """Standard normals for many streams at once, shape ``(len(keys), count)``.
 
     Box-Muller on consecutive uniform pairs; consumes ``2*ceil(count/2)``
-    uniforms per stream starting at counter 0.
+    uniforms per stream starting at counter 0.  ``out`` and ``work`` are
+    as in :func:`uniform_block` with that many columns: Box-Muller
+    overwrites the uniforms in ``out``, and ``out[:, :count]`` returns.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     pairs = (count + 1) // 2
-    u = uniform_block(keys, 2 * pairs)
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
-    out = np.empty_like(u)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
-    return out[:, :count]
+    work = np.empty((2 * pairs, keys.size), np.uint64).T if work is None else work
+    u = uniform_block(keys, 2 * pairs, out=out, work=work)
+    r, theta = u[:, 0::2], u[:, 1::2]
+    np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta, out=work.view(np.float64)[:, :pairs])
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
+    return u[:, :count]
 
 
 @dataclass(frozen=True)

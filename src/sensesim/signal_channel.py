@@ -45,11 +45,14 @@ class SignalModel:
     ``SIGNAL_ROLE`` sub-stream (``tests/oracle_scalar.py`` redraws each
     row on its own, bit for bit); ``mean_square(n)`` is the mean of
     x[k]^2 every frame shares, or None when frames differ in it.
+    ``block`` may draw into the buffers of :func:`~sensesim.rng.normal_block`
+    (``out`` float64 and ``work`` uint64, ``n + n % 2`` columns) and
+    return a view of ``out``; without them its frames are allocated.
     """
 
     power: float
 
-    def block(self, keys: np.ndarray, n: int) -> np.ndarray:
+    def block(self, keys: np.ndarray, n: int, *, out=None, work=None) -> np.ndarray:
         raise NotImplementedError
 
     def mean_square(self, n: int) -> float | None:
@@ -65,10 +68,10 @@ class Bpsk(SignalModel):
     def __post_init__(self):
         _check_power(self.power)
 
-    def block(self, keys, n):
-        u = uniform_block(fold_in(keys, SIGNAL_ROLE), n)
-        a = math.sqrt(self.power)
-        return np.where(u < 0.5, -a, a)
+    def block(self, keys, n, *, out=None, work=None):
+        u = uniform_block(fold_in(keys, SIGNAL_ROLE), n, out=out, work=work)
+        u -= 0.5  # negative exactly when u < 0.5
+        return np.copysign(math.sqrt(self.power), u, out=u)
 
     def mean_square(self, n):
         return float(self.power)
@@ -103,8 +106,8 @@ class Sinusoid(SignalModel):
         k = np.arange(n, dtype=np.float64)
         return math.sqrt(2.0 * self.power) * np.cos(2.0 * np.pi * self.cycles_per_frame * k / n)
 
-    def block(self, keys, n):
-        return np.broadcast_to(self._row(n), (keys.size, n))
+    def block(self, keys, n, *, out=None, work=None):
+        return np.broadcast_to(self._row(n), (keys.size, n))  # draws nothing
 
     def mean_square(self, n):
         return float(np.mean(self._row(n) ** 2))
@@ -119,8 +122,10 @@ class GaussianIid(SignalModel):
     def __post_init__(self):
         _check_power(self.power)
 
-    def block(self, keys, n):
-        return normal_block(fold_in(keys, SIGNAL_ROLE), n) * math.sqrt(self.power)
+    def block(self, keys, n, *, out=None, work=None):
+        x = normal_block(fold_in(keys, SIGNAL_ROLE), n, out=out, work=work)
+        x *= math.sqrt(self.power)
+        return x
 
     def mean_square(self, n):
         return None

@@ -107,6 +107,19 @@ def test_noncentral_chi2_sf_relative_accuracy_against_mpmath():
     assert worst <= 1e-12
 
 
+def test_incomplete_gamma_cap_grows_with_the_argument():
+    # Near a = x the series needs about 8 sqrt(x) terms: at x = 5e7 that
+    # is past a fixed cap of 10,000, which raised NumericError here.
+    assert gammaq(5e7 + 52585, 5e7) == pytest.approx(
+        scipy.special.gammaincc(5e7 + 52585, 5e7), rel=1e-12, abs=0.0
+    )
+    # Relative agreement is limited by the large-offset Poisson weights
+    # (about 3e-8 here), not by the iteration count.
+    assert noncentral_chi2_sf(10, 1e8, 1e8) == pytest.approx(
+        scipy.stats.ncx2.sf(1e8, 10, 1e8), rel=1e-6, abs=0.0
+    )
+
+
 def test_noncentral_zero_offset_degenerates_to_central():
     for nu in (1, 2, 7, 10, 50):
         for lam in _LAM_GRID:

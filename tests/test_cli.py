@@ -275,10 +275,10 @@ def test_version_flag(capsys):
     assert "sensesim" in capsys.readouterr().out
 
 
-def _import_cli(**env):
+def _import_cli(statement="import sensesim.cli", **env):
     """OPENBLAS_NUM_THREADS and the Threads: count of a fresh process after
-    ``import sensesim.cli``."""
-    code = ("import os, re, sensesim.cli\n"
+    ``statement``."""
+    code = (f"import os, re\n{statement}\n"
             "with open('/proc/self/status') as f:\n"
             "    threads = re.search(r'Threads:\\s*(\\d+)', f.read()).group(1)\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)")
@@ -294,4 +294,7 @@ def test_cli_import_starts_no_blas_thread_pool():
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc to count threads")
     assert _import_cli() == ["1", "1"]  # --workers is the only parallelism
+    # the default is set at the package root, so any submodule imported
+    # first (as the benchmark tracer imports analytic) gets it too
+    assert _import_cli("from sensesim import analytic") == ["1", "1"]
     assert _import_cli(OPENBLAS_NUM_THREADS="2")[0] == "2"  # an explicit setting wins

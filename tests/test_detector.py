@@ -28,14 +28,28 @@ def test_unnormalized_ignores_sigma():
     assert statistic([2.0, 2.0], spec, sigma=2.0) == 8.0
 
 
+def _layouts(y):
+    """Copies of a (trials, n) block: C-ordered, with rows apart (as the
+    engine pads odd n), and sample-major."""
+    yield np.array(y, order="C")
+    padded = np.empty((y.shape[0], y.shape[1] + 1))[:, : y.shape[1]]
+    padded[...] = y
+    yield padded
+    yield np.array(y.T, order="C").T
+
+
 def test_statistic_rows_matches_scalar_bitwise():
-    y = normal_block(
-        np.array([Stream.from_seed(t).key for t in range(50)], dtype=np.uint64), 7
-    )
-    for spec in (P2, P3, DetectorSpec(p=2, normalized=False)):
-        rows = statistic_rows(y, spec, sigma=1.3)
-        scalar = np.array([statistic(y[r], spec, sigma=1.3) for r in range(y.shape[0])])
-        assert np.array_equal(rows, scalar)
+    # The sizes cover every branch of numpy's pairwise summation (running
+    # sum below 8, eight partial sums up to 128, halving above), in the
+    # C-ordered layout, with padded rows, and in the sample-major one.
+    keys = np.array([Stream.from_seed(t).key for t in range(20)], dtype=np.uint64)
+    for n in [*range(1, 301), 511, 8191, 8192, 8193, 65537]:
+        y = normal_block(keys, n)
+        for spec in [DetectorSpec(p, norm) for p in (1, 2, 3) for norm in (True, False)]:
+            scalar = np.array([statistic(y[r], spec, sigma=1.3) for r in range(y.shape[0])])
+            for layout in _layouts(y):  # fresh copies: each call overwrites its input
+                rows = statistic_rows(layout, spec, sigma=1.3)
+                assert np.array_equal(rows, scalar), (n, spec, layout.strides)
 
 
 def test_tie_decides_h1():

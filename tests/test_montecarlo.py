@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracle_scalar import frame, received_frame
 
-from sensesim import montecarlo
+from sensesim import analytic, cli, montecarlo
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.montecarlo import (
@@ -432,3 +432,51 @@ def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers):
 
     peak(100)  # warm up, so one-time allocations land in neither measurement
     assert peak(10_000) <= 1.25 * peak(2_500)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_blocks_reuse_their_buffers_without_page_faults(p):
+    # Each block used to allocate and free dozens of 512 KiB temporaries,
+    # which the allocator handed back to the OS and faulted in again:
+    # about 928 minor faults per block.  A worker's buffers are now
+    # allocated once per run, so more blocks add almost no faults.
+    resource = pytest.importorskip("resource")
+    n = 10
+    size = montecarlo._BLOCK_SAMPLES // n
+    grid = ThresholdGrid((30.0, 20.0, 10.0))
+    spec = DetectorSpec(p=p)
+
+    def faults(blocks):
+        columns = [_h1(channel=CH_RAY, n=n, trials=blocks * size, seed=1, snr_db=s)
+                   for s in (-10.0, 0.0, 10.0)]
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        roc_sweep(columns, spec, grid)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(10)  # warm up
+    assert (faults(40) - faults(10)) / 30 < 8
+
+
+def test_empirical_calibration_draws_on_the_callers_workers(monkeypatch, capsys):
+    seen = []
+    draw = montecarlo.calibration_h0_statistics
+
+    def spy(*args, workers=1, **kwargs):
+        seen.append(workers)
+        return draw(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "calibration_h0_statistics", spy)
+    grids, printed = [], []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(analytic, "_h0_memo", (None, None))  # force a fresh draw
+        grids.append(grid_from_pfa_targets([0.01, 0.1], P3, 10, seed=4, workers=workers).values)
+        monkeypatch.setattr(analytic, "_h0_memo", (None, None))
+        assert cli.main(["calibrate", "--detector-p", "3", "--pfa-targets", "0.01,0.1",
+                         "--seed", "4", "--workers", str(workers)]) == 0
+        printed.append(capsys.readouterr().out)
+    monkeypatch.setattr(analytic, "_h0_memo", (None, None))
+    compare_detectors(_h1(seed=4), [0.1], workers=2)
+    assert seen == [1, 1, 2, 2, 3, 3, 2]
+    assert grids[0] == grids[1] == grids[2]  # bit-identical thresholds
+    assert printed[0] == printed[1] == printed[2]
+    assert repr(grids[0][1]) in printed[0]

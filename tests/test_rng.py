@@ -130,6 +130,37 @@ def test_normal_block_matches_stream_normals():
     assert np.array_equal(block[1], normals(Stream.from_seed(4), 9))
 
 
+def _buffer_layouts(streams, cols):
+    """(out, work) pairs for a (streams, cols) draw: C-ordered, and ragged
+    sample-major slices of larger buffers, as the engine passes them."""
+    yield np.empty((streams, cols)), np.empty((streams, cols), dtype=np.uint64)
+    big = np.full((cols + 3, streams + 5), np.nan)
+    big_work = np.zeros((cols + 3, streams + 5), dtype=np.uint64)
+    yield big[:cols, :streams].T, big_work[:cols, :streams].T
+
+
+def test_draws_into_buffers_equal_fresh_draws():
+    keys = np.array([Stream.from_seed(s).key for s in range(37)], dtype=np.uint64)
+    for count in (1, 2, 3, 10, 11):
+        fresh = uniform_block(keys, count, start=5)
+        for out, work in _buffer_layouts(keys.size, count):
+            got = uniform_block(keys, count, start=5, out=out, work=work)
+            assert np.shares_memory(got, out)
+            assert np.array_equal(got, fresh)
+        fresh = normal_block(keys, count)
+        for out, work in _buffer_layouts(keys.size, count + count % 2):
+            got = normal_block(keys, count, out=out, work=work)
+            assert got.shape == fresh.shape and np.shares_memory(got, out)
+            assert np.array_equal(got, fresh)
+    z = mix64_array(keys)
+    in_place = keys.copy()
+    assert mix64_array(in_place, out=in_place, work=np.empty_like(keys)) is in_place
+    assert np.array_equal(in_place, z)
+    u = np.empty(z.size)
+    assert bits_to_uniform(z.copy(), out=u) is u
+    assert np.array_equal(u, bits_to_uniform(z))
+
+
 def test_uniform_moments():
     u = uniforms(Stream.from_seed(99), 200_000)
     n = u.size

@@ -120,6 +120,18 @@ def test_model_block_matches_scalar_reference(model):
     assert (mean_square is None) == isinstance(model, GaussianIid)
 
 
+@pytest.mark.parametrize("model", _MODELS, ids=repr)
+@pytest.mark.parametrize("n", [7, 10])
+def test_model_block_into_buffers_equals_fresh_block(model, n):
+    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(9, dtype=np.uint64))
+    rows = n + n % 2
+    out = np.full((rows + 2, keys.size + 4), np.nan)[:rows, : keys.size].T
+    work = np.zeros((rows + 2, keys.size + 4), dtype=np.uint64)[:rows, : keys.size].T
+    got = model.block(keys, n, out=out, work=work)
+    assert np.array_equal(got, model.block(keys, n))
+    assert np.shares_memory(got, out) != isinstance(model, Sinusoid)  # which draws nothing
+
+
 def _noise(channel, n, trial):
     return received_frame(None, channel, None, n, trial)[0]
 
