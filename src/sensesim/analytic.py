@@ -25,7 +25,9 @@ nothing but IEEE arithmetic:
   (k0 > 0 skips steps below 1e-280 when lam >> nu, so the walk is
   O(sqrt(lam))); k0 and the length K depend on (nu, lam) only.  Each
   mean then takes its Poisson weights of k0 <= k < K against the ladder
-  as one matrix product, plus the mass of k >= K as one P(K, delta/2).
+  as one row sum, plus the mass of k >= K as one P(K, delta/2).  The
+  sums are numpy's own reductions, not BLAS products, so the bits do
+  not depend on how many threads BLAS runs.
   Nothing is cut off by an absolute mass bound, so a survival value of
   1e-35 keeps its relative accuracy: about 2e-13 against mpmath for
   delta up to 1e3.  Beyond that the weights' exponent
@@ -51,6 +53,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .detector import DetectorSpec
 
 _GAMMA_EPS = 1e-16
 # Iteration cap of both incomplete gamma routines, plus 32 sqrt(x): near
@@ -197,7 +201,9 @@ def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
         w = np.multiply.outer(log_h[s:s + step], k)
         w -= hs[s:s + step, None]
         w -= log_k_fact
-        out[s:s + step] += np.exp(w, out=w) @ ladder
+        np.exp(w, out=w)
+        w *= ladder
+        out[s:s + step] += w.sum(axis=1)
     return out
 
 
@@ -264,7 +270,7 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise ValueError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
     xs, ws = _laguerre_rule()
-    total = float(ws @ _poisson_mixture(n / 2.0, n * gamma_bar * xs / 2.0, lam / 2.0))
+    total = float((ws * _poisson_mixture(n / 2.0, n * gamma_bar * xs / 2.0, lam / 2.0)).sum())
     if not (math.isfinite(total) and -1e-9 <= total <= 1.0 + 1e-9):
         raise NumericError(f"quadrature produced {total!r} for n={n}, "
                            f"gamma_bar={gamma_bar}, lam={lam}")
@@ -332,8 +338,6 @@ def calibrate_threshold(
     stderr, at least 2/trials) raises ``ValueError`` naming the trials
     it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
     """
-    from .detector import DetectorSpec
-
     if not isinstance(spec, DetectorSpec):
         raise ValueError(f"spec must be a DetectorSpec, got {spec!r}")
     if not (isinstance(target_pfa, (int, float)) and 0.0 < target_pfa < 1.0):

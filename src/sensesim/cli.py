@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,6 @@ from .montecarlo import (
 from .signal_channel import AWGN, RAYLEIGH, SIGNAL_MODELS, ChannelModel, snr_to_linear
 from .svgplot import Series, line_plot
 
-DEFAULT_SEED = 0
 ENV_SEED = "SENSESIM_SEED"
 
 
@@ -67,47 +67,15 @@ class ConfigError(Exception):
     """Bad configuration: unknown key, unparsable value, missing file."""
 
 
-_DEFAULTS = {
-    "seed": DEFAULT_SEED,
-    "trials": 100_000,
-    "samples": 10,
-    "snr_db": (-10.0, 0.0, 10.0),
-    "channel": AWGN,
-    "noise_variance": 1.0,
-    "detector_p": 2,
-    "normalized": True,
-    "pfa_targets": None,  # command-specific default
-    "out": ".",
-    "svg": False,
-    "workers": 1,
-    "cal_trials": 100_000,
-    "signal": "bpsk",
-    "signal_power": 1.0,
-    "cycles_per_frame": 1.0,
-}
+class _Setting(NamedTuple):
+    """One configurable setting: its INI home, parser, default and echo."""
 
-_RUN_KEYS = {
-    "seed": int,
-    "trials": int,
-    "samples": int,
-    "snr_db": "float_list",
-    "channel": str,
-    "noise_variance": float,
-    "detector_p": int,
-    "normalized": "bool",
-    "pfa_targets": "float_list",
-    "out": str,
-    "svg": "bool",
-    "workers": int,
-    "cal_trials": int,
-}
-
-# [signal] key -> (config name, type); the other keys name model fields
-_SIGNAL_KEYS = {
-    "kind": ("signal", str),
-    "power": ("signal_power", float),
-    "cycles_per_frame": ("cycles_per_frame", float),
-}
+    name: str  # key in the resolved config; also the flag's argparse dest
+    section: str
+    key: str
+    parse: Callable[[str], Any]
+    default: Any
+    echo: bool  # written into result headers, in table order
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -129,15 +97,37 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean value {text!r}")
 
 
-def _coerce(key: str, kind, raw: str):
+def _run(name, parse, default, echo=True) -> _Setting:
+    return _Setting(name, "run", name, parse, default, echo)
+
+
+# The table's order is the result-header order.  A [signal] row other
+# than ``kind`` names a model field and is echoed only for models that
+# have it.  ``pfa_targets`` defaults per command.
+_SETTINGS = (
+    _run("seed", int, 0),
+    _run("trials", int, 100_000),
+    _run("samples", int, 10),
+    _run("channel", str, AWGN),
+    _run("noise_variance", float, 1.0),
+    _run("detector_p", int, 2),
+    _run("normalized", _parse_bool, True),
+    _Setting("signal", "signal", "kind", str, "bpsk", True),
+    _Setting("signal_power", "signal", "power", float, 1.0, True),
+    _run("snr_db", _parse_float_list, (-10.0, 0.0, 10.0)),
+    _run("cal_trials", int, 100_000),
+    _Setting("cycles_per_frame", "signal", "cycles_per_frame", float, 1.0, True),
+    _run("pfa_targets", _parse_float_list, None),
+    _run("out", str, ".", echo=False),
+    _run("svg", _parse_bool, False, echo=False),
+    _run("workers", int, 1, echo=False),
+)
+_BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
+
+
+def _parse(setting: _Setting, key: str, raw: str):
     try:
-        if kind == "float_list":
-            return _parse_float_list(raw)
-        if kind == "bool":
-            return _parse_bool(raw)
-        return kind(raw)
-    except ConfigError:
-        raise
+        return setting.parse(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from exc
 
@@ -153,24 +143,18 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     out: dict = {}
     for section in parser.sections():
-        if section == "run":
-            for key, raw in parser.items("run"):
-                if key not in _RUN_KEYS:
-                    raise ConfigError(f"unknown [run] key {key!r} in {path}")
-                out[key] = _coerce(key, _RUN_KEYS[key], raw)
-        elif section == "signal":
-            for key, raw in parser.items("signal"):
-                if key not in _SIGNAL_KEYS:
-                    raise ConfigError(f"unknown [signal] key {key!r} in {path}")
-                name, kind = _SIGNAL_KEYS[key]
-                out[name] = _coerce(key, kind, raw)
-        else:
+        if section not in ("run", "signal"):
             raise ConfigError(f"unknown config section [{section}] in {path}")
+        for key, raw in parser.items(section):
+            setting = _BY_KEY.get((section, key))
+            if setting is None:
+                raise ConfigError(f"unknown [{section}] key {key!r} in {path}")
+            out[setting.name] = _parse(setting, key, raw)
     return out
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {s.name: s.default for s in _SETTINGS}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
@@ -179,23 +163,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"bad {ENV_SEED} value {env_seed!r}") from exc
     if args.config is not None:
         cfg.update(_load_config_file(args.config))
-    flag_map = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "samples": args.samples,
-        "snr_db": _parse_float_list(args.snr_db) if args.snr_db is not None else None,
-        "channel": args.channel,
-        "detector_p": args.detector_p,
-        "pfa_targets": (
-            _parse_float_list(args.pfa_targets) if args.pfa_targets is not None else None
-        ),
-        "out": args.out,
-        "svg": True if args.svg else None,
-        "workers": args.workers,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            cfg[key] = value
+    for setting in _SETTINGS:
+        raw = getattr(args, setting.name, None)
+        if raw is not None:
+            cfg[setting.name] = _parse(setting, setting.name, raw)
     _validate_config(cfg)
     return cfg
 
@@ -221,7 +192,7 @@ def _build_channel(cfg: dict) -> ChannelModel:
 
 def _build_signal(cfg: dict):
     model = SIGNAL_MODELS[cfg["signal"]]
-    return model(**{f.name: cfg[_SIGNAL_KEYS[f.name][0]] for f in fields(model)})
+    return model(**{f.name: cfg[_BY_KEY["signal", f.name].name] for f in fields(model)})
 
 
 def _build_spec(cfg: dict) -> DetectorSpec:
@@ -265,26 +236,13 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _meta(cfg: dict, command: str, targets=None) -> dict:
-    meta = {
-        "tool": f"sensesim {__version__}",
-        "command": command,
-        "seed": cfg["seed"],
-        "trials": cfg["trials"],
-        "samples": cfg["samples"],
-        "channel": cfg["channel"],
-        "noise_variance": _fmt_value(cfg["noise_variance"]),
-        "detector_p": cfg["detector_p"],
-        "normalized": cfg["normalized"],
-        "signal": cfg["signal"],
-        "signal_power": _fmt_value(cfg["signal_power"]),
-        "snr_db": _fmt_value(cfg["snr_db"]),
-        "cal_trials": cfg["cal_trials"],
-    }
-    if hasattr(_build_signal(cfg), "cycles_per_frame"):
-        meta["cycles_per_frame"] = _fmt_value(cfg["cycles_per_frame"])
-    if targets is not None:
-        meta["pfa_targets"] = _fmt_value(tuple(targets))
+def _meta(cfg: dict, command: str, targets) -> dict:
+    meta = {"tool": f"sensesim {__version__}", "command": command}
+    values = {**cfg, "pfa_targets": targets}
+    model_fields = {f.name for f in fields(SIGNAL_MODELS[cfg["signal"]])}
+    for s in _SETTINGS:
+        if s.echo and (s.section == "run" or s.key == "kind" or s.key in model_fields):
+            meta[s.name] = _fmt_value(values[s.name])
     return meta
 
 
@@ -296,6 +254,7 @@ def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt_value(v) for v in row])
+    print(f"wrote {path}")
 
 
 def read_result_csv(path: str) -> tuple[dict, list[dict]]:
@@ -347,7 +306,6 @@ def cmd_roc(cfg: dict) -> int:
         meta = _meta(cfg, "roc", targets)
         meta["snr_db_this_file"] = _fmt_value(float(snr))
         _write_csv(path, meta, ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows)
-        print(f"wrote {path}")
         if cfg["svg"]:
             # log-x only while every empirical pfa is strictly positive;
             # short runs can hit 0 false alarms at the tightest thresholds
@@ -410,7 +368,6 @@ def cmd_pmd_table(cfg: dict) -> int:
             row += [float(v) for v in ref_cu[r]]
         rows.append(row)
     _write_csv(path, meta, header, rows)
-    print(f"wrote {path}")
     if cfg["svg"]:
         idx = list(range(1, len(grid.values) + 1))
         series = [
@@ -458,7 +415,6 @@ def cmd_compare(cfg: dict) -> int:
              "delta", "stderr_delta"],
             rows,
         )
-        print(f"wrote {path}")
         print(f"snr {snr:g} dB:")
         print(report.sign_summary())
         if cfg["svg"]:
@@ -574,21 +530,22 @@ def cmd_validate(cfg: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
-    common.add_argument("--seed", type=int, metavar="U64", help="root seed (64-bit)")
-    common.add_argument("--trials", type=int, metavar="N", help="Monte Carlo trials")
-    common.add_argument("--samples", type=int, metavar="N", help="samples per frame")
+    common.add_argument("--seed", metavar="U64", help="root seed (64-bit)")
+    common.add_argument("--trials", metavar="N", help="Monte Carlo trials")
+    common.add_argument("--samples", metavar="N", help="samples per frame")
     common.add_argument(
         "--snr-db", metavar="LIST",
         help="comma-separated SNRs in dB (use --snr-db=-10,0,10 for negatives)",
     )
     common.add_argument("--channel", choices=[AWGN, RAYLEIGH], help="channel model")
-    common.add_argument("--detector-p", type=int, metavar="INT", help="detector exponent")
+    common.add_argument("--detector-p", metavar="INT", help="detector exponent")
     common.add_argument(
         "--pfa-targets", metavar="LIST", help="comma-separated false-alarm targets in (0,1)"
     )
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--svg", action="store_true", default=None, help="also write SVG plots")
-    common.add_argument("--workers", type=int, metavar="N", help="worker threads (default 1)")
+    common.add_argument("--svg", action="store_const", const="true",
+                        help="also write SVG plots")
+    common.add_argument("--workers", metavar="N", help="worker threads (default 1)")
 
     parser = argparse.ArgumentParser(
         prog="sensesim",

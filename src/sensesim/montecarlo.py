@@ -401,7 +401,6 @@ class PmdTable:
     snr_list_db: tuple[float, ...]
     values: np.ndarray
     stderr: np.ndarray
-    detector: DetectorSpec
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)
@@ -461,7 +460,6 @@ def pmd_table(
         snr_list_db=tuple(float(s) for s in snrs),
         values=values,
         stderr=stderr,
-        detector=spec,
     )
 
 
@@ -485,10 +483,6 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...]
     spec_a: DetectorSpec
     spec_b: DetectorSpec
-    snr_db: float | None
-    n_samples: int
-    trials: int
-    seed: int
 
     def verdict(self, row: ComparisonRow) -> str:
         """The measured sign of one row's delta, in words."""
@@ -562,12 +556,4 @@ def compare_detectors(
                 stderr_delta=stderr_delta,
             )
         )
-    return ComparisonReport(
-        rows=tuple(rows),
-        spec_a=spec_a,
-        spec_b=spec_b,
-        snr_db=sc.snr_db,
-        n_samples=sc.n_samples,
-        trials=trials,
-        seed=sc.seed,
-    )
+    return ComparisonReport(rows=tuple(rows), spec_a=spec_a, spec_b=spec_b)

@@ -6,6 +6,9 @@ scipy's, to quadrature, and to brute-force Monte Carlo.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
@@ -17,6 +20,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sensesim
 from sensesim import analytic, montecarlo
 from sensesim.analytic import (
     CalibrationMethod,
@@ -118,6 +122,22 @@ def test_incomplete_gamma_cap_grows_with_the_argument():
     assert noncentral_chi2_sf(10, 1e8, 1e8) == pytest.approx(
         scipy.stats.ncx2.sf(1e8, 10, 1e8), rel=1e-6, abs=0.0
     )
+
+
+def test_oracle_bits_do_not_depend_on_blas_threads():
+    # Fresh processes, since OpenBLAS reads its thread count at load; a
+    # BLAS matrix product here moved the last bits between 1 and 2 threads.
+    code = ("from sensesim.analytic import noncentral_chi2_sf as f, pd_rayleigh_analytic as r\n"
+            "print(repr(f(10, 1e6, 1e6)), repr(f(10, 1e8, 1e8)), repr(r(10, 10.0, 15.99)))")
+    src = os.path.dirname(os.path.dirname(sensesim.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                       ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
 
 
 def test_noncentral_zero_offset_degenerates_to_central():

@@ -11,7 +11,7 @@ import pytest
 
 import sensesim
 from sensesim import reference
-from sensesim.cli import main, read_result_csv
+from sensesim.cli import _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
 
@@ -108,6 +108,39 @@ def test_csv_roundtrip_recovers_floats_exactly(tmp_path):
         assert 0.0 <= float(r["pd"]) <= 1.0
 
 
+def resolve(*argv):
+    return _resolve_config(build_parser().parse_args(["roc", *argv]))
+
+
+_EVERY_KEY_INI = """\
+[run]
+seed = 5
+trials = 1500
+samples = 12
+snr_db = -3, 4
+channel = rayleigh
+noise_variance = 2
+detector_p = 3
+normalized = no
+pfa_targets = 0.05, 0.2
+out = from-file
+svg = yes
+workers = 2
+cal_trials = 200000
+
+[signal]
+kind = sinusoid
+power = 1.5
+cycles_per_frame = 4
+"""
+_EVERY_KEY_VALUES = {
+    "seed": 5, "trials": 1500, "samples": 12, "snr_db": (-3.0, 4.0), "channel": "rayleigh",
+    "noise_variance": 2.0, "detector_p": 3, "normalized": False, "pfa_targets": (0.05, 0.2),
+    "out": "from-file", "svg": True, "workers": 2, "cal_trials": 200000,
+    "signal": "sinusoid", "signal_power": 1.5, "cycles_per_frame": 4.0,
+}
+
+
 def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text(
@@ -123,6 +156,24 @@ def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
     assert run("roc", "--config", str(ini), "--seed", "7", "--out", str(out2)) == 0
     meta, _ = read_result_csv(str(out2 / "roc_awgn_0dB.csv"))
     assert meta["seed"] == "7"  # flag beats config
+    # validation runs on the merged config, so a flag can mend a file value
+    ini.write_text("[run]\ntrials = 0\n")
+    assert run("roc", "--config", str(ini), "--trials", "500", "--snr-db=0",
+               "--out", str(tmp_path / "o3")) == 0
+
+    # every setting can be set from its INI section and key ...
+    ini.write_text(_EVERY_KEY_INI)
+    assert resolve("--config", str(ini)) == _EVERY_KEY_VALUES
+    # ... and every flag reaches its setting, through the file's parsers
+    flags = ("--seed", "7", "--trials", "900", "--samples", "8", "--snr-db=1,2",
+             "--channel", "awgn", "--detector-p", "4", "--pfa-targets", "0.3",
+             "--out", "from-flag", "--workers", "3")
+    assert resolve("--config", str(ini), *flags) == {
+        **_EVERY_KEY_VALUES, "seed": 7, "trials": 900, "samples": 8, "snr_db": (1.0, 2.0),
+        "channel": "awgn", "detector_p": 4, "pfa_targets": (0.3,), "out": "from-flag",
+        "workers": 3,
+    }
+    assert resolve()["svg"] is False and resolve("--svg")["svg"] is True
 
 
 def test_environment_seed_is_lowest_precedence(tmp_path, monkeypatch):
@@ -147,6 +198,8 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
+    assert run("roc", "--trials", "abc") == 2  # flags share the file's parsers
+    assert "bad value for trials: 'abc'" in capsys.readouterr().err
     monkeypatch.setenv("SENSESIM_SEED", "not-a-number")
     assert run("calibrate") == 2
     monkeypatch.delenv("SENSESIM_SEED")
@@ -158,6 +211,33 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run("roc", "--channel", "laplace")
     assert exc.value.code == 2
+
+
+_HEAD = ["tool", "command", "seed", "trials", "samples", "channel", "noise_variance",
+         "detector_p", "normalized", "signal", "signal_power", "snr_db", "cal_trials"]
+
+
+@pytest.mark.parametrize("kind, model_keys", [
+    ("bpsk", []), ("sinusoid", ["cycles_per_frame"]),
+])
+def test_result_headers_echo_settings_in_a_fixed_order(tmp_path, kind, model_keys):
+    ini = tmp_path / "signal.ini"
+    ini.write_text(f"[signal]\nkind = {kind}\n")
+    common = ("--config", str(ini), "--trials", "500", "--snr-db=-10",
+              "--pfa-targets", "0.1", "--out", str(tmp_path))
+    head = _HEAD + model_keys + ["pfa_targets"]
+    assert run("roc", *common) == 0
+    meta, _ = read_result_csv(str(tmp_path / "roc_awgn_-10dB.csv"))
+    assert list(meta) == head + ["snr_db_this_file"]
+    assert run("pmd-table", *common) == 0
+    meta, _ = read_result_csv(str(tmp_path / "pmd_table_p2_awgn.csv"))
+    assert list(meta) == head + ["reference_tables"]
+    assert run("compare", *common) == 0
+    meta, _ = read_result_csv(str(tmp_path / "compare_awgn_-10dB.csv"))
+    assert list(meta) == [k for k in head if k not in ("detector_p", "normalized")] + [
+        "snr_db_this_file", "reference_squaring_row1_-10dB", "reference_cubing_row1_-10dB",
+        "measured_sign_at_0.1",
+    ]
 
 
 def test_pmd_table_embeds_reference_columns(tmp_path):

@@ -310,8 +310,7 @@ def test_compare_verdict_names_the_measured_detector():
                       pmd_b=0.5 - d, delta=d, stderr_delta=0.01)
         for d in (0.25, -0.25, 0.0)
     )
-    report = ComparisonReport(rows=rows, spec_a=P2, spec_b=DetectorSpec(p=4),
-                              snr_db=0.0, n_samples=10, trials=100, seed=0)
+    report = ComparisonReport(rows=rows, spec_a=P2, spec_b=DetectorSpec(p=4))
     verdicts = ["p=4 misses less", "p=2 misses less", "no measured difference"]
     assert [report.verdict(row) for row in rows] == verdicts
     for line, verdict in zip(report.sign_summary().split("\n"), verdicts):
