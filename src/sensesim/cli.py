@@ -25,8 +25,8 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
+import gc
 import math
 import os
 import sys
@@ -133,6 +133,10 @@ def _parse(setting: _Setting, key: str, raw: str):
 
 
 def _load_config_file(path: str) -> dict:
+    # Imported here: only --config runs read an INI file, so no other
+    # launch pays for the parser.
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         with open(path) as handle:
@@ -167,6 +171,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raw = getattr(args, setting.name, None)
         if raw is not None:
             cfg[setting.name] = _parse(setting, setting.name, raw)
+    cfg["snr_db"] = tuple(dict.fromkeys(cfg["snr_db"]))  # each SNR runs once
     _validate_config(cfg)
     return cfg
 
@@ -184,6 +189,13 @@ def _validate_config(cfg: dict) -> None:
     if cfg["signal"] not in SIGNAL_MODELS:
         names = ", ".join(repr(name) for name in SIGNAL_MODELS)
         raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
+    tagged: dict[str, float] = {}  # the SNRs are distinct by now
+    for snr in cfg["snr_db"]:
+        tag = _snr_tag(snr)
+        if tag in tagged:
+            raise ConfigError(f"snr_db values {tagged[tag]!r} and {snr!r} share "
+                              f"the file and column tag {tag!r}")
+        tagged[tag] = snr
 
 
 def _build_channel(cfg: dict) -> ChannelModel:
@@ -330,7 +342,7 @@ def cmd_pmd_table(cfg: dict) -> int:
     channel = _build_channel(cfg)
     targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
     grid = _grid_for(cfg, spec, targets)
-    columns = [_scenario(cfg, snr, channel) for snr in sorted(set(cfg["snr_db"]))]
+    columns = [_scenario(cfg, snr, channel) for snr in sorted(cfg["snr_db"])]
     table = pmd_table(columns, spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
     stem = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}")
@@ -582,5 +594,17 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> int:
+    """Script entry of ``sensesim`` and ``python -m sensesim.cli``.
+
+    Moves every object the imports made into the permanent generation,
+    so neither the run's collections nor the one at interpreter exit
+    walk them.  :func:`main` keeps no such process-wide effect, since
+    tests and the benchmark tracer call it in-process.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -44,7 +44,6 @@ paired-difference standard error.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -277,6 +276,10 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     if workers == 1:
         parts = [run(0)]
     else:
+        # Imported here: the pool pulls in logging, traceback and queue,
+        # which single-worker runs never need.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, range(workers)))
     return outs if outs is not None else sum(parts)

@@ -75,12 +75,18 @@ def test_empirical_calibrate_refuses_a_target_inside_its_tolerance(tmp_path, cap
     assert f"mc_trials={needed}" in capsys.readouterr().out
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    args = ("roc", "--trials", "2000", "--snr-db=0", "--seed", "42")
-    assert run(*args, "--out", str(a)) == 0
-    assert run(*args, "--out", str(b)) == 0
+def test_reruns_are_byte_identical(tmp_path, capsys):
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    args = ("roc", "--trials", "2000", "--seed", "42")
+    assert run(*args, "--snr-db=0", "--out", str(a)) == 0
+    assert run(*args, "--snr-db=0", "--out", str(b)) == 0
     assert (a / "roc_awgn_0dB.csv").read_bytes() == (b / "roc_awgn_0dB.csv").read_bytes()
+    capsys.readouterr()
+    # a repeated SNR runs and writes once, the bytes of naming it once
+    assert run(*args, "--snr-db=0,0", "--out", str(c)) == 0
+    assert capsys.readouterr().out.count("wrote ") == 1
+    assert os.listdir(c) == ["roc_awgn_0dB.csv"]
+    assert (c / "roc_awgn_0dB.csv").read_bytes() == (a / "roc_awgn_0dB.csv").read_bytes()
 
 
 def test_worker_count_is_invisible_in_output(tmp_path):
@@ -200,6 +206,11 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
     assert run("roc", "--trials", "abc") == 2  # flags share the file's parsers
     assert "bad value for trials: 'abc'" in capsys.readouterr().err
+    for command in ("roc", "compare", "pmd-table"):  # one tag, "1dB", for two SNRs
+        assert run(command, "--snr-db=1.0000001,1.0000002", "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "1.0000001" in err and "1.0000002" in err
+    assert not list(tmp_path.glob("*.csv"))
     monkeypatch.setenv("SENSESIM_SEED", "not-a-number")
     assert run("calibrate") == 2
     monkeypatch.delenv("SENSESIM_SEED")
@@ -281,6 +292,12 @@ def test_compare_records_measured_sign(tmp_path, capsys):
                "--out", str(tmp_path / "p4")) == 0
     name = "compare_awgn_-10dB.csv"
     assert (tmp_path / "p4" / name).read_bytes() == (tmp_path / name).read_bytes()
+    capsys.readouterr()
+    assert run("compare", "--trials", "4000", "--snr-db=-10,-10",
+               "--out", str(tmp_path / "twice")) == 0
+    assert capsys.readouterr().out.count("wrote ") == 1  # a repeated SNR runs once
+    assert os.listdir(tmp_path / "twice") == [name]
+    assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / name).read_bytes()
     assert [r["target_pfa"] for r in rows] == ["0.01", "0.1"]
     for r in rows:
         delta = float(r["delta"])
@@ -355,6 +372,16 @@ def test_version_flag(capsys):
     assert "sensesim" in capsys.readouterr().out
 
 
+def _fresh(code, **env):
+    """Standard output of ``code`` run by a fresh interpreter on this
+    checkout's sensesim, without OPENBLAS_NUM_THREADS unless in ``env``."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = os.path.dirname(os.path.dirname(sensesim.__file__))
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True).stdout
+
+
 def _import_cli(statement="import sensesim.cli", **env):
     """OPENBLAS_NUM_THREADS and the Threads: count of a fresh process after
     ``statement``."""
@@ -362,12 +389,7 @@ def _import_cli(statement="import sensesim.cli", **env):
             "with open('/proc/self/status') as f:\n"
             "    threads = re.search(r'Threads:\\s*(\\d+)', f.read()).group(1)\n"
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)")
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    src = os.path.dirname(os.path.dirname(sensesim.__file__))
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], env={**base, **env},
-                         capture_output=True, text=True, check=True).stdout
-    return out.split()
+    return _fresh(code, **env).split()
 
 
 def test_cli_import_starts_no_blas_thread_pool():
@@ -378,3 +400,47 @@ def test_cli_import_starts_no_blas_thread_pool():
     # first (as the benchmark tracer imports analytic) gets it too
     assert _import_cli("from sensesim import analytic") == ["1", "1"]
     assert _import_cli(OPENBLAS_NUM_THREADS="2")[0] == "2"  # an explicit setting wins
+
+
+# Standard-library modules that only some runs need: the thread pool (with
+# the logging, traceback and queue it imports) and the INI parser.
+_RUN_SPECIFIC = ("concurrent.futures", "logging", "configparser")
+_LOADED = f"print(*(m in sys.modules for m in {_RUN_SPECIFIC!r}))"
+
+
+def test_cli_import_leaves_run_specific_modules_out():
+    assert _fresh(f"import sys\nimport sensesim.cli\n{_LOADED}").split() == ["False"] * 3
+
+
+def test_script_entry_freezes_the_imports():
+    # runs the module as `python -m sensesim.cli --version` does; the count
+    # is read at interpreter exit
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+            "sys.argv = ['sensesim', '--version']\n"
+            "runpy.run_module('sensesim.cli', run_name='__main__', alter_sys=True)\n")
+    version, frozen = _fresh(code).splitlines()
+    assert version == f"sensesim {sensesim.__version__}"
+    assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+def test_runs_import_the_pool_and_the_ini_parser_only_when_used(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nseed = 5\n")
+    # 100 trials of 2000 samples span several blocks, so two workers start a pool
+    roc = ["roc", "--trials", "100", "--samples", "2000", "--snr-db=0",
+           "--pfa-targets", "0.1", "--out", str(tmp_path / "out")]
+    steps = [roc, roc + ["--workers", "2"], roc + ["--config", str(ini)]]
+    code = ("import gc, sys\nfrom sensesim.cli import main\n"
+            f"for argv in {steps!r}:\n"
+            "    frozen = gc.get_freeze_count()\n"
+            "    assert main(argv) == 0\n"
+            "    print(gc.get_freeze_count() - frozen, end=' ')\n"
+            f"    {_LOADED}\n")
+    lines = [line.split() for line in _fresh(code).splitlines() if "wrote" not in line]
+    # columns: freeze-count change, then concurrent.futures, logging, configparser
+    assert lines == [
+        ["0", "False", "False", "False"],
+        ["0", "True", "True", "False"],
+        ["0", "True", "True", "True"],
+    ]
