@@ -296,7 +296,6 @@ class CalibrationResult:
     method: CalibrationMethod
     tolerance: float
     mc_trials: int = 0
-    stderr_pfa: float = 0.0
 
     def __post_init__(self):
         if abs(self.achieved_pfa - self.target_pfa) > self.tolerance:
@@ -309,124 +308,100 @@ class CalibrationResult:
 def calibrate_threshold(
     spec,
     n: int,
-    target_pfa: float,
-    method: CalibrationMethod | None = None,
+    targets,
     *,
     channel=None,
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
-) -> CalibrationResult:
-    """Find lambda such that the detector's P_FA hits ``target_pfa``.
+) -> list[CalibrationResult]:
+    """Find, for each P_FA target, the lambda at which the detector hits it.
 
-    Without ``method`` the route follows the exponent: analytic for the
-    squaring detector (p=2), empirical quantile for every other p.  This
-    is the one place that choice is made.
+    Returns one result per target, in the order given.  The route
+    follows the exponent: analytic for the squaring detector (p=2),
+    empirical quantile for every other p.  This is the one place that
+    choice is made.
 
-    Analytic: bisection on :func:`pfa_analytic`; available only for the
-    p=2 detector, whose H0 law is known.  The normalized threshold is
-    rescaled by sigma^p for an unnormalized spec.
+    Analytic: bisection on :func:`pfa_analytic`, since the p=2 detector's
+    H0 law is known.  The normalized threshold is rescaled by sigma^p
+    for an unnormalized spec.
 
-    EmpiricalQuantile: lambda is the (1 - target) linear-interpolation
-    quantile of ``trials`` >= 1e5 seeded pure-noise statistics, drawn
-    from the calibration domain of the seed's stream (disjoint from
-    evaluation trials); works for every p.  ``channel`` defaults to AWGN
-    with unit noise variance.  The sorted draw of the latest (spec, n,
-    trials, channel, seed) is kept, so a grid of targets costs one draw,
-    made on ``workers`` threads (the same draw for any worker count).
-    A target no larger than its own tolerance at ``trials`` (3 binomial
-    stderr, at least 2/trials) raises ``ValueError`` naming the trials
-    it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
+    Empirical quantile: each lambda is the (1 - target)
+    linear-interpolation quantile of ``trials`` >= 1e5 seeded pure-noise
+    statistics, drawn from the calibration domain of the seed's stream
+    (disjoint from evaluation trials); works for every p.  ``channel``
+    defaults to AWGN with unit noise variance.  Each call draws once, on
+    ``workers`` threads (the same draw for any worker count), and takes
+    every target's quantile from that draw; nothing is kept between
+    calls.  A target no larger than its own tolerance at ``trials`` (3
+    binomial stderr, at least 2/trials) raises ``ValueError`` naming the
+    trials it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
     """
     if not isinstance(spec, DetectorSpec):
         raise ValueError(f"spec must be a DetectorSpec, got {spec!r}")
-    if not (isinstance(target_pfa, (int, float)) and 0.0 < target_pfa < 1.0):
-        raise ValueError(f"target_pfa must lie strictly inside (0, 1), got {target_pfa!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if method is None:
-        method = (
-            CalibrationMethod.ANALYTIC if spec.p == 2 else CalibrationMethod.EMPIRICAL_QUANTILE
-        )
+    targets = tuple(targets)
+    for target in targets:
+        if not (isinstance(target, (int, float)) and 0.0 < target < 1.0):
+            raise ValueError(f"target_pfa must lie strictly inside (0, 1), got {target!r}")
 
-    if method is CalibrationMethod.ANALYTIC:
-        if spec.p != 2:
-            raise ValueError(
-                "analytic calibration is only available for the squaring detector (p=2); "
-                "use EMPIRICAL_QUANTILE for other exponents"
-            )
-        lam = _bisect_chi2_isf(n, target_pfa)
-        achieved = pfa_analytic(n, lam)
-        if not spec.normalized:
-            if channel is None:
-                raise ValueError("unnormalized calibration needs the channel for sigma")
-            lam *= channel.noise_variance  # sigma^2 = sigma^p at p=2
-        return CalibrationResult(
-            threshold=lam,
-            target_pfa=target_pfa,
-            achieved_pfa=achieved,
-            method=method,
-            tolerance=min(1e-9, 1e-6 * target_pfa),
-        )
+    if spec.p == 2:
+        if not spec.normalized and channel is None:
+            raise ValueError("unnormalized calibration needs the channel for sigma")
+        scale = 1.0 if spec.normalized else channel.noise_variance  # sigma^2 = sigma^p
+        results = []
+        for target in targets:
+            lam = _bisect_chi2_isf(n, target)
+            results.append(CalibrationResult(
+                threshold=lam * scale,
+                target_pfa=target,
+                achieved_pfa=pfa_analytic(n, lam),
+                method=CalibrationMethod.ANALYTIC,
+                tolerance=min(1e-9, 1e-6 * target),
+            ))
+        return results
 
-    if method is CalibrationMethod.EMPIRICAL_QUANTILE:
-        if trials < 100_000:
-            raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
-        if _quantile_tolerance(target_pfa, trials) >= target_pfa:
-            needed = math.floor(max(9.0 * (1.0 - target_pfa), 2.0) / target_pfa) + 1
-            while _quantile_tolerance(target_pfa, needed) >= target_pfa:
+    if trials < 100_000:
+        raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
+    for target in targets:
+        if _quantile_tolerance(target, trials) >= target:
+            needed = math.floor(max(9.0 * (1.0 - target), 2.0) / target) + 1
+            while _quantile_tolerance(target, needed) >= target:
                 needed += 1
             raise ValueError(
-                f"target_pfa {target_pfa:g} is within its own tolerance at {trials} "
+                f"target_pfa {target:g} is within its own tolerance at {trials} "
                 f"calibration trials; it needs cal_trials >= {needed}"
             )
-        stats = _sorted_h0_statistics(spec, n, trials, channel, seed, workers)
-        # The quantile depends only on order statistics, so the sorted
-        # draw gives the same bits as the raw one.
-        lam = float(np.quantile(stats, 1.0 - target_pfa, method="linear"))
-        achieved = (trials - int(np.searchsorted(stats, lam, side="left"))) / trials
-        return CalibrationResult(
-            threshold=lam,
-            target_pfa=target_pfa,
+    # Engine import is local so this closed-form module stays import-light;
+    # the calibration domain keeps these draws disjoint from every
+    # evaluation trial of the same seed.
+    from .montecarlo import calibration_h0_statistics
+
+    stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed,
+                                      workers=workers)
+    # The quantile depends only on order statistics, so the sorted draw
+    # gives the same bits as the raw one, and the sort serves the counts.
+    stats.sort()
+    lams = np.quantile(stats, [1.0 - t for t in targets], method="linear")
+    below = np.searchsorted(stats, lams, side="left")
+    results = []
+    for target, lam, k in zip(targets, lams, below):
+        achieved = (trials - int(k)) / trials
+        results.append(CalibrationResult(
+            threshold=float(lam),
+            target_pfa=target,
             achieved_pfa=achieved,
-            method=method,
+            method=CalibrationMethod.EMPIRICAL_QUANTILE,
             tolerance=_quantile_tolerance(achieved, trials),
             mc_trials=trials,
-            stderr_pfa=math.sqrt(achieved * (1.0 - achieved) / trials),
-        )
-
-    raise ValueError(f"unknown calibration method {method!r}")
+        ))
+    return results
 
 
 def _quantile_tolerance(pfa: float, trials: int) -> float:
     """Empirical calibration tolerance: 3 binomial stderr, at least 2/trials."""
     return max(3.0 * math.sqrt(pfa * (1.0 - pfa) / trials), 2.0 / trials)
-
-
-# (key, sorted statistics) of the last empirical calibration draw.  One
-# entry: a P_FA grid calibrates every target against the same draw, and
-# key and array are replaced together so a reader never pairs them wrongly.
-_h0_memo: tuple = (None, None)
-
-
-def _sorted_h0_statistics(spec, n, trials, channel, seed, workers=1) -> np.ndarray:
-    """Sorted, read-only calibration-domain H0 statistics, drawn once per
-    (spec, n, trials, channel, seed), not workers, while that key is latest."""
-    global _h0_memo
-    key = (spec, n, trials, channel, seed)
-    memo_key, stats = _h0_memo
-    if memo_key != key:
-        # Engine import is local so this closed-form module stays
-        # import-light; the calibration domain keeps these draws
-        # disjoint from every evaluation trial of the same seed.
-        from .montecarlo import calibration_h0_statistics
-
-        stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed,
-                                          workers=workers)
-        stats.sort()
-        stats.setflags(write=False)
-        _h0_memo = (key, stats)
-    return stats
 
 
 def _bisect_chi2_isf(n: int, target: float) -> float:

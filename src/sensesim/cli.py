@@ -397,11 +397,14 @@ def cmd_pmd_table(cfg: dict) -> int:
 def cmd_compare(cfg: dict) -> int:
     channel = _build_channel(cfg)
     targets = cfg["pfa_targets"] or (0.01, 0.1)
+    spec_a, spec_b = DetectorSpec(p=2), DetectorSpec(p=3)
+    grid_a = _grid_for(cfg, spec_a, targets)
+    grid_b = _grid_for(cfg, spec_b, targets)
     os.makedirs(cfg["out"], exist_ok=True)
     for snr in cfg["snr_db"]:
         report = compare_detectors(
-            _scenario(cfg, snr, channel), targets,
-            cal_trials=cfg["cal_trials"], workers=cfg["workers"],
+            _scenario(cfg, snr, channel), grid_a, grid_b, spec_a, spec_b,
+            workers=cfg["workers"],
         )
         meta = _meta(cfg, "compare", targets)
         del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
@@ -446,16 +449,15 @@ def cmd_compare(cfg: dict) -> int:
 def cmd_calibrate(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
-    targets = cfg["pfa_targets"] or (0.1,)
-    for target in targets:
-        cal = calibrate_threshold(
-            spec, cfg["samples"], target,
-            channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
-            workers=cfg["workers"],
-        )
+    cals = calibrate_threshold(
+        spec, cfg["samples"], cfg["pfa_targets"] or (0.1,),
+        channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
+        workers=cfg["workers"],
+    )
+    for cal in cals:
         extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
         print(
-            f"p={spec.p} n={cfg['samples']} target_pfa={target:g} "
+            f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa:g} "
             f"lambda={cal.threshold!r} achieved_pfa={cal.achieved_pfa!r} "
             f"method={cal.method.value}{extra}"
         )
@@ -487,24 +489,25 @@ def cmd_validate(cfg: dict) -> int:
     )
     check("noncentral-degenerate", err <= 1e-12, f"max |ncx2(nu,0) - chi2(nu)| = {err:.3e}")
 
+    targets = (0.01, 0.1, 0.5)
     worst = 0.0
     for nn in (2, 10, 50):
-        for target in (0.01, 0.1, 0.5):
-            cal = calibrate_threshold(DetectorSpec(p=2), nn, target)
-            worst = max(worst, abs(pfa_analytic(nn, cal.threshold) - target))
+        for cal in calibrate_threshold(spec, nn, targets):
+            worst = max(worst, abs(pfa_analytic(nn, cal.threshold) - cal.target_pfa))
     check("calibrate-roundtrip", worst <= 1e-9, f"max |achieved - target| = {worst:.3e}")
 
     sc_h0 = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
+    cals = calibrate_threshold(spec, n, targets, channel=channel)
     worst_sigmas = 0.0
-    for target in (0.01, 0.1, 0.5):
-        cal = calibrate_threshold(spec, n, target, channel=channel)
+    for cal in cals:
+        target = cal.target_pfa
         point = estimate_pfa(sc_h0, spec, cal.threshold, workers=workers)
         sig = math.sqrt(target * (1 - target) / trials)
         worst_sigmas = max(worst_sigmas, abs(point.pfa - target) / sig)
     check("h0-false-alarm", worst_sigmas <= 3.0,
           f"worst |pfa - target| = {worst_sigmas:.2f} sigma")
 
-    lam = calibrate_threshold(spec, n, 0.1).threshold
+    lam = cals[1].threshold  # the 0.1 target
     for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
         oracle_channel = ChannelModel(kind, cfg["noise_variance"])
         columns = [_scenario(cfg, snr, oracle_channel) for snr in cfg["snr_db"]]

@@ -35,10 +35,10 @@ worker draws, forms and scores all its blocks in one set of buffers
 however many trials run.  The integer totals are independent of the
 worker count, and empirical ROC curves and P_MD columns are exactly
 monotone, not just statistically so.  Empirical calibration draws its
-H0 statistics once per (spec, n, trials, channel, seed) and takes every
-P_FA target's quantile from them.  The detector comparison evaluates
-both exponents on the identical received frames and reports a
-paired-difference standard error.
+H0 statistics once per call and takes every P_FA target's quantile from
+them.  The detector comparison evaluates both exponents on the
+identical received frames and reports a paired-difference standard
+error.
 """
 
 from __future__ import annotations
@@ -154,20 +154,17 @@ def grid_from_pfa_targets(
 ) -> ThresholdGrid:
     """Calibrate one threshold per P_FA target (given in increasing order).
 
-    Each target goes through :func:`calibrate_threshold` on its default
-    route: analytic for p=2, otherwise the empirical quantile of
-    ``cal_trials`` calibration-domain noise statistics on ``workers``.
+    One :func:`calibrate_threshold` call covers the targets: analytic for
+    p=2, otherwise the empirical quantiles of one draw of ``cal_trials``
+    calibration-domain noise statistics on ``workers``.
     """
-    targets = [float(t) for t in targets]
+    targets = tuple(float(t) for t in targets)
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("pfa targets must be strictly increasing")
-    lams = tuple(
-        calibrate_threshold(
-            spec, n, t, channel=channel, trials=cal_trials, seed=seed, workers=workers
-        ).threshold
-        for t in targets
+    cals = calibrate_threshold(
+        spec, n, targets, channel=channel, trials=cal_trials, seed=seed, workers=workers
     )
-    return ThresholdGrid(lams, pfa_targets=tuple(targets))
+    return ThresholdGrid(tuple(cal.threshold for cal in cals), pfa_targets=targets)
 
 
 def default_threshold_grid(
@@ -507,41 +504,31 @@ class ComparisonReport:
 
 def compare_detectors(
     sc: Scenario,
-    pfa_targets,
-    spec_a: DetectorSpec = DetectorSpec(p=2),
-    spec_b: DetectorSpec = DetectorSpec(p=3),
+    grid_a: ThresholdGrid,
+    grid_b: ThresholdGrid,
+    spec_a: DetectorSpec,
+    spec_b: DetectorSpec,
     *,
-    cal_trials: int = 100_000,
     workers: int = 1,
 ) -> ComparisonReport:
-    """Calibrate both detectors to each target P_FA and compare their P_MD.
+    """Compare the two detectors' P_MD at each matched target P_FA.
 
-    Each threshold comes from :func:`calibrate_threshold` on its default
-    route (analytic for p=2, empirical quantile otherwise), anchored to
-    ``sc``'s channel and seed.  Both detectors then score the identical
-    received frames of ``sc``, and each row reports the paired
+    ``grid_a`` and ``grid_b`` hold the thresholds of ``spec_a`` and
+    ``spec_b`` calibrated to the same ``pfa_targets``, as
+    :func:`grid_from_pfa_targets` builds them.  Both detectors score the
+    identical received frames of ``sc``, and each row reports the paired
     difference delta = pmd_a - pmd_b with its paired standard error.
     The sign of delta is measured, never assumed.
 
     ``sc`` may itself be noise-only: that is the degenerate no-signal
     check, where both detectors should miss at rate 1 - target.
     """
-    targets = [float(t) for t in pfa_targets]
-    for t in targets:
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"pfa targets must lie strictly inside (0, 1), got {t!r}")
-
-    def calibrate(spec: DetectorSpec, target: float) -> float:
-        return calibrate_threshold(spec, sc.n_samples, target, channel=sc.channel,
-                                   trials=cal_trials, seed=sc.seed,
-                                   workers=workers).threshold
-
+    if grid_a.pfa_targets is None or grid_a.pfa_targets != grid_b.pfa_targets:
+        raise ValueError("both threshold grids must carry the same pfa_targets")
     stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b, workers=workers)
     trials = sc.trials
     rows = []
-    for t in targets:
-        lam_a = calibrate(spec_a, t)
-        lam_b = calibrate(spec_b, t)
+    for t, lam_a, lam_b in zip(grid_a.pfa_targets, grid_a.values, grid_b.values):
         miss_a = stats_a < lam_a
         miss_b = stats_b < lam_b
         pmd_a = int(np.count_nonzero(miss_a)) / trials

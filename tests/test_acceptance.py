@@ -31,6 +31,7 @@ from sensesim.montecarlo import (
     Scenario,
     compare_detectors,
     count_detections,
+    grid_from_pfa_targets,
     trial_statistics,
 )
 from sensesim.rng import Stream
@@ -44,13 +45,14 @@ from sensesim.signal_channel import (
 
 SEED = 1234
 P2 = DetectorSpec(p=2)
+P3 = DetectorSpec(p=3)
 CH_AWGN = ChannelModel(AWGN, 1.0)
 CH_RAY = ChannelModel(RAYLEIGH, 1.0)
 TARGETS = (0.01, 0.1, 0.5)
 
 
 def _lam(n: int, target: float) -> float:
-    return calibrate_threshold(P2, n, target).threshold
+    return calibrate_threshold(P2, n, [target])[0].threshold
 
 
 def _h1(channel, snr_db, trials, n=10, seed=SEED):
@@ -163,16 +165,19 @@ def test_acceptance_05_pmd_table_trends_and_reference_embedding(tmp_path):
 def test_acceptance_06_detector_comparison_controls():
     trials = 100_000
     sc_h1 = _h1(CH_AWGN, -10.0, trials)
-    targets = [0.01, 0.1]
+    grid_2, grid_3 = (
+        grid_from_pfa_targets([0.01, 0.1], spec, sc_h1.n_samples, channel=CH_AWGN, seed=SEED)
+        for spec in (P2, P3)
+    )
 
-    first = compare_detectors(sc_h1, targets)
-    second = compare_detectors(sc_h1, targets)
+    first = compare_detectors(sc_h1, grid_2, grid_3, P2, P3)
+    second = compare_detectors(sc_h1, grid_2, grid_3, P2, P3)
     assert first == second  # bit-for-bit reproducible
 
-    selfcmp = compare_detectors(sc_h1, targets, spec_a=P2, spec_b=P2)
+    selfcmp = compare_detectors(sc_h1, grid_2, grid_2, P2, P2)
     assert all(r.delta == 0.0 and r.stderr_delta == 0.0 for r in selfcmp.rows)
 
-    nosignal = compare_detectors(sc_h1.as_noise_only(), targets)
+    nosignal = compare_detectors(sc_h1.as_noise_only(), grid_2, grid_3, P2, P3)
     for row in nosignal.rows:
         assert abs(row.delta) <= 3.0 * row.stderr_delta + 1e-12
 
@@ -231,9 +236,8 @@ def test_acceptance_09_analytic_pins_and_calibration_roundtrip():
 
     worst_cal = 0.0
     for n in (2, 10, 50):
-        for target in TARGETS:
-            cal = calibrate_threshold(P2, n, target)
-            worst_cal = max(worst_cal, abs(pfa_analytic(n, cal.threshold) - target))
+        for cal in calibrate_threshold(P2, n, TARGETS):
+            worst_cal = max(worst_cal, abs(pfa_analytic(n, cal.threshold) - cal.target_pfa))
     assert worst_cal <= 1e-9
     print(
         f"PASS 09 analytic-pins: exp-form {worst_exp:.1e}, degenerate {worst_deg:.1e}, "

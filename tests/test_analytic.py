@@ -35,7 +35,7 @@ from sensesim.analytic import (
 )
 from sensesim.detector import DetectorSpec
 from sensesim.rng import Stream, normal_block
-from sensesim.signal_channel import AWGN, RAYLEIGH, ChannelModel
+from sensesim.signal_channel import AWGN, ChannelModel
 
 _LAM_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 
@@ -212,7 +212,7 @@ def test_pd_rayleigh_equals_scipy_node_sum():
     worst = 0.0
     for n in (1, 2, 10, 50):
         for pfa in (1e-4, 1e-2, 0.1, 0.5, 0.9):
-            lam = calibrate_threshold(DetectorSpec(p=2), n, pfa).threshold
+            lam = calibrate_threshold(DetectorSpec(p=2), n, [pfa])[0].threshold
             for snr_db in range(-20, 31, 5):
                 gbar = 10.0 ** (snr_db / 10.0)
                 want = float(ws @ scipy.stats.ncx2.sf(lam, n, n * gbar * xs))
@@ -248,7 +248,7 @@ def test_pd_rayleigh_digham_closed_form_is_a_second_oracle():
     # rule is only held to it up to 5 dB: at n=20 it is already off by
     # 2.2e-5 at 10 dB and 2.5e-3 at 20 dB (ROADMAP item 4a).
     for n in (2, 4, 10, 20):
-        lam = calibrate_threshold(DetectorSpec(p=2), n, 0.1).threshold
+        lam = calibrate_threshold(DetectorSpec(p=2), n, [0.1])[0].threshold
         for snr in np.arange(-10.0, 30.01, 0.5):
             gbar = 10.0 ** (snr / 10.0)
             want = _digham_rayleigh_pd(n, gbar, lam)
@@ -263,7 +263,7 @@ def test_pd_rayleigh_rule_error_up_to_10_db():
     # overlay's targets the worst is 5.2e-7, at P_FA 1e-3 and 10 dB.
     snrs = np.arange(-20.0, 10.01, 0.5)
     for pfa, bound in ((0.1, 2e-7), (1e-3, 6e-7), (1e-2, 6e-7), (0.5, 6e-7)):
-        lam = calibrate_threshold(DetectorSpec(p=2), 10, pfa).threshold
+        lam = calibrate_threshold(DetectorSpec(p=2), 10, [pfa])[0].threshold
         worst = max(
             abs(pd_rayleigh_analytic(10, g, lam) - _exact_rayleigh_pd(10, g, lam))
             for g in 10.0 ** (snrs / 10.0)
@@ -275,7 +275,7 @@ def test_pd_rayleigh_memory_stays_bounded(monkeypatch):
     # n = 20000 grows the ladder to about a thousand rungs, and the peak
     # stays small.  With a budget of one weight every node row is its own
     # chunk, which must give the same value.
-    lam = calibrate_threshold(DetectorSpec(p=2), 20000, 0.01).threshold
+    lam = calibrate_threshold(DetectorSpec(p=2), 20000, [0.01])[0].threshold
     tracemalloc.start()
     try:
         pd = pd_rayleigh_analytic(20000, 1.0, lam)
@@ -364,9 +364,11 @@ def test_pd_rayleigh_extremes_and_node_floor():
 
 
 def test_calibrate_analytic_roundtrip():
+    targets = (0.01, 0.1, 0.5)
     for n in (2, 10, 50):
-        for target in (0.01, 0.1, 0.5):
-            cal = calibrate_threshold(DetectorSpec(p=2), n, target)
+        cals = calibrate_threshold(DetectorSpec(p=2), n, targets)
+        assert [cal.target_pfa for cal in cals] == list(targets)
+        for cal, target in zip(cals, targets):
             assert abs(pfa_analytic(n, cal.threshold) - target) <= 1e-9
             assert abs(cal.achieved_pfa - target) <= 1e-9
             assert cal.method is CalibrationMethod.ANALYTIC
@@ -376,103 +378,83 @@ def test_calibrate_analytic_relative_roundtrip():
     # The solve stops at min(1e-10, 1e-7 * target), so a tiny target keeps
     # its relative accuracy instead of passing on an absolute 1e-9.
     for n in (1, 10, 50):
-        for target in (1e-6, 1e-11, 1e-300):
-            cal = calibrate_threshold(DetectorSpec(p=2), n, target)
+        for cal in calibrate_threshold(DetectorSpec(p=2), n, (1e-6, 1e-11, 1e-300)):
+            target = cal.target_pfa
             assert abs(pfa_analytic(n, cal.threshold) - target) <= 1e-7 * target
             assert cal.tolerance == min(1e-9, 1e-6 * target)
     # Below the normal double range no threshold resolves the target.
     for target in (1e-310, 5e-324):
         with pytest.raises(ValueError, match="relative accuracy"):
-            calibrate_threshold(DetectorSpec(p=2), 10, target)
+            calibrate_threshold(DetectorSpec(p=2), 10, [target])
 
 
 def test_calibrate_known_value():
     # n=2: tail is exp(-lam/2), so the 0.1 threshold is -2 ln 0.1
-    cal = calibrate_threshold(DetectorSpec(p=2), 2, 0.1)
+    [cal] = calibrate_threshold(DetectorSpec(p=2), 2, [0.1])
     assert cal.threshold == pytest.approx(-2.0 * math.log(0.1), rel=1e-8)
 
 
 def test_calibrate_unnormalized_rescales_by_noise_power():
-    norm = calibrate_threshold(DetectorSpec(p=2), 10, 0.1)
-    raw = calibrate_threshold(
-        DetectorSpec(p=2, normalized=False), 10, 0.1, channel=ChannelModel(AWGN, 4.0)
+    [norm] = calibrate_threshold(DetectorSpec(p=2), 10, [0.1])
+    [raw] = calibrate_threshold(
+        DetectorSpec(p=2, normalized=False), 10, [0.1], channel=ChannelModel(AWGN, 4.0)
     )
     assert raw.threshold == norm.threshold * 4.0
     with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=2, normalized=False), 10, 0.1)
+        calibrate_threshold(DetectorSpec(p=2, normalized=False), 10, [0.1])
 
 
 def test_calibrate_default_route_follows_exponent():
-    cal = calibrate_threshold(DetectorSpec(p=2), 10, 0.1)
+    [cal] = calibrate_threshold(DetectorSpec(p=2), 10, [0.1])
     assert cal.method is CalibrationMethod.ANALYTIC
     assert cal.mc_trials == 0
-    cal = calibrate_threshold(DetectorSpec(p=3), 10, 0.1, trials=100_000, seed=5)
+    [cal] = calibrate_threshold(DetectorSpec(p=3), 10, [0.1], trials=100_000, seed=5)
     assert cal.method is CalibrationMethod.EMPIRICAL_QUANTILE
     assert cal.mc_trials == 100_000
-    explicit = calibrate_threshold(
-        DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
-    )
-    assert cal == explicit
-
-
-def test_calibrate_analytic_rejects_other_exponents():
-    with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=3), 10, 0.1, CalibrationMethod.ANALYTIC)
 
 
 def test_calibrate_argument_validation():
+    for targets in ([0.0], [1.0], [0.1, 1.0]):
+        with pytest.raises(ValueError):
+            calibrate_threshold(DetectorSpec(p=2), 10, targets)
     with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=2), 10, 0.0)
+        calibrate_threshold(DetectorSpec(p=2), 0, [0.1])
     with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=2), 10, 1.0)
-    with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=2), 0, 0.1)
-    with pytest.raises(ValueError):
-        calibrate_threshold("p2", 10, 0.1)
+        calibrate_threshold("p2", 10, [0.1])
 
 
 def test_calibrate_empirical_hits_target_for_p2():
-    # cross-route check: the empirical quantile should land where the
-    # closed form says the tail mass equals the target
+    # cross-route check: the empirical quantile of the calibration draw
+    # should land where the closed form says the tail mass equals the target
+    stats = montecarlo.calibration_h0_statistics(DetectorSpec(p=2), 10, 100_000, seed=5)
     for target in (0.05, 0.1, 0.5):
-        cal = calibrate_threshold(
-            DetectorSpec(p=2), 10, target, CalibrationMethod.EMPIRICAL_QUANTILE,
-            trials=100_000, seed=5,
-        )
-        assert abs(pfa_analytic(10, cal.threshold) - target) <= 0.005
-        assert cal.mc_trials == 100_000
-        assert abs(cal.achieved_pfa - target) <= cal.tolerance
+        lam = float(np.quantile(stats, 1.0 - target, method="linear"))
+        assert abs(pfa_analytic(10, lam) - target) <= 0.005
 
 
 def test_calibrate_empirical_p3_orders_with_target():
-    lam_01 = calibrate_threshold(
-        DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
-    ).threshold
-    lam_05 = calibrate_threshold(
-        DetectorSpec(p=3), 10, 0.5, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
-    ).threshold
+    lam_01, lam_05 = (
+        cal.threshold for cal in calibrate_threshold(DetectorSpec(p=3), 10, [0.1, 0.5], seed=5)
+    )
     assert lam_05 < lam_01
-    again = calibrate_threshold(
-        DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, seed=5
-    ).threshold
-    assert again == lam_01
+    [again] = calibrate_threshold(DetectorSpec(p=3), 10, [0.1], seed=5)
+    assert again.threshold == lam_01
 
 
 def test_calibrate_empirical_grid_equals_independent_quantiles():
     spec, n, seed = DetectorSpec(p=3), 4, 11
-    grid = [
-        calibrate_threshold(spec, n, t, CalibrationMethod.EMPIRICAL_QUANTILE, seed=seed)
-        for t in montecarlo.DEFAULT_PFA_TARGETS
-    ]
-    assert len(grid) == 26
+    grid = calibrate_threshold(spec, n, montecarlo.DEFAULT_PFA_TARGETS, seed=seed)
+    assert [cal.target_pfa for cal in grid] == list(montecarlo.DEFAULT_PFA_TARGETS)
+    fresh = montecarlo.calibration_h0_statistics(spec, n, 100_000, seed=seed)
     for cal in grid:
-        fresh = montecarlo.calibration_h0_statistics(spec, n, 100_000, seed=seed)
+        # one vector quantile gives every target the bits of its own scalar one
         lam = float(np.quantile(fresh, 1.0 - cal.target_pfa, method="linear"))
         assert cal.threshold == lam
         assert cal.achieved_pfa == float(np.mean(fresh >= lam))
+        assert abs(cal.achieved_pfa - cal.target_pfa) <= cal.tolerance
 
 
-def test_calibration_memo_keys_on_every_input_of_the_draw(monkeypatch):
+def test_calibration_keeps_no_state_between_calls(monkeypatch):
     real = montecarlo.calibration_h0_statistics
     draws = []
 
@@ -481,50 +463,19 @@ def test_calibration_memo_keys_on_every_input_of_the_draw(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "calibration_h0_statistics", counting)
-    monkeypatch.setattr(analytic, "_h0_memo", (None, None))
-    base = {"spec": DetectorSpec(p=3), "n": 4, "trials": 100_000, "channel": None, "seed": 3}
-
-    def calibrate(**changes):
-        kw = {**base, **changes}
-        cal = calibrate_threshold(
-            kw["spec"], kw["n"], 0.1, CalibrationMethod.EMPIRICAL_QUANTILE,
-            channel=kw["channel"], trials=kw["trials"], seed=kw["seed"],
-        )
-        fresh = real(kw["spec"], kw["n"], kw["trials"], channel=kw["channel"], seed=kw["seed"])
-        assert cal.threshold == float(np.quantile(fresh, 0.9, method="linear"))
-        key, stats = analytic._h0_memo  # one entry, one read-only array
-        assert key == (kw["spec"], kw["n"], kw["trials"], kw["channel"], kw["seed"])
-        assert isinstance(stats, np.ndarray) and not stats.flags.writeable
-        return cal
-
-    calibrate()
-    calibrate()
-    assert len(draws) == 1
-    # the analytic route neither draws nor evicts the memo
-    calibrate_threshold(DetectorSpec(p=2), 4, 0.1, CalibrationMethod.ANALYTIC)
-    calibrate()
-    assert len(draws) == 1
-    changes = [
-        {"seed": 4},
-        {"n": 5},
-        {"spec": DetectorSpec(p=2)},
-        {"spec": DetectorSpec(p=3, normalized=False)},
-        {"channel": ChannelModel(RAYLEIGH, 1.0)},
-        {"trials": 100_001},
-    ]
-    for i, change in enumerate(changes, start=2):
-        calibrate(**change)
-        calibrate(**change)
-        assert len(draws) == i
-    calibrate()
-    assert len(draws) == len(changes) + 2
+    spec, targets = DetectorSpec(p=3), montecarlo.DEFAULT_PFA_TARGETS
+    first = calibrate_threshold(spec, 4, targets, seed=3)
+    assert len(first) == 26
+    assert len(draws) == 1  # every target of a call shares one draw
+    assert calibrate_threshold(spec, 4, targets, seed=3) == first
+    assert len(draws) == 2  # a second call draws again: nothing is kept
+    calibrate_threshold(DetectorSpec(p=2), 4, targets)
+    assert len(draws) == 2  # the analytic route never draws
 
 
 def test_calibrate_empirical_rejects_small_runs():
     with pytest.raises(ValueError):
-        calibrate_threshold(
-            DetectorSpec(p=3), 10, 0.1, CalibrationMethod.EMPIRICAL_QUANTILE, trials=9999
-        )
+        calibrate_threshold(DetectorSpec(p=3), 10, [0.1], trials=9999)
 
 
 def test_calibration_result_enforces_tolerance():

@@ -44,28 +44,34 @@ def test_tracer_wraps_and_restores_by_identity(monkeypatch):
     assert cli.pd_rayleigh_analytic is original
 
 
-@pytest.mark.parametrize("argv, samples", [
-    (["roc", "--channel", "rayleigh", "--trials", "500", "--snr-db=0"],
+@pytest.mark.parametrize("before, argv, samples", [
+    ([], ["roc", "--channel", "rayleigh", "--trials", "500", "--snr-db=0"],
      2 * 500 * 10),  # H0 and one SNR column
-    (["pmd-table", "--detector-p", "3", "--trials", "500", "--workers", "2",
+    # A compare run first makes the same p=3 calibration draw in this
+    # process; the traced run must still make and score its own.
+    (["compare", "--trials", "1000", "--snr-db=-10"],
+     ["pmd-table", "--detector-p", "3", "--trials", "500", "--workers", "2",
       "--pfa-targets", "0.01,0.1", "--snr-db=-10,0"],
      100_000 * 10 + 2 * 500 * 10),  # empirical calibration, then two columns
 ], ids=["roc", "pmd-table"])
-def test_traced_cli_run_sees_every_layer(monkeypatch, tmp_path, argv, samples):
+def test_traced_cli_run_sees_every_layer(monkeypatch, tmp_path, before, argv, samples):
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
     from sensesim import cli
 
+    if before:
+        assert cli.main([*before, "--out", str(tmp_path / "before")]) == 0
+    out = tmp_path / "traced"
     tracer = Tracer()
     tracer.install()
     try:
         start = time.perf_counter()
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert cli.main([*argv, "--out", str(out)]) == 0
         wall = time.perf_counter() - start
     finally:
         tracer.restore()
-    metrics = tracer.summary(wall, str(tmp_path))["metrics"]
+    metrics = tracer.summary(wall, str(out))["metrics"]
     assert metrics["rng.normals"] > 0
     assert metrics["rng.signal.s"] > 0
     assert metrics["detector.samples_scored"] == samples

@@ -204,6 +204,10 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
+    for targets in ("0.1,0.01", "0.1,0.1"):  # compare shares the grid rule of roc
+        assert run("compare", "--pfa-targets", targets, "--trials", "100",
+                   "--out", str(tmp_path)) == 2
+        assert "strictly increasing" in capsys.readouterr().err
     assert run("roc", "--trials", "abc") == 2  # flags share the file's parsers
     assert "bad value for trials: 'abc'" in capsys.readouterr().err
     for command in ("roc", "compare", "pmd-table"):  # one tag, "1dB", for two SNRs

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracle_scalar import frame, received_frame
 
-from sensesim import analytic, cli, montecarlo
+from sensesim import cli, montecarlo
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.montecarlo import (
@@ -52,6 +52,16 @@ def _h1(channel=CH_AWGN, n=10, trials=2000, seed=7, signal=Bpsk(), snr_db=0.0):
         channel=channel, n_samples=n, trials=trials, seed=seed,
         signal=signal, snr_db=snr_db,
     )
+
+
+def _compare(sc, targets, spec_a=P2, spec_b=P3, workers=1):
+    """compare_detectors on both detectors' grids, calibrated on sc's channel and seed."""
+    grid_a, grid_b = (
+        grid_from_pfa_targets(targets, spec, sc.n_samples, channel=sc.channel, seed=sc.seed,
+                              workers=workers)
+        for spec in (spec_a, spec_b)
+    )
+    return compare_detectors(sc, grid_a, grid_b, spec_a, spec_b, workers=workers)
 
 
 def _naive_statistics(sc: Scenario, spec: DetectorSpec) -> np.ndarray:
@@ -107,7 +117,7 @@ def test_default_grid_matches_analytic_calibration():
     assert len(grid.values) == 26
     assert grid.pfa_targets == DEFAULT_PFA_TARGETS
     for lam, target in zip(grid.values, grid.pfa_targets):
-        assert lam == calibrate_threshold(P2, 10, target).threshold
+        assert lam == calibrate_threshold(P2, 10, [target])[0].threshold
     assert all(b < a for a, b in zip(grid.values, grid.values[1:]))
 
 
@@ -146,7 +156,7 @@ def test_estimator_hypothesis_guards():
 
 def test_rates_are_exact_count_ratios():
     sc0 = _h1(trials=1000).as_noise_only()
-    lam = calibrate_threshold(P2, 10, 0.1).threshold
+    lam = calibrate_threshold(P2, 10, [0.1])[0].threshold
     pt = estimate_pfa(sc0, P2, lam)
     assert pt.pfa == count_detections(sc0, P2, lam) / 1000
     sc1 = _h1(trials=1000)
@@ -295,7 +305,7 @@ def test_pmd_table_input_validation():
 
 def test_compare_same_spec_gives_exact_zero():
     sc1 = _h1(trials=20_000)
-    report = compare_detectors(sc1, [0.01, 0.1], spec_a=P2, spec_b=P2)
+    report = _compare(sc1, [0.01, 0.1], spec_a=P2, spec_b=P2)
     for row in report.rows:
         assert row.delta == 0.0
         assert row.stderr_delta == 0.0
@@ -319,14 +329,14 @@ def test_compare_verdict_names_the_measured_detector():
 
 def test_compare_is_bitwise_reproducible():
     sc1 = _h1(trials=20_000, snr_db=-10.0)
-    a = compare_detectors(sc1, [0.01, 0.1])
-    b = compare_detectors(sc1, [0.01, 0.1])
+    a = _compare(sc1, [0.01, 0.1])
+    b = _compare(sc1, [0.01, 0.1])
     assert a == b  # frozen dataclasses of floats: bit-for-bit equality
 
 
 def test_compare_no_signal_shows_no_difference():
     sc0 = _h1(trials=50_000).as_noise_only()
-    report = compare_detectors(sc0, [0.1])
+    report = _compare(sc0, [0.1])
     row = report.rows[0]
     # both detectors run at the same false-alarm budget on pure noise:
     # each misses at about 1 - target, and the paired delta straddles 0
@@ -337,7 +347,7 @@ def test_compare_no_signal_shows_no_difference():
 
 def test_compare_rows_follow_targets():
     sc1 = _h1(trials=10_000, snr_db=0.0)
-    report = compare_detectors(sc1, [0.01, 0.1])
+    report = _compare(sc1, [0.01, 0.1])
     assert [r.target_pfa for r in report.rows] == [0.01, 0.1]
     r_strict, r_loose = report.rows
     assert r_strict.lambda_a > r_loose.lambda_a
@@ -345,7 +355,14 @@ def test_compare_rows_follow_targets():
     assert r_strict.pmd_a >= r_loose.pmd_a
     assert report.sign_summary().count("\n") == 1
     with pytest.raises(ValueError):
-        compare_detectors(sc1, [0.0])
+        _compare(sc1, [0.0])
+    # the two grids must be calibrated to the same targets
+    grid_a = grid_from_pfa_targets([0.01, 0.1], P2, 10)
+    for grid_b in (grid_from_pfa_targets([0.01, 0.2], P3, 10), ThresholdGrid((30.0, 20.0))):
+        with pytest.raises(ValueError):
+            compare_detectors(sc1, grid_a, grid_b, P2, P3)
+        with pytest.raises(ValueError):
+            compare_detectors(sc1, grid_b, grid_a, P3, P2)
 
 
 def test_pair_statistics_share_frames():
@@ -456,7 +473,7 @@ def test_blocks_reuse_their_buffers_without_page_faults(p):
     assert (faults(40) - faults(10)) / 30 < 8
 
 
-def test_empirical_calibration_draws_on_the_callers_workers(monkeypatch, capsys):
+def test_empirical_calibration_draws_on_the_callers_workers(monkeypatch, capsys, tmp_path):
     seen = []
     draw = montecarlo.calibration_h0_statistics
 
@@ -467,14 +484,12 @@ def test_empirical_calibration_draws_on_the_callers_workers(monkeypatch, capsys)
     monkeypatch.setattr(montecarlo, "calibration_h0_statistics", spy)
     grids, printed = [], []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(analytic, "_h0_memo", (None, None))  # force a fresh draw
         grids.append(grid_from_pfa_targets([0.01, 0.1], P3, 10, seed=4, workers=workers).values)
-        monkeypatch.setattr(analytic, "_h0_memo", (None, None))
         assert cli.main(["calibrate", "--detector-p", "3", "--pfa-targets", "0.01,0.1",
                          "--seed", "4", "--workers", str(workers)]) == 0
         printed.append(capsys.readouterr().out)
-    monkeypatch.setattr(analytic, "_h0_memo", (None, None))
-    compare_detectors(_h1(seed=4), [0.1], workers=2)
+    assert cli.main(["compare", "--trials", "1000", "--snr-db=0", "--seed", "4",
+                     "--workers", "2", "--out", str(tmp_path)]) == 0
     assert seen == [1, 1, 2, 2, 3, 3, 2]
     assert grids[0] == grids[1] == grids[2]  # bit-identical thresholds
     assert printed[0] == printed[1] == printed[2]
