@@ -473,6 +473,22 @@ def test_calibration_keeps_no_state_between_calls(monkeypatch):
     assert len(draws) == 2  # the analytic route never draws
 
 
+def test_calibrate_checks_every_target_before_drawing(monkeypatch):
+    # a bad target anywhere in the list is refused before the one H0 draw,
+    # so a long grid never pays for a draw it cannot use
+    def no_draw(*args, **kwargs):
+        raise AssertionError("calibration drew before checking its targets")
+
+    monkeypatch.setattr(montecarlo, "calibration_h0_statistics", no_draw)
+    spec = DetectorSpec(p=3)
+    with pytest.raises(ValueError, match="within its own tolerance"):
+        calibrate_threshold(spec, 10, [0.1, 0.01, 1e-5], seed=5)
+    with pytest.raises(ValueError, match="strictly inside"):
+        calibrate_threshold(spec, 10, [0.1, 1.0], seed=5)
+    with pytest.raises(ValueError, match=">= 1e5 trials"):
+        calibrate_threshold(spec, 10, [0.1], trials=99_999, seed=5)
+
+
 def test_calibrate_empirical_rejects_small_runs():
     with pytest.raises(ValueError):
         calibrate_threshold(DetectorSpec(p=3), 10, [0.1], trials=9999)
