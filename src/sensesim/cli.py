@@ -457,7 +457,7 @@ def cmd_calibrate(cfg: dict) -> int:
     for cal in cals:
         extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
         print(
-            f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa:g} "
+            f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa!r} "
             f"lambda={cal.threshold!r} achieved_pfa={cal.achieved_pfa!r} "
             f"method={cal.method.value}{extra}"
         )

@@ -26,19 +26,18 @@ share every draw trial for trial: noise, fading gain and signal live on
 separate role streams of the same per-trial key.  The engine exploits
 that directly.  For each trial block it draws the keys, noise, signal
 and fading gains once, scores H0 (the noise alone) and then every SNR
-column, formed by scale-and-add.  ``roc_sweep`` and ``pmd_table``
-reduce each column's block statistics to integer counts against the
-whole threshold grid (sort, then ``searchsorted``) and sum the counts
-over blocks.  A block holds 2^16 samples, so it stays in L2, and each
-worker draws, forms and scores all its blocks in one set of buffers
-(sample-major for short frames), so memory is O(workers x block)
-however many trials run.  The integer totals are independent of the
-worker count, and empirical ROC curves and P_MD columns are exactly
-monotone, not just statistically so.  Empirical calibration draws its
-H0 statistics once per call and takes every P_FA target's quantile from
-them.  The detector comparison evaluates both exponents on the
-identical received frames and reports a paired-difference standard
-error.
+column, formed by scale-and-add.  A block holds 2^16 samples, so it
+stays in L2, and each worker draws, forms and scores all its blocks in
+one set of buffers (sample-major for short frames).  Each block's
+statistics are reduced to integer counts, summed over blocks: against
+the whole threshold grid (sort, then ``searchsorted``) in ``roc_sweep``,
+``pmd_table`` and ``count_detections``; per target, as each detector's
+detections and the discordant trials, in the paired detector comparison.
+So memory is O(workers x block) however many trials run, the totals do
+not depend on the worker count, and empirical ROC curves and P_MD
+columns are exactly monotone.  Only empirical calibration keeps
+per-trial statistics: one H0 draw per call, from which it takes every
+P_FA target's quantile.
 """
 
 from __future__ import annotations
@@ -181,7 +180,31 @@ def default_threshold_grid(
     )
 
 
-def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, lams=None):
+def _threshold_counts(lams):
+    """Reducer of each statistic vector to one count row: element i counts
+    the trials with statistic >= lams[i] (ties detect).  Sorts in place."""
+
+    def reduce(stats):
+        for t in stats:
+            t.sort()
+        return np.array([t.size - np.searchsorted(t, lams, side="left") for t in stats])
+
+    return reduce
+
+
+def _paired_counts(lams_a, lams_b):
+    """Reducer of one column's (a, b) statistic vectors to three count rows
+    over the pairs (lams_a[i], lams_b[i]): trials a detects, b detects, only one detects."""
+
+    def reduce(stats):
+        t_a, t_b = stats
+        hit_a, hit_b = t_a[:, None] >= np.asarray(lams_a), t_b[:, None] >= np.asarray(lams_b)
+        return np.array([np.count_nonzero(h, axis=0) for h in (hit_a, hit_b, hit_a ^ hit_b)])
+
+    return reduce
+
+
+def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, reduce=None):
     """Statistics of trials [lo, hi), one vector per (column, spec) pair.
 
     ``columns`` are scenarios that differ only in SNR or in being the
@@ -189,8 +212,8 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, lams=No
     are drawn once into the worker's ``buffers``; each (column, spec)
     pair is formed, as a copy of the noise for H0 and ``amp * x + w``
     otherwise, and scored in the draw scratch, reused as float64.  With
-    ``lams`` each statistic vector is reduced to its detection counts,
-    element i counting the trials with statistic >= lams[i] (ties detect).
+    ``reduce`` the block returns ``reduce(vectors)``, an int64 count
+    array, in place of the statistic vectors.
     """
     sc = columns[0]
     n = sc.n_samples
@@ -220,27 +243,24 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, lams=No
                 np.copyto(y, w)
             else:
                 np.add(np.multiply(amp, x, out=y), w, out=y)
-            t = statistic_rows(y, spec, sigma)
-            if lams is not None:
-                t.sort()
-                t = t.size - np.searchsorted(t, lams, side="left")
-            out.append(t)
-    return out
+            out.append(statistic_rows(y, spec, sigma))
+    return out if reduce is None else reduce(out)
 
 
-def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
+def _run_blocks(columns, specs, domain: int, workers: int, reduce=None):
     """Run :func:`_stats_block` over all trial blocks of ``columns``.
 
     Every column is drawn from ``columns[0]``'s seed, channel and signal,
     so all columns must have the same noise-only twin and every signal
     column the same model: they may differ in SNR, or in being that twin.
 
-    Without ``lams``: one per-trial statistic array per (column, spec),
-    in trial order.  With ``lams``: an int64 array of detection counts,
-    one row per (column, spec) and one column per threshold, summed over
-    blocks, so the totals are worker-invariant.  Worker w of W runs
-    blocks w, w + W, ... in one set of block buffers, so memory is
-    O(W x block) at any block count and no block allocates a block.
+    Without ``reduce``: one per-trial statistic array per (column, spec),
+    in trial order.  With ``reduce``: the sum over all blocks of
+    ``reduce``'s int64 count arrays, each reducing one block's statistic
+    vectors (one per (column, spec)), so the totals are worker-invariant
+    and nothing is kept per trial.  Worker w of W runs blocks w, w + W,
+    ... in one set of block buffers, so memory is O(W x block) at any
+    block count and no block allocates a block.
     """
     sc = columns[0]
     twin = sc.as_noise_only()
@@ -250,11 +270,10 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
     trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples))
     starts = range(0, trials, size)
     workers = max(1, min(workers, len(starts)))
-    rows = len(columns) * len(specs)
-    outs = None if lams is not None else [np.empty(trials) for _ in range(rows)]
+    outs = None if reduce else [np.empty(trials) for _ in range(len(columns) * len(specs))]
 
     def run(first):
-        counts = np.zeros((rows, len(lams)), dtype=np.int64) if outs is None else None
+        counts = 0
         # (trials, n) noise, signal and uint64 scratch, n padded to Box-Muller
         # pairs, longer side contiguous; then fading gain and per-SNR scaling.
         pad = sc.n_samples + sc.n_samples % 2
@@ -262,7 +281,7 @@ def _run_blocks(columns, specs, domain: int, workers: int, lams=None):
                    for dt in (np.float64, np.float64, np.uint64)] + [np.empty((2, size)).T]
         for lo in starts[first::workers]:
             hi = min(lo + size, trials)
-            stats = _stats_block(columns, specs, lo, hi, domain, buffers, lams)
+            stats = _stats_block(columns, specs, lo, hi, domain, buffers, reduce)
             if outs is None:
                 counts += stats
             else:
@@ -296,9 +315,10 @@ def trial_statistics(
 def trial_statistics_pair(
     sc: Scenario, spec_a: DetectorSpec, spec_b: DetectorSpec, *, workers: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both detectors' statistics over the identical received frames."""
-    stats_a, stats_b = _run_blocks((sc,), (spec_a, spec_b), TRIAL_DOMAIN, workers)
-    return stats_a, stats_b
+    """Both detectors' statistics over the identical received frames.
+
+    No package code calls it; it stays for the tests and the bench tracer's hook."""
+    return tuple(_run_blocks((sc,), (spec_a, spec_b), TRIAL_DOMAIN, workers))
 
 
 def calibration_h0_statistics(
@@ -322,8 +342,8 @@ def count_detections(
     """Number of trials whose statistic meets the threshold (ties detect)."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {lam!r}")
-    counts = _run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers, lams=(float(lam),))
-    return int(counts[0, 0])
+    reduce = _threshold_counts((float(lam),))
+    return int(_run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers, reduce)[0, 0])
 
 
 def estimate_pfa(
@@ -373,19 +393,16 @@ def roc_sweep(
     if any(sc.noise_only for sc in columns):
         raise ValueError("roc_sweep columns must be signal scenarios")
     sc_h0 = columns[0].as_noise_only()
-    counts = _run_blocks((sc_h0, *columns), (spec,), TRIAL_DOMAIN, workers, grid.values)
+    reduce = _threshold_counts(grid.values)
+    h0, *counts = _run_blocks((sc_h0, *columns), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
     trials = sc_h0.trials
-    curves = []
-    for detections in counts[1:]:
-        points = [
-            (lam, rates_from_counts(ConfusionCounts(
-                h0_trials=trials, h1_trials=trials,
-                false_alarms=int(fa), detections=int(det),
-            )))
-            for lam, fa, det in zip(grid.values, counts[0], detections)
-        ]
-        curves.append(roc_assemble(points))
-    return curves
+    return [
+        roc_assemble([
+            (lam, rates_from_counts(ConfusionCounts(trials, trials, fa, det)))
+            for lam, fa, det in zip(grid.values, h0, detections)
+        ])
+        for detections in counts
+    ]
 
 
 @dataclass(frozen=True)
@@ -447,20 +464,12 @@ def pmd_table(
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
         raise ValueError("pmd_table columns must come in strictly increasing SNR order")
     trials = columns[0].trials
-    counts = _run_blocks(tuple(columns), (spec,), TRIAL_DOMAIN, workers, grid.values)
-    values = np.empty((len(grid.values), len(columns)))
-    stderr = np.empty_like(values)
-    for c, detections in enumerate(counts):
-        for r, det in enumerate(detections):
-            pmd = (trials - int(det)) / trials
-            values[r, c] = pmd
-            stderr[r, c] = binomial_stderr(pmd, trials)
-    return PmdTable(
-        grid=grid,
-        snr_list_db=tuple(float(s) for s in snrs),
-        values=values,
-        stderr=stderr,
-    )
+    reduce = _threshold_counts(grid.values)
+    counts = _run_blocks(tuple(columns), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
+    pmd = [[(trials - det) / trials for det in detections] for detections in counts]
+    stderr = [[binomial_stderr(rate, trials) for rate in column] for column in pmd]
+    return PmdTable(grid=grid, snr_list_db=tuple(float(s) for s in snrs),
+                    values=np.array(pmd).T, stderr=np.array(stderr).T)
 
 
 @dataclass(frozen=True)
@@ -495,7 +504,7 @@ class ComparisonReport:
     def sign_summary(self) -> str:
         """State the measured sign of each delta; no outcome is assumed."""
         return "\n".join(
-            f"target pfa {row.target_pfa:g}: "
+            f"target pfa {row.target_pfa!r}: "
             f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
             f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({self.verdict(row)})"
             for row in self.rows
@@ -525,25 +534,16 @@ def compare_detectors(
     """
     if grid_a.pfa_targets is None or grid_a.pfa_targets != grid_b.pfa_targets:
         raise ValueError("both threshold grids must carry the same pfa_targets")
-    stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b, workers=workers)
+    counts = _run_blocks((sc,), (spec_a, spec_b), TRIAL_DOMAIN, workers,
+                         _paired_counts(grid_a.values, grid_b.values))
     trials = sc.trials
     rows = []
-    for t, lam_a, lam_b in zip(grid_a.pfa_targets, grid_a.values, grid_b.values):
-        miss_a = stats_a < lam_a
-        miss_b = stats_b < lam_b
-        pmd_a = int(np.count_nonzero(miss_a)) / trials
-        pmd_b = int(np.count_nonzero(miss_b)) / trials
-        d = miss_a.astype(np.float64) - miss_b.astype(np.float64)
-        stderr_delta = float(np.sqrt(np.var(d) / trials))
-        rows.append(
-            ComparisonRow(
-                target_pfa=t,
-                lambda_a=lam_a,
-                lambda_b=lam_b,
-                pmd_a=pmd_a,
-                pmd_b=pmd_b,
-                delta=pmd_a - pmd_b,
-                stderr_delta=stderr_delta,
-            )
-        )
+    for target, lam_a, lam_b, det_a, det_b, discordant in zip(
+        grid_a.pfa_targets, grid_a.values, grid_b.values, *counts.tolist()
+    ):
+        pmd_a, pmd_b = (trials - det_a) / trials, (trials - det_b) / trials
+        # McNemar: the per-trial miss difference is +-1 on the discordant
+        # trials and 0 elsewhere, so T^3 stderr^2 = D T - (det_b - det_a)^2
+        stderr = math.sqrt((discordant * trials - (det_b - det_a) ** 2) / trials**3)
+        rows.append(ComparisonRow(target, lam_a, lam_b, pmd_a, pmd_b, pmd_a - pmd_b, stderr))
     return ComparisonReport(rows=tuple(rows), spec_a=spec_a, spec_b=spec_b)

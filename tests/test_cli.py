@@ -309,6 +309,25 @@ def test_compare_records_measured_sign(tmp_path, capsys):
         assert float(r["stderr_delta"]) >= 0.0
 
 
+# Three targets that agree to six significant digits.
+_CLOSE_TARGETS = ("0.1", "0.100001", "0.1000011")
+
+
+def test_calibrate_prints_close_targets_distinctly(capsys):
+    assert run("calibrate", "--detector-p", "3", "--pfa-targets", ",".join(_CLOSE_TARGETS)) == 0
+    out = capsys.readouterr().out
+    assert [line.split("target_pfa=")[1].split()[0] for line in out.splitlines()] \
+        == list(_CLOSE_TARGETS)
+
+
+def test_compare_prints_close_targets_distinctly(tmp_path, capsys):
+    assert run("compare", "--pfa-targets", ",".join(_CLOSE_TARGETS), "--trials", "2000",
+               "--snr-db=0", "--out", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    printed = [line.split(":")[0] for line in out.splitlines() if line.startswith("target pfa")]
+    assert printed == [f"target pfa {t}" for t in _CLOSE_TARGETS]
+
+
 def test_svg_outputs_are_valid_xml(tmp_path):
     assert run("roc", "--trials", "1000", "--snr-db=0", "--svg",
                "--out", str(tmp_path)) == 0

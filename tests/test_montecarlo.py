@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,41 @@ def test_compare_same_spec_gives_exact_zero():
     assert "no measured difference" in report.sign_summary()
 
 
+def _compare_reference(sc, grid_a, grid_b, spec_a, spec_b):
+    """(pmd_a, pmd_b, delta, stderr_delta) per target from per-trial miss
+    masks: the sample variance of the paired miss difference."""
+    stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b)
+    rows = []
+    for lam_a, lam_b in zip(grid_a.values, grid_b.values):
+        miss_a, miss_b = stats_a < lam_a, stats_b < lam_b
+        pmd_a = int(np.count_nonzero(miss_a)) / sc.trials
+        pmd_b = int(np.count_nonzero(miss_b)) / sc.trials
+        d = miss_a.astype(np.float64) - miss_b.astype(np.float64)
+        rows.append((pmd_a, pmd_b, pmd_a - pmd_b, float(np.sqrt(np.var(d) / sc.trials))))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
+@pytest.mark.parametrize("sc", [
+    _h1(trials=20_000, snr_db=-5.0),
+    _h1(n=1, trials=7_777, snr_db=3.0, seed=10),
+    _h1(n=37, trials=3_001, snr_db=-10.0, seed=11).as_noise_only(),
+], ids=["n10", "n1", "n37-noise-only"])
+def test_compare_counts_equal_the_per_trial_reference(monkeypatch, workers, channel, sc):
+    sc = replace(sc, channel=channel)
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 999)  # ragged blocks
+    grid_a, grid_b = (grid_from_pfa_targets([0.001, 0.01, 0.05, 0.1, 0.5], spec,
+                                            sc.n_samples, channel=channel)
+                      for spec in (P2, P3))
+    report = compare_detectors(sc, grid_a, grid_b, P2, P3, workers=workers)
+    for row, (pmd_a, pmd_b, delta, stderr) in zip(
+        report.rows, _compare_reference(sc, grid_a, grid_b, P2, P3)
+    ):
+        assert (row.pmd_a, row.pmd_b, row.delta) == (pmd_a, pmd_b, delta)
+        assert abs(row.stderr_delta - stderr) <= 1e-15 * stderr
+
+
 def test_compare_verdict_names_the_measured_detector():
     rows = tuple(
         ComparisonRow(target_pfa=0.1, lambda_a=1.0, lambda_b=1.0, pmd_a=0.5,
@@ -403,10 +439,23 @@ def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, sig
     lams = tuple(np.unique(np.concatenate([ties, [0.0, 1e9]]))[::-1].tolist())
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 16 * 5)  # six 16-trial blocks, then a ragged 5
     counts = montecarlo._run_blocks(
-        (h0, *columns), specs, TRIAL_DOMAIN, workers, lams
+        (h0, *columns), specs, TRIAL_DOMAIN, workers, montecarlo._threshold_counts(lams)
     )
     expected = [[np.count_nonzero(s >= lam) for lam in lams] for s in stats]
     assert counts.tolist() == expected
+    # the paired reducer, per column: a's and b's detections and the
+    # trials where exactly one detects, at each detector's own tie grid
+    grids = [np.unique(np.concatenate([*(s[[0, 40, 100]] for s in stats[i::2]), [0.0, 1e9]]))
+             for i in (0, 1)]
+    k = min(len(g) for g in grids)
+    lams_a, lams_b = (tuple(g[::-1][:k].tolist()) for g in grids)
+    reduce = montecarlo._paired_counts(lams_a, lams_b)
+    for col, s_a, s_b in zip((h0, *columns), stats[0::2], stats[1::2]):
+        hit_a = s_a[:, None] >= np.array(lams_a)
+        hit_b = s_b[:, None] >= np.array(lams_b)
+        expected = [np.count_nonzero(h, axis=0).tolist() for h in (hit_a, hit_b, hit_a ^ hit_b)]
+        assert montecarlo._run_blocks((col,), specs, TRIAL_DOMAIN, workers, reduce).tolist() \
+            == expected
 
 
 @pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
@@ -432,22 +481,32 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers):
+@pytest.mark.parametrize("sweep, block, blocks", [
+    ("roc_sweep", 8, (2_500, 10_000)),
+    ("compare_detectors", 64, (250, 1_000)),
+], ids=["roc_sweep", "compare_detectors"])
+def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers, sweep, block,
+                                                      blocks):
     n = 10
-    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * n)  # 8-trial blocks
-    grid = ThresholdGrid((30.0, 10.0, 3.0))
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block * n)
+    grid = ThresholdGrid((30.0, 10.0, 3.0), pfa_targets=(0.01, 0.1, 0.5))
+    run = {
+        "roc_sweep": lambda sc: roc_sweep([sc], P2, grid, workers=workers),
+        "compare_detectors": lambda sc: compare_detectors(sc, grid, grid, P2, P3,
+                                                          workers=workers),
+    }[sweep]
 
-    def peak(blocks):
-        sc = _h1(n=n, trials=8 * blocks, seed=5)
+    def peak(count):
+        sc = _h1(n=n, trials=block * count, seed=5)
         tracemalloc.start()
         try:
-            roc_sweep([sc], P2, grid, workers=workers)
+            run(sc)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(100)  # warm up, so one-time allocations land in neither measurement
-    assert peak(10_000) <= 1.25 * peak(2_500)
+    peak(blocks[0] // 25)  # warm up, so one-time allocations land in neither measurement
+    assert peak(blocks[1]) <= 1.25 * peak(blocks[0])
 
 
 @pytest.mark.parametrize("p", [2, 3])
