@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sensesim
-from sensesim import reference
+from sensesim import montecarlo, reference
 from sensesim.cli import _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
@@ -358,7 +358,7 @@ def test_validate_command_passes(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 4
 
 
 @pytest.mark.parametrize("signal, skips", [
@@ -375,7 +375,34 @@ def test_validate_scales_the_oracle_to_the_signal(tmp_path, capsys, signal, skip
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("SKIP") == skips
-    assert out.count("PASS") == 7 - skips
+    assert out.count("PASS") == 4 - skips
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["validate"], 2),  # one sweep per oracle channel
+    (["compare", "--snr-db=-10,0,10"], 2),  # the p=3 calibration draw, then one sweep
+], ids=["validate", "compare"])
+def test_each_command_draws_its_trials_once_per_channel(monkeypatch, tmp_path, argv, passes):
+    calls = []
+    run_blocks = montecarlo._run_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return run_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", counted)
+    assert run(*argv, "--out", str(tmp_path)) == 0  # default trials and targets
+    assert len(calls) == passes
+
+
+def test_pmd_table_accepts_a_single_trial(tmp_path):
+    # at one trial every stderr is 0, and a Rayleigh trial whose statistic
+    # falls as the SNR rises is a valid outcome, not a config error
+    assert run("pmd-table", "--channel", "rayleigh", "--trials", "1", "--seed", "9",
+               "--out", str(tmp_path)) == 0
+    meta, rows = read_result_csv(str(tmp_path / "pmd_table_p2_rayleigh.csv"))
+    assert meta["trials"] == "1"
+    assert len(rows) == 26
 
 
 def test_roc_svg_overlays_the_oracle_only_where_it_applies(tmp_path):

@@ -62,7 +62,8 @@ def _compare(sc, targets, spec_a=P2, spec_b=P3, workers=1):
                               workers=workers)
         for spec in (spec_a, spec_b)
     )
-    return compare_detectors(sc, grid_a, grid_b, spec_a, spec_b, workers=workers)
+    [report] = compare_detectors([sc], grid_a, grid_b, spec_a, spec_b, workers=workers)
+    return report
 
 
 def _naive_statistics(sc: Scenario, spec: DetectorSpec) -> np.ndarray:
@@ -273,6 +274,18 @@ def test_roc_sweep_over_columns_equals_one_call_per_column():
     assert curves == [roc_sweep([sc], P2, grid)[0] for sc in columns]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
+def test_compare_over_columns_equals_one_call_per_column(workers, channel):
+    grid_a, grid_b = (grid_from_pfa_targets([0.01, 0.1, 0.5], spec, 10, channel=channel)
+                      for spec in (P2, P3))
+    columns = [_h1(channel=channel, trials=3000, snr_db=s) for s in (10.0, -10.0, 0.0)]
+    columns.insert(1, columns[0].as_noise_only())
+    reports = compare_detectors(columns, grid_a, grid_b, P2, P3, workers=workers)
+    assert reports == [compare_detectors([sc], grid_a, grid_b, P2, P3, workers=workers)[0]
+                       for sc in columns]
+
+
 def test_pmd_table_structure_and_reference_hookup():
     grid = default_threshold_grid(P2, 10)
     columns = [_h1(trials=20_000, snr_db=s, seed=19) for s in (-10.0, 0.0, 10.0)]
@@ -342,7 +355,7 @@ def test_compare_counts_equal_the_per_trial_reference(monkeypatch, workers, chan
     grid_a, grid_b = (grid_from_pfa_targets([0.001, 0.01, 0.05, 0.1, 0.5], spec,
                                             sc.n_samples, channel=channel)
                       for spec in (P2, P3))
-    report = compare_detectors(sc, grid_a, grid_b, P2, P3, workers=workers)
+    [report] = compare_detectors([sc], grid_a, grid_b, P2, P3, workers=workers)
     for row, (pmd_a, pmd_b, delta, stderr) in zip(
         report.rows, _compare_reference(sc, grid_a, grid_b, P2, P3)
     ):
@@ -396,9 +409,14 @@ def test_compare_rows_follow_targets():
     grid_a = grid_from_pfa_targets([0.01, 0.1], P2, 10)
     for grid_b in (grid_from_pfa_targets([0.01, 0.2], P3, 10), ThresholdGrid((30.0, 20.0))):
         with pytest.raises(ValueError):
-            compare_detectors(sc1, grid_a, grid_b, P2, P3)
+            compare_detectors([sc1], grid_a, grid_b, P2, P3)
         with pytest.raises(ValueError):
-            compare_detectors(sc1, grid_b, grid_a, P3, P2)
+            compare_detectors([sc1], grid_b, grid_a, P3, P2)
+    with pytest.raises(ValueError):
+        compare_detectors([], grid_a, grid_a, P2, P2)
+    # columns share one draw, so they may differ in snr_db only
+    with pytest.raises(ValueError):
+        compare_detectors([sc1, _h1(trials=10_000, seed=8)], grid_a, grid_a, P2, P2)
 
 
 def test_pair_statistics_share_frames():
@@ -455,7 +473,7 @@ def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, sig
         hit_b = s_b[:, None] >= np.array(lams_b)
         expected = [np.count_nonzero(h, axis=0).tolist() for h in (hit_a, hit_b, hit_a ^ hit_b)]
         assert montecarlo._run_blocks((col,), specs, TRIAL_DOMAIN, workers, reduce).tolist() \
-            == expected
+            == [expected]
 
 
 @pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
@@ -492,7 +510,7 @@ def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers, swee
     grid = ThresholdGrid((30.0, 10.0, 3.0), pfa_targets=(0.01, 0.1, 0.5))
     run = {
         "roc_sweep": lambda sc: roc_sweep([sc], P2, grid, workers=workers),
-        "compare_detectors": lambda sc: compare_detectors(sc, grid, grid, P2, P3,
+        "compare_detectors": lambda sc: compare_detectors([sc], grid, grid, P2, P3,
                                                           workers=workers),
     }[sweep]
 
