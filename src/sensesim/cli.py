@@ -1,16 +1,13 @@
 """Command-line front end: experiment configs in, CSVs and SVG plots out.
 
-Commands
---------
-roc        ROC sweep per SNR; CSV (lambda, pfa, stderr_pfa, pd, stderr_pd)
-pmd-table  threshold-grid x SNR missed-detection table with bundled
-           reference tables embedded side by side
-compare    squaring-vs-cubing comparison at matched false-alarm targets
-calibrate  print calibrated thresholds for the requested targets
-validate   run the Monte-Carlo-vs-analytic oracle suite; exit 0 iff green
-
-Every simulating command draws each trial block once per channel and
-scores H0 and all its SNRs from that draw, in one engine pass.
+Two tables declare the whole command line.  ``_COMMANDS`` holds one row
+per subcommand: its handler, help text and default false-alarm targets.
+``_SETTINGS`` holds one row per setting: its INI home, parser, default,
+header echo and, for a setting with a flag, the flag's help text.
+``build_parser`` makes every subcommand and every flag from them, so
+``sensesim --help`` lists what the rows declare.  Every simulating
+command draws each trial block once per channel and scores H0 and all
+its SNRs from that draw, in one engine pass.
 
 Configuration comes from an INI file plus flag overrides (flags win over
 the file; the SENSESIM_SEED environment variable sits below both; built-in
@@ -67,7 +64,7 @@ class ConfigError(Exception):
 
 
 class _Setting(NamedTuple):
-    """One configurable setting: its INI home, parser, default and echo."""
+    """One configurable setting: its INI home, parser, default, echo and flag."""
 
     name: str  # key in the resolved config; also the flag's argparse dest
     section: str
@@ -75,6 +72,7 @@ class _Setting(NamedTuple):
     parse: Callable[[str], Any]
     default: Any
     echo: bool  # written into result headers, in table order
+    help: str | None = None  # the flag's help text; None: no flag, file only
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -96,30 +94,34 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean value {text!r}")
 
 
-def _run(name, parse, default, echo=True) -> _Setting:
-    return _Setting(name, "run", name, parse, default, echo)
+def _run(name, parse, default, help=None, echo=True) -> _Setting:
+    return _Setting(name, "run", name, parse, default, echo, help)
 
 
-# The table's order is the result-header order.  A [signal] row other
-# than ``kind`` names a model field and is echoed only for models that
-# have it.  ``pfa_targets`` defaults per command.
+# The table's order is the result-header order.  A row with help text
+# has the flag ``--name-with-dashes``; a flag of a boolean is a switch.
+# A [signal] row other than ``kind`` names a model field and is echoed
+# only for models that have it.  ``pfa_targets`` defaults per command, to
+# the targets of its ``_COMMANDS`` row.
 _SETTINGS = (
-    _run("seed", int, 0),
-    _run("trials", int, 100_000),
-    _run("samples", int, 10),
-    _run("channel", str, AWGN),
+    _run("seed", int, 0, "root seed (64-bit)"),
+    _run("trials", int, 100_000, "Monte Carlo trials"),
+    _run("samples", int, 10, "samples per frame"),
+    _run("channel", str, AWGN, "channel model"),
     _run("noise_variance", float, 1.0),
-    _run("detector_p", int, 2),
+    _run("detector_p", int, 2, "detector exponent"),
     _run("normalized", _parse_bool, True),
     _Setting("signal", "signal", "kind", str, "bpsk", True),
     _Setting("signal_power", "signal", "power", float, 1.0, True),
-    _run("snr_db", _parse_float_list, (-10.0, 0.0, 10.0)),
+    _run("snr_db", _parse_float_list, (-10.0, 0.0, 10.0),
+         "comma-separated SNRs in dB (use --snr-db=-10,0,10 for negatives)"),
     _run("cal_trials", int, 100_000),
     _Setting("cycles_per_frame", "signal", "cycles_per_frame", float, 1.0, True),
-    _run("pfa_targets", _parse_float_list, None),
-    _run("out", str, ".", echo=False),
-    _run("svg", _parse_bool, False, echo=False),
-    _run("workers", int, 1, echo=False),
+    _run("pfa_targets", _parse_float_list, None,
+         "comma-separated false-alarm targets in (0,1)"),
+    _run("out", str, ".", "output directory", echo=False),
+    _run("svg", _parse_bool, False, "also write SVG plots", echo=False),
+    _run("workers", int, 1, "worker threads (default 1)", echo=False),
 )
 _BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
 
@@ -171,6 +173,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if raw is not None:
             cfg[setting.name] = _parse(setting, setting.name, raw)
     cfg["snr_db"] = tuple(dict.fromkeys(cfg["snr_db"]))  # each SNR runs once
+    if cfg["pfa_targets"] is None:
+        cfg["pfa_targets"] = _COMMANDS[args.command].targets
     _validate_config(cfg)
     return cfg
 
@@ -188,8 +192,10 @@ def _validate_config(cfg: dict) -> None:
     if cfg["signal"] not in SIGNAL_MODELS:
         names = ", ".join(repr(name) for name in SIGNAL_MODELS)
         raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
+    _build_channel(cfg)  # refused here, before any command prints or draws
     tagged: dict[str, float] = {}  # the SNRs are distinct by now
     for snr in cfg["snr_db"]:
+        snr_to_linear(snr)
         tag = _snr_tag(snr)
         if tag in tagged:
             raise ConfigError(f"snr_db values {tagged[tag]!r} and {snr!r} share "
@@ -247,13 +253,12 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _meta(cfg: dict, command: str, targets) -> dict:
+def _meta(cfg: dict, command: str) -> dict:
     meta = {"tool": f"sensesim {__version__}", "command": command}
-    values = {**cfg, "pfa_targets": targets}
     model_fields = {f.name for f in fields(SIGNAL_MODELS[cfg["signal"]])}
     for s in _SETTINGS:
         if s.echo and (s.section == "run" or s.key == "kind" or s.key in model_fields):
-            meta[s.name] = _fmt_value(values[s.name])
+            meta[s.name] = _fmt_value(cfg[s.name])
     return meta
 
 
@@ -301,8 +306,7 @@ def _snr_tag(snr: float) -> str:
 def cmd_roc(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
-    targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
-    grid = _grid_for(cfg, spec, targets)
+    grid = _grid_for(cfg, spec, cfg["pfa_targets"])
     columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
     curves = roc_sweep(columns, spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
@@ -314,7 +318,7 @@ def cmd_roc(cfg: dict) -> int:
             [lam, pt.pfa, pt.stderr_pfa, pt.pd, pt.stderr_pd]
             for lam, pt in curve.points
         ]
-        meta = _meta(cfg, "roc", targets)
+        meta = _meta(cfg, "roc")
         meta["snr_db_this_file"] = _fmt_value(float(snr))
         _write_csv(path, meta, ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows)
         if cfg["svg"]:
@@ -339,8 +343,7 @@ def cmd_roc(cfg: dict) -> int:
 def cmd_pmd_table(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
-    targets = cfg["pfa_targets"] or DEFAULT_PFA_TARGETS
-    grid = _grid_for(cfg, spec, targets)
+    grid = _grid_for(cfg, spec, cfg["pfa_targets"])
     columns = [_scenario(cfg, snr, channel) for snr in sorted(cfg["snr_db"])]
     table = pmd_table(columns, spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
@@ -354,7 +357,7 @@ def cmd_pmd_table(cfg: dict) -> int:
         len(grid.values) == reference.REFERENCE_ROWS
         and tuple(table.snr_list_db) == reference.REFERENCE_SNR_DB
     )
-    meta = _meta(cfg, "pmd-table", targets)
+    meta = _meta(cfg, "pmd-table")
     if embed_reference:
         for snr in reference.REFERENCE_SNR_DB:
             header.append(f"ref_squaring_{_snr_tag(snr)}")
@@ -395,15 +398,14 @@ def cmd_pmd_table(cfg: dict) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     channel = _build_channel(cfg)
-    targets = cfg["pfa_targets"] or (0.01, 0.1)
     spec_a, spec_b = DetectorSpec(p=2), DetectorSpec(p=3)
-    grid_a = _grid_for(cfg, spec_a, targets)
-    grid_b = _grid_for(cfg, spec_b, targets)
+    grid_a = _grid_for(cfg, spec_a, cfg["pfa_targets"])
+    grid_b = _grid_for(cfg, spec_b, cfg["pfa_targets"])
     columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
     reports = compare_detectors(columns, grid_a, grid_b, spec_a, spec_b, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
     for snr, report in zip(cfg["snr_db"], reports):
-        meta = _meta(cfg, "compare", targets)
+        meta = _meta(cfg, "compare")
         del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
         meta["snr_db_this_file"] = _fmt_value(float(snr))
         # Matched-index headline from the bundled reference tables (row 1
@@ -447,7 +449,7 @@ def cmd_calibrate(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
     cals = calibrate_threshold(
-        spec, cfg["samples"], cfg["pfa_targets"] or (0.1,),
+        spec, cfg["samples"], cfg["pfa_targets"],
         channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
         workers=cfg["workers"],
     )
@@ -463,7 +465,9 @@ def cmd_calibrate(cfg: dict) -> int:
 
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
-    spec = DetectorSpec(p=2, normalized=True)
+    spec = _build_spec(cfg)
+    if spec != DetectorSpec(p=2, normalized=True):
+        raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
     failures: list[str] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -514,25 +518,30 @@ def cmd_validate(cfg: dict) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    """One subcommand: its handler, help text and default P_FA targets."""
+
+    run: Callable[[dict], int]
+    help: str
+    targets: tuple[float, ...] | None  # None: the command fixes its own
+
+
+_COMMANDS = {
+    "roc": _Command(cmd_roc, "ROC sweep per SNR", DEFAULT_PFA_TARGETS),
+    "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS),
+    "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1)),
+    "calibrate": _Command(cmd_calibrate, "print calibrated thresholds", (0.1,)),
+    "validate": _Command(cmd_validate, "run the oracle validation suite", None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="INI config file")
-    common.add_argument("--seed", metavar="U64", help="root seed (64-bit)")
-    common.add_argument("--trials", metavar="N", help="Monte Carlo trials")
-    common.add_argument("--samples", metavar="N", help="samples per frame")
-    common.add_argument(
-        "--snr-db", metavar="LIST",
-        help="comma-separated SNRs in dB (use --snr-db=-10,0,10 for negatives)",
-    )
-    common.add_argument("--channel", choices=[AWGN, RAYLEIGH], help="channel model")
-    common.add_argument("--detector-p", metavar="INT", help="detector exponent")
-    common.add_argument(
-        "--pfa-targets", metavar="LIST", help="comma-separated false-alarm targets in (0,1)"
-    )
-    common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--svg", action="store_const", const="true",
-                        help="also write SVG plots")
-    common.add_argument("--workers", metavar="N", help="worker threads (default 1)")
+    for s in _SETTINGS:
+        if s.help is not None:
+            switch = {"action": "store_const", "const": "true"} if s.parse is _parse_bool else {}
+            common.add_argument("--" + s.name.replace("_", "-"), help=s.help, **switch)
 
     parser = argparse.ArgumentParser(
         prog="sensesim",
@@ -541,21 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"sensesim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("roc", parents=[common], help="ROC sweep per SNR")
-    sub.add_parser("pmd-table", parents=[common], help="threshold-by-SNR P_MD table")
-    sub.add_parser("compare", parents=[common], help="squaring vs cubing at matched P_FA")
-    sub.add_parser("calibrate", parents=[common], help="print calibrated thresholds")
-    sub.add_parser("validate", parents=[common], help="run the oracle validation suite")
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=command.help)
     return parser
-
-
-_COMMANDS = {
-    "roc": cmd_roc,
-    "pmd-table": cmd_pmd_table,
-    "compare": cmd_compare,
-    "calibrate": cmd_calibrate,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None) -> int:
@@ -563,7 +560,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command].run(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ is fixed anyway so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +55,15 @@ def statistic(y, spec: DetectorSpec, sigma: float = 1.0) -> float:
     """T = sum |y[k]|^p, divided by sigma^p when ``spec.normalized``.
 
     ``y`` is any 1-D array-like; ``sigma`` is the noise amplitude
-    (square root of the channel noise variance).
+    (square root of the channel noise variance).  Normalization refuses
+    a sigma whose sigma^p is not a positive, finite, normal double.
     """
     a = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("statistic requires finite samples")
     t = float(np.sum(np.abs(a) ** spec.p))
     if spec.normalized:
-        if not (math.isfinite(sigma) and sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-        t /= sigma**spec.p
+        t /= _sigma_p(sigma, spec.p)
     return t
 
 
@@ -78,14 +78,28 @@ def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.
     numpy's pairwise order as additions of long contiguous rows;
     otherwise ``np.sum`` runs along each frame.
     """
-    if spec.normalized and not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    scale = _sigma_p(sigma, spec.p) if spec.normalized else None
     np.abs(y, out=y)
     y **= spec.p
     t = _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
-    if spec.normalized:
-        t /= sigma**spec.p
+    if scale is not None:
+        t /= scale
     return t
+
+
+def _sigma_p(sigma: float, p: int) -> float:
+    """sigma^p, the divisor of a normalized statistic, refused unless a
+    positive, finite, normal double (a subnormal one has lost precision)."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    try:
+        scale = sigma**p
+    except OverflowError:
+        scale = math.inf
+    if not sys.float_info.min <= scale < math.inf:
+        raise ValueError(f"sigma^p must be a positive, finite, normal double; "
+                         f"sigma={sigma!r} at p={p} gives {scale!r}")
+    return scale
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:

@@ -103,11 +103,12 @@ class Scenario:
         else:
             if not isinstance(self.signal, SignalModel):
                 raise ValueError(f"signal must be a SignalModel, got {self.signal!r}")
-            if not (isinstance(self.snr_db, (int, float)) and math.isfinite(self.snr_db)):
+            try:
+                snr_to_linear(self.snr_db)
+            except ValueError as exc:
                 raise ValueError(
-                    f"snr_db must be finite, got {self.snr_db!r} "
-                    "(leave out the signal for the H0 case, not an SNR sentinel)"
-                )
+                    f"{exc} (leave out the signal for the H0 case, not an SNR sentinel)"
+                ) from None
 
     @property
     def noise_only(self) -> bool:

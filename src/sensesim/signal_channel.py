@@ -159,7 +159,18 @@ class ChannelModel:
 
 
 def snr_to_linear(snr_db: float) -> float:
-    """dB to linear power ratio: gamma = 10^(snr_db/10)."""
+    """dB to linear power ratio: gamma = 10^(snr_db/10).
+
+    Refuses an SNR whose gamma is not a positive finite double: above
+    about 3082.5 dB it overflows, below about -3236.1 dB it rounds to 0.
+    """
     if not (isinstance(snr_db, (int, float)) and math.isfinite(snr_db)):
         raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        gamma = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        gamma = math.inf
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"snr_db {snr_db!r} gives linear power {gamma!r}, "
+                         "not a positive finite double")
+    return gamma

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: precedence, exit codes, CSV round-trips, SVG."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import sensesim
 from sensesim import montecarlo, reference
-from sensesim.cli import _resolve_config, build_parser, main, read_result_csv
+from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
 
@@ -223,9 +224,73 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run("roc", "--channel", "laplace")
-    assert exc.value.code == 2
+    # the flag and the file value meet one check, the channel model's
+    channel_error = "channel kind must be 'awgn' or 'rayleigh', got 'laplace'"
+    assert run("roc", "--channel", "laplace") == 2
+    assert channel_error in capsys.readouterr().err
+    ini.write_text("[run]\nchannel = laplace\n")
+    assert run("validate", "--config", str(ini)) == 2
+    captured = capsys.readouterr()
+    assert channel_error in captured.err and captured.out == ""  # refused before any check
+
+
+_FLAGS = {"--config", "--seed", "--trials", "--samples", "--snr-db", "--channel",
+          "--detector-p", "--pfa-targets", "--out", "--svg", "--workers"}
+
+
+def test_every_command_takes_every_setting_flag():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["roc", "pmd-table", "compare", "calibrate", "validate"]
+    for command in commands.choices.values():
+        flags = {f for a in command._actions for f in a.option_strings}
+        assert flags - {"-h", "--help"} == _FLAGS
+    # each flag but --config is the row of the setting it sets
+    assert {"--" + s.name.replace("_", "-") for s in _SETTINGS if s.help} == _FLAGS - {"--config"}
+
+
+def test_readme_settings_table_matches_the_settings_rows():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        rows = [line.split("|")[1:3] for line in handle if line.startswith("| `[")]
+    # the first `code` span of the key and flag cells, or the bare "none"
+    documented = [[c.split("`")[1] if "`" in c else c.strip() for c in row] for row in rows]
+    assert documented == [
+        [f"[{s.section}] {s.key}", "--" + s.name.replace("_", "-") if s.help else "none"]
+        for s in _SETTINGS
+    ]
+
+
+@pytest.mark.parametrize("command", ["roc", "pmd-table", "compare", "validate"])
+@pytest.mark.parametrize("snr", ["3083", "-4000"])
+def test_snr_without_a_finite_positive_power_exits_two(tmp_path, capsys, command, snr):
+    # 10^(3083/10) overflows and 10^(-4000/10) rounds to 0
+    out = tmp_path / "out"
+    assert run(command, "--channel", "rayleigh", f"--snr-db=-10,{snr}", "--svg",
+               "--trials", "100", "--out", str(out)) == 2
+    assert f"snr_db {float(snr)!r} gives linear power" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("variance, p", [("1e250", 3), ("1e-250", 3), ("1e-320", 2)])
+def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, variance, p):
+    ini = tmp_path / "noise.ini"
+    ini.write_text(f"[run]\nnoise_variance = {variance}\n")
+    out = tmp_path / "out"
+    assert run("roc", "--config", str(ini), "--detector-p", str(p), "--trials", "100",
+               "--snr-db=0", "--pfa-targets", "0.1", "--out", str(out)) == 2
+    assert "sigma^p must be a positive, finite, normal double" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting", ["detector_p = 3", "normalized = no"])
+def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting):
+    ini = tmp_path / "detector.ini"
+    ini.write_text(f"[run]\n{setting}\n")
+    assert run("validate", "--trials", "1000", "--config", str(ini)) == 2
+    captured = capsys.readouterr()
+    assert "validate checks only the normalized p=2 detector" in captured.err
+    assert captured.out == ""
 
 
 _HEAD = ["tool", "command", "seed", "trials", "samples", "channel", "noise_variance",

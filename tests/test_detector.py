@@ -80,6 +80,21 @@ def test_spec_validation():
         statistic([1.0], P2, sigma=0.0)
 
 
+@pytest.mark.parametrize("variance, spec", [(1e250, P3), (1e-250, P3), (1e-320, P2)])
+def test_normalization_refuses_sigma_p_outside_the_normal_doubles(variance, spec):
+    # sigma^p overflows, underflows to 0, or is subnormal and has lost bits
+    sigma = variance**0.5
+    with pytest.raises(ValueError, match="normal double"):
+        statistic([1.0], spec, sigma=sigma)
+    with pytest.raises(ValueError, match="normal double"):
+        statistic_rows(np.ones((2, 3)), spec, sigma)
+    unnormalized = DetectorSpec(spec.p, normalized=False)  # sigma is not used
+    assert statistic([1.0], unnormalized, sigma=sigma) == 1.0
+    # the same scales that pass normalize to the same statistic
+    for ok in (1e-200, 1e200):
+        assert statistic([ok**0.5], spec, sigma=ok**0.5) == pytest.approx(1.0, rel=1e-15)
+
+
 def test_chi_square_moments_under_noise():
     # normalized p=2 statistic of n unit Gaussians ~ chi-square with n dof
     n, trials = 10, 100_000

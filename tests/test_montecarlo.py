@@ -77,6 +77,14 @@ def _naive_statistics(sc: Scenario, spec: DetectorSpec) -> np.ndarray:
     return out
 
 
+@pytest.mark.parametrize("snr_db", [3083.0, -4000.0])
+def test_scenario_refuses_an_snr_without_a_positive_finite_power(snr_db):
+    # finite, but 10^(snr_db/10) overflows to inf or rounds to 0
+    with pytest.raises(ValueError, match="not a positive finite double"):
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0,
+                 signal=Bpsk(), snr_db=snr_db)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, snr_db=0.0)  # no signal

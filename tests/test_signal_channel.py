@@ -44,6 +44,15 @@ def test_snr_to_linear():
         snr_to_linear(float("nan"))
 
 
+def test_snr_to_linear_refuses_a_power_outside_the_positive_doubles():
+    assert snr_to_linear(3082.0) == 10.0**308.2
+    assert 0.0 < snr_to_linear(-3236.0) < 1e-323  # subnormal, still positive
+    with pytest.raises(ValueError, match="gives linear power inf"):
+        snr_to_linear(3083.0)  # 10^308.3 overflows
+    with pytest.raises(ValueError, match="gives linear power 0.0"):
+        snr_to_linear(-4000.0)  # 10^-400 rounds to 0
+
+
 def test_bpsk_samples_are_antipodal():
     x = frame(Bpsk(power=2.0), 64, _trial(0, 0))
     root = math.sqrt(2.0)
