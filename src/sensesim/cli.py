@@ -185,10 +185,9 @@ def _validate_config(cfg: dict) -> None:
     for key in ("trials", "samples", "workers", "cal_trials"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    if cfg["pfa_targets"] is not None:
-        for t in cfg["pfa_targets"]:
-            if not 0.0 < t < 1.0:
-                raise ConfigError(f"pfa targets must lie in (0, 1), got {t}")
+    for t in cfg["pfa_targets"]:
+        if not 0.0 < t < 1.0:
+            raise ConfigError(f"pfa targets must lie in (0, 1), got {t}")
     if cfg["signal"] not in SIGNAL_MODELS:
         names = ", ".join(repr(name) for name in SIGNAL_MODELS)
         raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
@@ -216,22 +215,27 @@ def _build_spec(cfg: dict) -> DetectorSpec:
     return DetectorSpec(p=cfg["detector_p"], normalized=cfg["normalized"])
 
 
-def _scenario(cfg: dict, snr: float, channel: ChannelModel) -> Scenario:
-    """The configured signal scenario at one SNR on ``channel``."""
+def _scenario(cfg: dict, channel: ChannelModel) -> Scenario:
+    """The configured draw on ``channel``, from which every SNR is formed."""
     return Scenario(
         channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
-        seed=cfg["seed"], signal=_build_signal(cfg), snr_db=snr,
+        seed=cfg["seed"], signal=_build_signal(cfg),
     )
 
 
-def _oracle_pd(sc: Scenario, lam: float) -> float | None:
-    """Closed-form P_D of the normalized p=2 detector on signal scenario
-    ``sc`` (run at SNR times the frame's mean square), or None when its
+# The one detector the closed-form oracles score: ``roc --svg`` overlays
+# them only for it, and ``validate`` refuses any other.
+_ORACLE_SPEC = DetectorSpec(p=2, normalized=True)
+
+
+def _oracle_pd(sc: Scenario, snr: float, lam: float) -> float | None:
+    """Closed-form P_D of :data:`_ORACLE_SPEC` on ``sc``'s signal at
+    ``snr`` (run at SNR times the frame's mean square), or None when its
     frames do not share one mean square."""
     mean_square = sc.signal.mean_square(sc.n_samples)
     if mean_square is None:
         return None
-    gamma = snr_to_linear(sc.snr_db) * mean_square
+    gamma = snr_to_linear(snr) * mean_square
     # Looked up by module-global name at call time, so a wrapper bound
     # over either oracle in this module sees every call.
     if sc.channel.kind == AWGN:
@@ -307,11 +311,10 @@ def cmd_roc(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
     grid = _grid_for(cfg, spec, cfg["pfa_targets"])
-    columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
-    curves = roc_sweep(columns, spec, grid, workers=cfg["workers"])
+    sc = _scenario(cfg, channel)
+    curves = roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
-    for sc, curve in zip(columns, curves):
-        snr = sc.snr_db
+    for snr, curve in zip(cfg["snr_db"], curves):
         stem = f"roc_{cfg['channel']}_{_snr_tag(snr)}"
         path = os.path.join(cfg["out"], stem + ".csv")
         rows = [
@@ -326,9 +329,9 @@ def cmd_roc(cfg: dict) -> int:
             # short runs can hit 0 false alarms at the tightest thresholds
             use_logx = bool(np.all(curve.pfa > 0.0))
             series = [Series(curve.pfa, curve.pd, label="simulated")]
-            if spec.p == 2 and spec.normalized:
+            if spec == _ORACLE_SPEC:
                 lams = list(curve.thresholds)
-                ana_pd = [_oracle_pd(sc, lam) for lam in lams]
+                ana_pd = [_oracle_pd(sc, snr, lam) for lam in lams]
                 if None not in ana_pd:
                     ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in lams]
                     series.append(Series(ana_pfa, ana_pd, label="analytic"))
@@ -344,8 +347,8 @@ def cmd_pmd_table(cfg: dict) -> int:
     spec = _build_spec(cfg)
     channel = _build_channel(cfg)
     grid = _grid_for(cfg, spec, cfg["pfa_targets"])
-    columns = [_scenario(cfg, snr, channel) for snr in sorted(cfg["snr_db"])]
-    table = pmd_table(columns, spec, grid, workers=cfg["workers"])
+    table = pmd_table(_scenario(cfg, channel), sorted(cfg["snr_db"]), spec, grid,
+                      workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
     stem = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}")
     path = stem + ".csv"
@@ -401,8 +404,8 @@ def cmd_compare(cfg: dict) -> int:
     spec_a, spec_b = DetectorSpec(p=2), DetectorSpec(p=3)
     grid_a = _grid_for(cfg, spec_a, cfg["pfa_targets"])
     grid_b = _grid_for(cfg, spec_b, cfg["pfa_targets"])
-    columns = [_scenario(cfg, snr, channel) for snr in cfg["snr_db"]]
-    reports = compare_detectors(columns, grid_a, grid_b, spec_a, spec_b, workers=cfg["workers"])
+    reports = compare_detectors(_scenario(cfg, channel), cfg["snr_db"], grid_a, grid_b,
+                                spec_a, spec_b, workers=cfg["workers"])
     os.makedirs(cfg["out"], exist_ok=True)
     for snr, report in zip(cfg["snr_db"], reports):
         meta = _meta(cfg, "compare")
@@ -466,8 +469,9 @@ def cmd_calibrate(cfg: dict) -> int:
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
     spec = _build_spec(cfg)
-    if spec != DetectorSpec(p=2, normalized=True):
+    if spec != _ORACLE_SPEC:
         raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
+    grid = _grid_for(cfg, spec, cfg["pfa_targets"])  # refuses bad targets before any check
     failures: list[str] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -482,12 +486,10 @@ def cmd_validate(cfg: dict) -> int:
     # One sweep per oracle channel scores H0 and every SNR on one draw.
     # H0 frames are the noise alone, so both sweeps count the same false
     # alarms, equal to the configured channel's.
-    grid = _grid_for(cfg, spec, (0.01, 0.1, 0.5))
     sweeps = {}
     for kind in (AWGN, RAYLEIGH):
-        columns = [_scenario(cfg, snr, ChannelModel(kind, cfg["noise_variance"]))
-                   for snr in cfg["snr_db"]]
-        sweeps[kind] = columns, roc_sweep(columns, spec, grid, workers=cfg["workers"])
+        sc = _scenario(cfg, ChannelModel(kind, cfg["noise_variance"]))
+        sweeps[kind] = sc, roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
 
     _, curves = sweeps[AWGN]
     worst_sigmas = 0.0
@@ -495,21 +497,22 @@ def cmd_validate(cfg: dict) -> int:
         sig = math.sqrt(target * (1 - target) / trials)
         worst_sigmas = max(worst_sigmas, abs(pfa - target) / sig)
     check("h0-false-alarm", worst_sigmas <= 3.0,
-          f"worst |pfa - target| = {worst_sigmas:.2f} sigma")
+          f"worst |pfa - target| = {worst_sigmas:.2f} sigma "
+          f"at targets {_fmt_value(grid.pfa_targets)}")
 
-    lam = grid.values[1]  # the 0.1 target
     for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
-        columns, curves = sweeps[kind]
-        pd_refs = [_oracle_pd(sc, lam) for sc in columns]
-        if None in pd_refs:
-            print(f"SKIP {kind}-pd-oracle: {columns[0].signal} frames differ in mean square")
+        sc, curves = sweeps[kind]
+        if sc.signal.mean_square(sc.n_samples) is None:
+            print(f"SKIP {kind}-pd-oracle: {sc.signal} frames differ in mean square")
             continue
         worst_sigmas = 0.0
-        for curve, pd_ref in zip(curves, pd_refs):
-            sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
-            worst_sigmas = max(worst_sigmas, abs(curve.pd[1] - pd_ref) / sig)
+        for snr, curve in zip(cfg["snr_db"], curves):
+            for lam, pd in zip(curve.thresholds, curve.pd):
+                pd_ref = _oracle_pd(sc, snr, lam)
+                sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
+                worst_sigmas = max(worst_sigmas, abs(pd - pd_ref) / sig)
         check(f"{kind}-pd-oracle", worst_sigmas <= 3.0,
-              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma ({columns[0].signal} oracle)")
+              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma ({sc.signal} oracle)")
 
     if failures:
         print(f"FAILED checks: {', '.join(failures)}")
@@ -523,7 +526,7 @@ class _Command(NamedTuple):
 
     run: Callable[[dict], int]
     help: str
-    targets: tuple[float, ...] | None  # None: the command fixes its own
+    targets: tuple[float, ...]
 
 
 _COMMANDS = {
@@ -531,7 +534,7 @@ _COMMANDS = {
     "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS),
     "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1)),
     "calibrate": _Command(cmd_calibrate, "print calibrated thresholds", (0.1,)),
-    "validate": _Command(cmd_validate, "run the oracle validation suite", None),
+    "validate": _Command(cmd_validate, "run the oracle validation suite", (0.01, 0.1, 0.5)),
 }
 
 

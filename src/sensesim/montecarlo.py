@@ -21,12 +21,13 @@ disjoint from every evaluation trial of the same seed.
 
 Common random numbers
 ---------------------
-Scenarios that differ only in SNR, or in being the noise-only twin,
-share every draw trial for trial: noise, fading gain and signal live on
-separate role streams of the same per-trial key.  The engine exploits
-that directly.  For each trial block it draws the keys, noise, signal
-and fading gains once, scores H0 (the noise alone) and then every SNR
-column, formed by scale-and-add.  A block holds 2^16 samples, so it
+A :class:`Scenario` is one draw: noise, fading gain and signal live on
+separate role streams of the same per-trial key, so H0 and every SNR
+formed from the scenario share them trial for trial.  Each engine call
+therefore takes one scenario and the SNRs to form from it.  For each
+trial block it draws the keys, noise, signal and fading gains once,
+scores H0 (the noise alone) and then every SNR column, formed by
+scale-and-add.  A block holds 2^16 samples, so it
 stays in L2, and each worker draws, forms and scores all its blocks in
 one set of buffers (sample-major for short frames).  Each block's
 statistics are reduced to integer counts, summed over blocks: against
@@ -44,7 +45,7 @@ P_FA target's quantile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,15 +81,15 @@ _BLOCK_SAMPLES = 1 << 16
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: channel, frame length, trials, seed, and a signal
-    model at an SNR; without a signal it is the noise-only (H0) case."""
+    """One draw: channel, frame length, trials, seed and the signal model
+    that SNR columns scale.  Engine calls take the SNRs to form from it;
+    without a signal only the noise-only (H0) column can be formed."""
 
     channel: ChannelModel
     n_samples: int
     trials: int
     seed: int
     signal: SignalModel | None = None
-    snr_db: float | None = None
 
     def __post_init__(self):
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
@@ -97,27 +98,8 @@ class Scenario:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
             raise ValueError(f"seed must be a 64-bit integer, got {self.seed!r}")
-        if self.signal is None:
-            if self.snr_db is not None:
-                raise ValueError("an SNR needs a signal model; the noise-only case has neither")
-        else:
-            if not isinstance(self.signal, SignalModel):
-                raise ValueError(f"signal must be a SignalModel, got {self.signal!r}")
-            try:
-                snr_to_linear(self.snr_db)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{exc} (leave out the signal for the H0 case, not an SNR sentinel)"
-                ) from None
-
-    @property
-    def noise_only(self) -> bool:
-        """True for the H0 case, the scenario without a signal."""
-        return self.signal is None
-
-    def as_noise_only(self) -> "Scenario":
-        """The H0 twin: same channel, frame length, trials, and seed."""
-        return replace(self, signal=None, snr_db=None)
+        if self.signal is not None and not isinstance(self.signal, SignalModel):
+            raise ValueError(f"signal must be a SignalModel, got {self.signal!r}")
 
 
 @dataclass(frozen=True)
@@ -209,18 +191,16 @@ def _paired_counts(lams_a, lams_b):
     return reduce
 
 
-def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, reduce=None):
-    """Statistics of trials [lo, hi), one vector per (column, spec) pair.
+def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce=None):
+    """Statistics of trials [lo, hi), one vector per (SNR, spec) pair.
 
-    ``columns`` are scenarios that differ only in SNR or in being the
-    noise-only twin.  The block's keys, noise, signal and fading gains
-    are drawn once into the worker's ``buffers``; each (column, spec)
-    pair is formed, as a copy of the noise for H0 and ``amp * x + w``
+    The block's keys, noise, signal and fading gains are drawn once from
+    ``sc`` into the worker's ``buffers``; each (SNR, spec) pair is formed,
+    as a copy of the noise for an SNR of ``None`` (H0) and ``amp * x + w``
     otherwise, and scored in the draw scratch, reused as float64.  With
     ``reduce`` the block returns ``reduce(vectors)``, an int64 count
     array, in place of the statistic vectors.
     """
-    sc = columns[0]
     n = sc.n_samples
     channel = sc.channel
     sigma = channel.noise_std
@@ -229,22 +209,21 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, reduce=
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
     w = normal_block(fold_in(keys, NOISE_ROLE), n, out=w_buf, work=work)
     w *= sigma
-    signal = next((c.signal for c in columns if not c.noise_only), None)
-    if signal is not None:
-        x = signal.block(keys, n, out=x_buf, work=work)
+    if any(snr is not None for snr in snrs):
+        x = sc.signal.block(keys, n, out=x_buf, work=work)
         if channel.kind == RAYLEIGH:
             gain, scaled = gains.T
             uniform_block(fold_in(keys, FADING_ROLE), 1, out=gains, work=work)
             np.sqrt(np.negative(np.log(gain, out=gain), out=gain), out=gain)
     y = work.view(np.float64)[:, :n]
     out = []
-    for col in columns:
-        if not col.noise_only:
-            amp = math.sqrt(snr_to_linear(col.snr_db) * channel.noise_variance)
+    for snr in snrs:
+        if snr is not None:
+            amp = math.sqrt(snr_to_linear(snr) * channel.noise_variance)
             if channel.kind == RAYLEIGH:
                 amp = np.multiply(gain, amp, out=scaled)[:, None]
         for spec in specs:
-            if col.noise_only:
+            if snr is None:
                 np.copyto(y, w)
             else:
                 np.add(np.multiply(amp, x, out=y), w, out=y)
@@ -252,30 +231,31 @@ def _stats_block(columns, specs, lo: int, hi: int, domain: int, buffers, reduce=
     return out if reduce is None else reduce(out)
 
 
-def _run_blocks(columns, specs, domain: int, workers: int, reduce=None):
-    """Run :func:`_stats_block` over all trial blocks of ``columns``.
+def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
+    """Run :func:`_stats_block` over all trial blocks of ``sc``.
 
-    Every column is drawn from ``columns[0]``'s seed, channel and signal,
-    so all columns must have the same noise-only twin and every signal
-    column the same model: they may differ in SNR, or in being that twin.
+    ``snrs`` are the columns formed from the scenario's one draw, in dB;
+    ``None`` is the noise-only (H0) column.  Every SNR is refused here,
+    before any draw, unless its linear power is a positive finite double.
 
-    Without ``reduce``: one per-trial statistic array per (column, spec),
+    Without ``reduce``: one per-trial statistic array per (SNR, spec),
     in trial order.  With ``reduce``: the sum over all blocks of
     ``reduce``'s int64 count arrays, each reducing one block's statistic
-    vectors (one per (column, spec)), so the totals are worker-invariant
+    vectors (one per (SNR, spec)), so the totals are worker-invariant
     and nothing is kept per trial.  Worker w of W runs blocks w, w + W,
     ... in one set of block buffers, so memory is O(W x block) at any
     block count and no block allocates a block.
     """
-    sc = columns[0]
-    twin = sc.as_noise_only()
-    signal = next((c.signal for c in columns if not c.noise_only), None)
-    if any(c.as_noise_only() != twin or c.signal not in (None, signal) for c in columns):
-        raise ValueError("columns share one draw, so they may differ in snr_db only")
+    snrs = tuple(snrs)
+    for snr in snrs:
+        if snr is not None:
+            snr_to_linear(snr)
+            if sc.signal is None:
+                raise ValueError("an SNR needs a signal model; the scenario has none")
     trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples))
     starts = range(0, trials, size)
     workers = max(1, min(workers, len(starts)))
-    outs = None if reduce else [np.empty(trials) for _ in range(len(columns) * len(specs))]
+    outs = None if reduce else [np.empty(trials) for _ in range(len(snrs) * len(specs))]
 
     def run(first):
         counts = 0
@@ -286,7 +266,7 @@ def _run_blocks(columns, specs, domain: int, workers: int, reduce=None):
                    for dt in (np.float64, np.float64, np.uint64)] + [np.empty((2, size)).T]
         for lo in starts[first::workers]:
             hi = min(lo + size, trials)
-            stats = _stats_block(columns, specs, lo, hi, domain, buffers, reduce)
+            stats = _stats_block(sc, snrs, specs, lo, hi, domain, buffers, reduce)
             if outs is None:
                 counts += stats
             else:
@@ -307,23 +287,25 @@ def _run_blocks(columns, specs, domain: int, workers: int, reduce=None):
 
 
 def trial_statistics(
-    sc: Scenario, spec: DetectorSpec, *, workers: int = 1
+    sc: Scenario, spec: DetectorSpec, snr_db: float | None = None, *, workers: int = 1
 ) -> np.ndarray:
-    """Detection statistics of every trial, in trial order.
+    """Detection statistics of every trial at ``snr_db`` (``None``: H0),
+    in trial order.
 
     Identical values for any worker count; element t equals the
     per-trial recomputation described in the module docstring.
     """
-    return _run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers)[0]
+    return _run_blocks(sc, (snr_db,), (spec,), TRIAL_DOMAIN, workers)[0]
 
 
 def trial_statistics_pair(
-    sc: Scenario, spec_a: DetectorSpec, spec_b: DetectorSpec, *, workers: int = 1
+    sc: Scenario, spec_a: DetectorSpec, spec_b: DetectorSpec, snr_db: float | None = None,
+    *, workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both detectors' statistics over the identical received frames.
 
     No package code calls it; it stays for the tests and the bench tracer's hook."""
-    return tuple(_run_blocks((sc,), (spec_a, spec_b), TRIAL_DOMAIN, workers))
+    return tuple(_run_blocks(sc, (snr_db,), (spec_a, spec_b), TRIAL_DOMAIN, workers))
 
 
 def calibration_h0_statistics(
@@ -338,74 +320,73 @@ def calibration_h0_statistics(
     """Pure-noise statistics from the calibration domain of ``seed``."""
     channel = channel if channel is not None else ChannelModel(AWGN, 1.0)
     sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
-    return _run_blocks((sc,), (spec,), CALIBRATION_DOMAIN, workers)[0]
+    return _run_blocks(sc, (None,), (spec,), CALIBRATION_DOMAIN, workers)[0]
 
 
 def count_detections(
-    sc: Scenario, spec: DetectorSpec, lam: float, *, workers: int = 1
+    sc: Scenario, spec: DetectorSpec, lam: float, snr_db: float | None = None,
+    *, workers: int = 1,
 ) -> int:
-    """Number of trials whose statistic meets the threshold (ties detect).
+    """Number of trials at ``snr_db`` (``None``: H0) whose statistic meets
+    the threshold (ties detect).
 
     No package code calls it; it stays for the tests and the bench tracer's hook."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {lam!r}")
     reduce = _threshold_counts((float(lam),))
-    return int(_run_blocks((sc,), (spec,), TRIAL_DOMAIN, workers, reduce)[0, 0])
+    return int(_run_blocks(sc, (snr_db,), (spec,), TRIAL_DOMAIN, workers, reduce)[0, 0])
 
 
 def estimate_pfa(
     sc: Scenario, spec: DetectorSpec, lam: float, *, workers: int = 1
 ) -> RatePoint:
-    """Empirical false-alarm probability of a noise-only scenario.
+    """Empirical false-alarm probability: the H0 column of ``sc``.
 
     No package code calls it; it stays for the tests and the bench tracer's hook."""
-    if not sc.noise_only:
-        raise ValueError("estimate_pfa needs a noise-only scenario; "
-                         "use estimate_pmd for signal scenarios")
     fa = count_detections(sc, spec, lam, workers=workers)
     pfa = fa / sc.trials
     return RatePoint.pfa_only(pfa, stderr_pfa=binomial_stderr(pfa, sc.trials))
 
 
 def estimate_pmd(
-    sc: Scenario, spec: DetectorSpec, lam: float, *, workers: int = 1
+    sc: Scenario, spec: DetectorSpec, lam: float, snr_db: float, *, workers: int = 1
 ) -> RatePoint:
-    """Empirical missed-detection probability of a signal scenario.
+    """Empirical missed-detection probability of ``sc``'s signal at ``snr_db``.
 
     pmd is the measured fraction; pd = 1 - pmd is derived from it.  No
     package code calls it; it stays for the tests and the bench tracer's hook.
     """
-    if sc.noise_only:
-        raise ValueError("estimate_pmd needs a signal scenario; "
-                         "use estimate_pfa for noise-only scenarios")
-    det = count_detections(sc, spec, lam, workers=workers)
+    det = count_detections(sc, spec, lam, snr_db, workers=workers)
     pmd = (sc.trials - det) / sc.trials
     return RatePoint.from_pmd(pmd, stderr_pd=binomial_stderr(pmd, sc.trials))
 
 
+def _signal_snrs(snrs, caller: str) -> tuple[float, ...]:
+    """``snrs`` as a tuple, refusing an empty list and H0's ``None``."""
+    snrs = tuple(snrs)
+    if not snrs or None in snrs:
+        raise ValueError(f"{caller} needs at least one SNR and scores H0 itself")
+    return snrs
+
+
 def roc_sweep(
-    columns: Sequence[Scenario],
+    sc: Scenario,
+    snrs: Sequence[float],
     spec: DetectorSpec,
     grid: ThresholdGrid,
     *,
     workers: int = 1,
 ) -> list[RocCurve]:
-    """One ROC curve per SNR column, all thresholds sharing trials.
+    """One ROC curve per SNR, all thresholds sharing trials.
 
-    The columns are signal scenarios that differ in ``snr_db`` only, and
-    H0 is their noise-only twin.  One pass draws every trial once and
-    scores H0 and each column from it, so the empirical curves are
-    exactly monotone.  Curves come back in column order.
+    One pass draws every trial of ``sc`` once and scores H0 and each SNR
+    from it, so the empirical curves are exactly monotone.  Curves come
+    back in SNR order.
     """
-    columns = tuple(columns)
-    if not columns:
-        raise ValueError("roc_sweep needs at least one signal scenario")
-    if any(sc.noise_only for sc in columns):
-        raise ValueError("roc_sweep columns must be signal scenarios")
-    sc_h0 = columns[0].as_noise_only()
+    snrs = _signal_snrs(snrs, "roc_sweep")
     reduce = _threshold_counts(grid.values)
-    h0, *counts = _run_blocks((sc_h0, *columns), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
-    trials = sc_h0.trials
+    h0, *counts = _run_blocks(sc, (None, *snrs), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
+    trials = sc.trials
     return [
         roc_assemble([
             (lam, rates_from_counts(ConfusionCounts(trials, trials, fa, det)))
@@ -448,7 +429,8 @@ class PmdTable:
 
 
 def pmd_table(
-    columns: Sequence[Scenario],
+    sc: Scenario,
+    snrs: Sequence[float],
     spec: DetectorSpec,
     grid: ThresholdGrid,
     *,
@@ -456,22 +438,17 @@ def pmd_table(
 ) -> PmdTable:
     """Fill the threshold-by-SNR missed-detection matrix.
 
-    Columns are signal scenarios in strictly increasing SNR order that
-    differ in ``snr_db`` only.  One pass draws every trial's noise,
-    signal and fading once and scores each column from it, so all
-    thresholds and all columns share trials (exactly monotone down the
-    grid).
+    ``snrs`` come in strictly increasing order.  One pass draws every
+    trial's noise, signal and fading once and scores each SNR from it,
+    so all thresholds and all columns share trials (exactly monotone
+    down the grid).
     """
-    if not columns:
-        raise ValueError("pmd_table needs at least one scenario column")
-    if any(sc.noise_only for sc in columns):
-        raise ValueError("pmd_table columns must be signal scenarios")
-    snrs = [sc.snr_db for sc in columns]
+    snrs = _signal_snrs(snrs, "pmd_table")
     if any(b <= a for a, b in zip(snrs, snrs[1:])):
-        raise ValueError("pmd_table columns must come in strictly increasing SNR order")
-    trials = columns[0].trials
+        raise ValueError("pmd_table SNRs must come in strictly increasing order")
+    trials = sc.trials
     reduce = _threshold_counts(grid.values)
-    counts = _run_blocks(tuple(columns), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
+    counts = _run_blocks(sc, snrs, (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
     pmd = [[(trials - det) / trials for det in detections] for detections in counts]
     stderr = [[binomial_stderr(rate, trials) for rate in column] for column in pmd]
     return PmdTable(grid=grid, snr_list_db=tuple(float(s) for s in snrs),
@@ -518,7 +495,8 @@ class ComparisonReport:
 
 
 def compare_detectors(
-    columns: Sequence[Scenario],
+    sc: Scenario,
+    snrs: Sequence[float | None],
     grid_a: ThresholdGrid,
     grid_b: ThresholdGrid,
     spec_a: DetectorSpec,
@@ -526,28 +504,27 @@ def compare_detectors(
     *,
     workers: int = 1,
 ) -> list[ComparisonReport]:
-    """Compare the two detectors' P_MD at each matched target P_FA, per column.
+    """Compare the two detectors' P_MD at each matched target P_FA, per SNR.
 
     ``grid_a`` and ``grid_b`` hold the thresholds of ``spec_a`` and
     ``spec_b`` calibrated to the same ``pfa_targets``, as
-    :func:`grid_from_pfa_targets` builds them.  The columns are
-    scenarios that differ in ``snr_db`` only, and one pass draws every
-    trial once and scores both detectors on each column's identical
-    received frames.  Each row reports the paired difference
+    :func:`grid_from_pfa_targets` builds them.  One pass draws every
+    trial of ``sc`` once and scores both detectors on each SNR's
+    identical received frames.  Each row reports the paired difference
     delta = pmd_a - pmd_b with its paired standard error.  The sign of
-    delta is measured, never assumed.  Reports come back in column order.
+    delta is measured, never assumed.  Reports come back in SNR order.
 
-    A column may be the noise-only twin: that is the degenerate
+    An SNR of ``None`` is the noise-only column: that is the degenerate
     no-signal check, where both detectors should miss at rate 1 - target.
     """
-    columns = tuple(columns)
-    if not columns:
-        raise ValueError("compare_detectors needs at least one scenario column")
+    snrs = tuple(snrs)
+    if not snrs:
+        raise ValueError("compare_detectors needs at least one SNR")
     if grid_a.pfa_targets is None or grid_a.pfa_targets != grid_b.pfa_targets:
         raise ValueError("both threshold grids must carry the same pfa_targets")
-    counts = _run_blocks(columns, (spec_a, spec_b), TRIAL_DOMAIN, workers,
+    counts = _run_blocks(sc, snrs, (spec_a, spec_b), TRIAL_DOMAIN, workers,
                          _paired_counts(grid_a.values, grid_b.values))
-    trials = columns[0].trials
+    trials = sc.trials
     reports = []
     for column_counts in counts.tolist():
         rows = []

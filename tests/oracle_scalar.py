@@ -11,11 +11,11 @@ signal, ``child(FADING_ROLE)`` for the envelope gain and
     root = Stream.from_seed(sc.seed)
     for t in range(sc.trials):
         trial = root.child(TRIAL_DOMAIN, t)
-        y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
+        y, _ = received_frame(sc.signal, sc.channel, snr_db, sc.n_samples, trial)
         hit = statistic(y, spec, sc.channel.noise_std) >= lam
 
-reproduces ``sensesim.montecarlo``'s statistics and counts bit for bit
-(``snr_db=None`` is the noise-only frame), and ``frame(model, n,
+reproduces ``sensesim.montecarlo``'s statistics and counts at ``snr_db``
+bit for bit (``snr_db=None`` is the noise-only frame), and ``frame(model, n,
 Stream(key))`` is row ``key`` of ``model.block(keys, n)``.
 """
 

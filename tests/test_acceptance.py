@@ -55,22 +55,15 @@ def _lam(n: int, target: float) -> float:
     return calibrate_threshold(P2, n, [target])[0].threshold
 
 
-def _h1(channel, snr_db, trials, n=10, seed=SEED):
-    return Scenario(
-        channel=channel, n_samples=n, trials=trials, seed=seed,
-        signal=Bpsk(), snr_db=snr_db,
-    )
-
-
-def _h0(channel, trials, n=10, seed=SEED):
-    return Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
+def _sc(channel, trials, n=10, seed=SEED):
+    return Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, signal=Bpsk())
 
 
 def test_acceptance_01_h0_false_alarm_matches_targets():
     trials = 100_000
     worst = 0.0
     for n in (2, 10, 50):
-        stats = trial_statistics(_h0(CH_AWGN, trials, n=n), P2)
+        stats = trial_statistics(_sc(CH_AWGN, trials, n=n), P2)
         for target in TARGETS:
             pfa = float(np.mean(stats >= _lam(n, target)))
             sigma = math.sqrt(target * (1.0 - target) / trials)
@@ -85,7 +78,7 @@ def test_acceptance_02_awgn_detection_matches_closed_form():
     lams = [_lam(n, t) for t in TARGETS]
     worst = 0.0
     for snr in (-10.0, 0.0, 10.0):
-        stats = trial_statistics(_h1(CH_AWGN, snr, trials), P2)
+        stats = trial_statistics(_sc(CH_AWGN, trials), P2, snr)
         gamma = snr_to_linear(snr)
         for lam in lams:
             pd_hat = float(np.mean(stats >= lam))
@@ -103,7 +96,7 @@ def test_acceptance_03_rayleigh_detection_matches_quadrature():
     start = time.monotonic()
     worst = 0.0
     for snr in (-10.0, 0.0, 10.0):
-        stats = trial_statistics(_h1(CH_RAY, snr, trials), P2)
+        stats = trial_statistics(_sc(CH_RAY, trials), P2, snr)
         gbar = snr_to_linear(snr)
         for lam in lams:
             pd_hat = float(np.mean(stats >= lam))
@@ -124,8 +117,8 @@ def test_acceptance_04_fading_costs_detection_at_5db():
     n, snr = 10, 5.0
     gamma = snr_to_linear(snr)
     lams = [_lam(n, t) for t in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)]
-    stats_awgn = trial_statistics(_h1(CH_AWGN, snr, trials), P2)
-    stats_ray = trial_statistics(_h1(CH_RAY, snr, trials), P2)
+    stats_awgn = trial_statistics(_sc(CH_AWGN, trials), P2, snr)
+    stats_ray = trial_statistics(_sc(CH_RAY, trials), P2, snr)
     gap_min = 1.0
     for lam in lams:
         pd_a = pd_awgn_analytic(n, gamma, lam)
@@ -164,17 +157,17 @@ def test_acceptance_05_pmd_table_trends_and_reference_embedding(tmp_path):
 
 def test_acceptance_06_detector_comparison_controls():
     trials = 100_000
-    sc_h1 = _h1(CH_AWGN, -10.0, trials)
+    sc = _sc(CH_AWGN, trials)
     grid_2, grid_3 = (
-        grid_from_pfa_targets([0.01, 0.1], spec, sc_h1.n_samples, channel=CH_AWGN, seed=SEED)
+        grid_from_pfa_targets([0.01, 0.1], spec, sc.n_samples, channel=CH_AWGN, seed=SEED)
         for spec in (P2, P3)
     )
 
-    first, nosignal = compare_detectors([sc_h1, sc_h1.as_noise_only()], grid_2, grid_3, P2, P3)
-    [second] = compare_detectors([sc_h1], grid_2, grid_3, P2, P3)
+    first, nosignal = compare_detectors(sc, [-10.0, None], grid_2, grid_3, P2, P3)
+    [second] = compare_detectors(sc, [-10.0], grid_2, grid_3, P2, P3)
     assert first == second  # bit-for-bit reproducible, with or without other columns
 
-    [selfcmp] = compare_detectors([sc_h1], grid_2, grid_2, P2, P2)
+    [selfcmp] = compare_detectors(sc, [-10.0], grid_2, grid_2, P2, P2)
     assert all(r.delta == 0.0 and r.stderr_delta == 0.0 for r in selfcmp.rows)
 
     for row in nosignal.rows:
@@ -248,12 +241,9 @@ def test_acceptance_10_engine_equals_naive_loop():
     n, trials = 10, 500
     lam = _lam(n, 0.1)
     for channel, snr in ((CH_AWGN, 0.0), (CH_RAY, 0.0), (CH_AWGN, None), (CH_RAY, None)):
-        if snr is None:
-            sc = _h0(channel, trials, n=n)
-        else:
-            sc = _h1(channel, snr, trials, n=n)
-        engine_stats = trial_statistics(sc, P2)
-        engine_count = count_detections(sc, P2, lam)
+        sc = _sc(channel, trials, n=n)
+        engine_stats = trial_statistics(sc, P2, snr)
+        engine_count = count_detections(sc, P2, lam, snr)
         root = Stream.from_seed(SEED)
         naive_count = 0
         for t in range(trials):

@@ -35,8 +35,8 @@ def test_tracer_wraps_and_restores_by_identity(monkeypatch):
         # the CLI oracle helper resolves the oracle at call time, so the
         # wrapper sees the call
         sc = Scenario(channel=ChannelModel(RAYLEIGH), n_samples=4, trials=1, seed=0,
-                      signal=Bpsk(), snr_db=0.0)
-        cli._oracle_pd(sc, 5.0)
+                      signal=Bpsk())
+        cli._oracle_pd(sc, 0.0, 5.0)
         assert [s.name for s in tracer.spans].count("analytic.pd_rayleigh") == 1
     finally:
         tracer.restore()

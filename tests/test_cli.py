@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import sensesim
-from sensesim import montecarlo, reference
+from sensesim import cli, montecarlo, reference
 from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
@@ -291,6 +291,25 @@ def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting
     captured = capsys.readouterr()
     assert "validate checks only the normalized p=2 detector" in captured.err
     assert captured.out == ""
+
+
+def test_validate_checks_the_targets_it_is_given(monkeypatch, capsys):
+    lams = []
+    oracle = cli._oracle_pd
+
+    def spy(*args):
+        lams.append(args[-1])
+        return oracle(*args)
+
+    monkeypatch.setattr(cli, "_oracle_pd", spy)
+    assert run("validate", "--trials", "20000", "--pfa-targets", "0.3") == 0
+    out = capsys.readouterr().out
+    (h0_line,) = [line for line in out.splitlines() if "h0-false-alarm" in line]
+    assert h0_line.startswith("PASS") and h0_line.endswith("at targets 0.3")
+    assert "0.01" not in out
+    # both P_D oracles score every SNR at the one calibrated threshold
+    [lam] = grid_from_pfa_targets([0.3], DetectorSpec(p=2), 10).values
+    assert lams == [lam] * 6
 
 
 _HEAD = ["tool", "command", "seed", "trials", "samples", "channel", "noise_variance",

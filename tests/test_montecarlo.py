@@ -3,7 +3,6 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,64 +47,74 @@ CH_AWGN = ChannelModel(AWGN, 1.0)
 CH_RAY = ChannelModel(RAYLEIGH, 1.0)
 
 
-def _h1(channel=CH_AWGN, n=10, trials=2000, seed=7, signal=Bpsk(), snr_db=0.0):
-    return Scenario(
-        channel=channel, n_samples=n, trials=trials, seed=seed,
-        signal=signal, snr_db=snr_db,
-    )
+def _sc(channel=CH_AWGN, n=10, trials=2000, seed=7, signal=Bpsk()):
+    return Scenario(channel=channel, n_samples=n, trials=trials, seed=seed, signal=signal)
 
 
-def _compare(sc, targets, spec_a=P2, spec_b=P3, workers=1):
-    """compare_detectors on both detectors' grids, calibrated on sc's channel and seed."""
+def _compare(sc, snr, targets, spec_a=P2, spec_b=P3, workers=1):
+    """compare_detectors at one SNR (None: H0) on both detectors' grids,
+    calibrated on sc's channel and seed."""
     grid_a, grid_b = (
         grid_from_pfa_targets(targets, spec, sc.n_samples, channel=sc.channel, seed=sc.seed,
                               workers=workers)
         for spec in (spec_a, spec_b)
     )
-    [report] = compare_detectors([sc], grid_a, grid_b, spec_a, spec_b, workers=workers)
+    [report] = compare_detectors(sc, [snr], grid_a, grid_b, spec_a, spec_b, workers=workers)
     return report
 
 
-def _naive_statistics(sc: Scenario, spec: DetectorSpec) -> np.ndarray:
+def _naive_statistics(sc: Scenario, spec: DetectorSpec, snr_db=None) -> np.ndarray:
     """The per-trial reference loop of ``oracle_scalar``, one trial at a time."""
     root = Stream.from_seed(sc.seed)
     out = np.empty(sc.trials)
     for t in range(sc.trials):
         trial = root.child(TRIAL_DOMAIN, t)
-        y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
+        y, _ = received_frame(sc.signal, sc.channel, snr_db, sc.n_samples, trial)
         out[t] = statistic(y, spec, sc.channel.noise_std)
     return out
 
 
-@pytest.mark.parametrize("snr_db", [3083.0, -4000.0])
-def test_scenario_refuses_an_snr_without_a_positive_finite_power(snr_db):
-    # finite, but 10^(snr_db/10) overflows to inf or rounds to 0
-    with pytest.raises(ValueError, match="not a positive finite double"):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0,
-                 signal=Bpsk(), snr_db=snr_db)
+@pytest.mark.parametrize("snr_db", [float("nan"), 3083.0, -4000.0])
+@pytest.mark.parametrize("entry", ["roc_sweep", "pmd_table", "compare_detectors",
+                                   "trial_statistics"])
+def test_engine_entries_refuse_an_snr_without_a_positive_finite_power(monkeypatch, entry,
+                                                                      snr_db):
+    # NaN is not finite; 10^(3083/10) overflows to inf and 10^(-4000/10)
+    # rounds to 0.  Each is refused before any block is drawn.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the engine drew before checking its SNRs")
+
+    monkeypatch.setattr(montecarlo, "_stats_block", no_draw)
+    grid = ThresholdGrid((30.0, 10.0), pfa_targets=(0.01, 0.1))
+    call = {
+        "roc_sweep": lambda snrs: roc_sweep(_sc(), snrs, P2, grid),
+        "pmd_table": lambda snrs: pmd_table(_sc(), snrs, P2, grid),
+        "compare_detectors": lambda snrs: compare_detectors(_sc(), snrs, grid, grid, P2, P3),
+        "trial_statistics": lambda snrs: trial_statistics(_sc(), P2, *snrs),
+    }[entry]
+    with pytest.raises(ValueError, match="snr_db"):
+        call([snr_db])
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, snr_db=0.0)  # no signal
-    with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, signal=Bpsk())  # no SNR
-    with pytest.raises(ValueError):
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0,
-                 signal=Bpsk(), snr_db=float("inf"))
-    with pytest.raises(TypeError):  # noise-only is read from the signal, never set
-        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, noise_only=True)
+    with pytest.raises(TypeError):  # a scenario is a draw; SNRs go to the engine calls
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, signal=Bpsk(), snr_db=0.0)
     with pytest.raises(ValueError):
         Scenario(channel=CH_AWGN, n_samples=0, trials=10, seed=0)
     with pytest.raises(ValueError):
+        Scenario(channel=CH_AWGN, n_samples=10, trials=0, seed=0)
+    with pytest.raises(ValueError):
         Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=-1)
-    h0 = Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0)
-    assert h0.noise_only and h0.as_noise_only() == h0
-    sc = _h1()
-    assert not sc.noise_only
-    twin = sc.as_noise_only()
-    assert twin.noise_only and twin.signal is None and twin.snr_db is None
-    assert (twin.seed, twin.trials, twin.n_samples) == (sc.seed, sc.trials, sc.n_samples)
+    with pytest.raises(ValueError):
+        Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0, signal="bpsk")
+    assert Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0).signal is None
+
+
+def test_an_snr_needs_a_signal_model():
+    h0_only = Scenario(channel=CH_AWGN, n_samples=10, trials=10, seed=0)
+    trial_statistics(h0_only, P2)  # the noise-only column needs no signal
+    with pytest.raises(ValueError, match="needs a signal model"):
+        trial_statistics(h0_only, P2, 0.0)
 
 
 def test_threshold_grid_validation():
@@ -144,93 +153,84 @@ def test_empirical_grid_for_p3_is_decreasing():
 
 
 def test_trivial_thresholds():
-    sc0 = _h1().as_noise_only()
-    assert estimate_pfa(sc0, P2, 0.0).pfa == 1.0  # ties decide H1
-    assert estimate_pfa(sc0, P2, 1e12).pfa == 0.0
-    sc1 = _h1()
-    assert estimate_pmd(sc1, P2, 0.0).pmd == 0.0
-    assert estimate_pmd(sc1, P2, 1e12).pmd == 1.0
+    sc = _sc()
+    assert estimate_pfa(sc, P2, 0.0).pfa == 1.0  # ties decide H1
+    assert estimate_pfa(sc, P2, 1e12).pfa == 0.0
+    assert estimate_pmd(sc, P2, 0.0, 0.0).pmd == 0.0
+    assert estimate_pmd(sc, P2, 1e12, 0.0).pmd == 1.0
     with pytest.raises(ValueError):
-        count_detections(sc0, P2, -1.0)
+        count_detections(sc, P2, -1.0)
     with pytest.raises(ValueError):
-        count_detections(sc0, P2, float("nan"))
-
-
-def test_estimator_hypothesis_guards():
-    sc1 = _h1()
-    with pytest.raises(ValueError):
-        estimate_pfa(sc1, P2, 1.0)
-    with pytest.raises(ValueError):
-        estimate_pmd(sc1.as_noise_only(), P2, 1.0)
+        count_detections(sc, P2, float("nan"))
 
 
 def test_rates_are_exact_count_ratios():
-    sc0 = _h1(trials=1000).as_noise_only()
+    sc = _sc(trials=1000)
     lam = calibrate_threshold(P2, 10, [0.1])[0].threshold
-    pt = estimate_pfa(sc0, P2, lam)
-    assert pt.pfa == count_detections(sc0, P2, lam) / 1000
-    sc1 = _h1(trials=1000)
-    pm = estimate_pmd(sc1, P2, lam)
-    assert pm.pmd == (1000 - count_detections(sc1, P2, lam)) / 1000
+    pt = estimate_pfa(sc, P2, lam)
+    assert pt.pfa == count_detections(sc, P2, lam) / 1000
+    pm = estimate_pmd(sc, P2, lam, 0.0)
+    assert pm.pmd == (1000 - count_detections(sc, P2, lam, 0.0)) / 1000
     assert pm.pd + pm.pmd == 1.0
 
 
 def test_engine_matches_naive_loop_awgn():
+    sc = _sc(trials=300, n=5)
     for spec in (P2, P3):
-        for sc in (_h1(trials=300, n=5), _h1(trials=300, n=5).as_noise_only()):
+        for snr in (0.0, None):
             assert np.array_equal(
-                trial_statistics(sc, spec), _naive_statistics(sc, spec)
+                trial_statistics(sc, spec, snr), _naive_statistics(sc, spec, snr)
             )
 
 
 def test_engine_matches_naive_loop_rayleigh():
-    sc = _h1(channel=CH_RAY, trials=300, n=5, seed=11, snr_db=-3.0)
+    sc = _sc(channel=CH_RAY, trials=300, n=5, seed=11)
     for spec in (P2, P3):
-        assert np.array_equal(trial_statistics(sc, spec), _naive_statistics(sc, spec))
+        assert np.array_equal(trial_statistics(sc, spec, -3.0),
+                              _naive_statistics(sc, spec, -3.0))
 
 
 def test_engine_matches_naive_loop_other_signals():
     for signal in (GaussianIid(power=2.0), Sinusoid(power=1.0, cycles_per_frame=2.0)):
-        sc = _h1(signal=signal, trials=200, n=6, seed=13)
-        assert np.array_equal(trial_statistics(sc, P2), _naive_statistics(sc, P2))
+        sc = _sc(signal=signal, trials=200, n=6, seed=13)
+        assert np.array_equal(trial_statistics(sc, P2, 0.0), _naive_statistics(sc, P2, 0.0))
 
 
 def test_engine_matches_naive_loop_unnormalized_noise_power():
-    sc = _h1(channel=ChannelModel(AWGN, 2.5), trials=200, n=4, seed=17)
+    sc = _sc(channel=ChannelModel(AWGN, 2.5), trials=200, n=4, seed=17)
     spec = DetectorSpec(p=2, normalized=False)
-    assert np.array_equal(trial_statistics(sc, spec), _naive_statistics(sc, spec))
+    assert np.array_equal(trial_statistics(sc, spec, 0.0), _naive_statistics(sc, spec, 0.0))
 
 
 def test_worker_count_never_changes_values():
     # frame long enough to split the run into several blocks
-    sc = _h1(trials=3000, n=2000, seed=23)
-    base = trial_statistics(sc, P2)
+    sc = _sc(trials=3000, n=2000, seed=23)
+    base = trial_statistics(sc, P2, 0.0)
     for workers in (2, 4, 7):
-        assert np.array_equal(base, trial_statistics(sc, P2, workers=workers))
+        assert np.array_equal(base, trial_statistics(sc, P2, 0.0, workers=workers))
 
 
 def test_multi_block_boundaries_match_scalar_recipe():
-    sc = _h1(trials=3000, n=2000, seed=23)
-    stats = trial_statistics(sc, P2)
+    sc = _sc(trials=3000, n=2000, seed=23)
+    stats = trial_statistics(sc, P2, 0.0)
     root = Stream.from_seed(sc.seed)
     for t in (0, 2047, 2048, 2999):  # straddle an internal block edge (32-trial blocks)
         trial = root.child(TRIAL_DOMAIN, t)
-        y, _ = received_frame(sc.signal, sc.channel, sc.snr_db, sc.n_samples, trial)
+        y, _ = received_frame(sc.signal, sc.channel, 0.0, sc.n_samples, trial)
         assert stats[t] == statistic(y, P2, sc.channel.noise_std)
 
 
 def test_determinism_and_seed_sensitivity():
-    a = trial_statistics(_h1(seed=1), P2)
-    b = trial_statistics(_h1(seed=1), P2)
-    c = trial_statistics(_h1(seed=2), P2)
+    a = trial_statistics(_sc(seed=1), P2, 0.0)
+    b = trial_statistics(_sc(seed=1), P2, 0.0)
+    c = trial_statistics(_sc(seed=2), P2, 0.0)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_calibration_domain_is_disjoint_from_trials():
     cal = calibration_h0_statistics(P2, 10, 2000, seed=7)
-    sc0 = _h1(trials=2000).as_noise_only()
-    trial = trial_statistics(sc0, P2)
+    trial = trial_statistics(_sc(trials=2000), P2)
     assert cal.shape == trial.shape
     assert not np.array_equal(cal, trial)
     # and the calibration stream is its own naive recipe, domain swapped
@@ -242,44 +242,23 @@ def test_calibration_domain_is_disjoint_from_trials():
 
 
 def test_roc_sweep_is_exactly_monotone():
-    sc1 = _h1(trials=20_000)
+    sc = _sc(trials=20_000)
     grid = default_threshold_grid(P2, 10)
-    (curve,) = roc_sweep([sc1], P2, grid)
+    (curve,) = roc_sweep(sc, [0.0], P2, grid)
     assert len(curve.points) == 26
     assert np.all(np.diff(curve.pfa) >= 0.0)  # shared trials: no wiggle at all
     assert np.all(np.diff(curve.pd) >= 0.0)
+    with pytest.raises(ValueError):  # H0 is scored on every call, never named
+        roc_sweep(sc, [None], P2, grid)
     with pytest.raises(ValueError):
-        roc_sweep([sc1.as_noise_only()], P2, grid)
-    # several H1 columns differ in snr_db only
-    with pytest.raises(ValueError):
-        roc_sweep([sc1, _h1(trials=20_000, signal=GaussianIid())], P2, grid)
-    with pytest.raises(ValueError):
-        roc_sweep([], P2, grid)
-
-
-def test_run_blocks_needs_one_shared_draw():
-    # every column is drawn from the first one's seed, trials, frame
-    # length, channel and signal: H0 must be the exact noise-only twin
-    # and all signal columns must carry the same model
-    sc1 = _h1(trials=200)
-    h0 = sc1.as_noise_only()
-    mismatched = (_h1(trials=200, seed=8), _h1(trials=100), _h1(trials=200, n=12),
-                  _h1(trials=200, channel=CH_RAY))
-    for columns in (
-        *((h0, other) for other in mismatched),
-        *((sc1, other) for other in mismatched),
-        (h0, sc1, _h1(trials=200, signal=GaussianIid())),
-    ):
-        with pytest.raises(ValueError):
-            montecarlo._run_blocks(columns, (P2,), TRIAL_DOMAIN, 1)
-    montecarlo._run_blocks((h0, sc1, _h1(trials=200, snr_db=5.0)), (P2,), TRIAL_DOMAIN, 1)
+        roc_sweep(sc, [], P2, grid)
 
 
 def test_roc_sweep_over_columns_equals_one_call_per_column():
     grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, 10)
-    columns = [_h1(channel=CH_RAY, trials=3000, snr_db=s) for s in (10.0, -10.0, 0.0)]
-    curves = roc_sweep(columns, P2, grid)
-    assert curves == [roc_sweep([sc], P2, grid)[0] for sc in columns]
+    sc, snrs = _sc(channel=CH_RAY, trials=3000), (10.0, -10.0, 0.0)
+    curves = roc_sweep(sc, snrs, P2, grid)
+    assert curves == [roc_sweep(sc, [snr], P2, grid)[0] for snr in snrs]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -287,17 +266,15 @@ def test_roc_sweep_over_columns_equals_one_call_per_column():
 def test_compare_over_columns_equals_one_call_per_column(workers, channel):
     grid_a, grid_b = (grid_from_pfa_targets([0.01, 0.1, 0.5], spec, 10, channel=channel)
                       for spec in (P2, P3))
-    columns = [_h1(channel=channel, trials=3000, snr_db=s) for s in (10.0, -10.0, 0.0)]
-    columns.insert(1, columns[0].as_noise_only())
-    reports = compare_detectors(columns, grid_a, grid_b, P2, P3, workers=workers)
-    assert reports == [compare_detectors([sc], grid_a, grid_b, P2, P3, workers=workers)[0]
-                       for sc in columns]
+    sc, snrs = _sc(channel=channel, trials=3000), (10.0, None, -10.0, 0.0)
+    reports = compare_detectors(sc, snrs, grid_a, grid_b, P2, P3, workers=workers)
+    assert reports == [compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)[0]
+                       for snr in snrs]
 
 
 def test_pmd_table_structure_and_reference_hookup():
     grid = default_threshold_grid(P2, 10)
-    columns = [_h1(trials=20_000, snr_db=s, seed=19) for s in (-10.0, 0.0, 10.0)]
-    table = pmd_table(columns, P2, grid)
+    table = pmd_table(_sc(trials=20_000, seed=19), (-10.0, 0.0, 10.0), P2, grid)
     assert table.values.shape == (26, 3)
     assert not table.values.flags.writeable
     # down-column trend is exact under shared trials
@@ -306,28 +283,13 @@ def test_pmd_table_structure_and_reference_hookup():
 
 def test_pmd_table_input_validation():
     grid = default_threshold_grid(P2, 10)
-    with pytest.raises(ValueError):
-        pmd_table([], P2, grid)
-    with pytest.raises(ValueError):
-        pmd_table([_h1().as_noise_only()], P2, grid)
-    with pytest.raises(ValueError):
-        pmd_table([_h1(snr_db=0.0), _h1(snr_db=-10.0)], P2, grid)
-    with pytest.raises(ValueError):
-        pmd_table([_h1(snr_db=0.0), _h1(snr_db=10.0, n=12)], P2, grid)
-    # columns share one draw, so they may differ in snr_db only
-    for other in (
-        _h1(snr_db=10.0, seed=8),
-        _h1(snr_db=10.0, trials=1000),
-        _h1(snr_db=10.0, channel=CH_RAY),
-        _h1(snr_db=10.0, signal=GaussianIid()),
-    ):
+    for snrs in ([], [None], [0.0, None], [0.0, -10.0], [0.0, 0.0]):
         with pytest.raises(ValueError):
-            pmd_table([_h1(snr_db=0.0), other], P2, grid)
+            pmd_table(_sc(), snrs, P2, grid)
 
 
 def test_compare_same_spec_gives_exact_zero():
-    sc1 = _h1(trials=20_000)
-    report = _compare(sc1, [0.01, 0.1], spec_a=P2, spec_b=P2)
+    report = _compare(_sc(trials=20_000), 0.0, [0.01, 0.1], spec_a=P2, spec_b=P2)
     for row in report.rows:
         assert row.delta == 0.0
         assert row.stderr_delta == 0.0
@@ -336,10 +298,10 @@ def test_compare_same_spec_gives_exact_zero():
     assert "no measured difference" in report.sign_summary()
 
 
-def _compare_reference(sc, grid_a, grid_b, spec_a, spec_b):
+def _compare_reference(sc, snr, grid_a, grid_b, spec_a, spec_b):
     """(pmd_a, pmd_b, delta, stderr_delta) per target from per-trial miss
     masks: the sample variance of the paired miss difference."""
-    stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b)
+    stats_a, stats_b = trial_statistics_pair(sc, spec_a, spec_b, snr)
     rows = []
     for lam_a, lam_b in zip(grid_a.values, grid_b.values):
         miss_a, miss_b = stats_a < lam_a, stats_b < lam_b
@@ -352,20 +314,21 @@ def _compare_reference(sc, grid_a, grid_b, spec_a, spec_b):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
-@pytest.mark.parametrize("sc", [
-    _h1(trials=20_000, snr_db=-5.0),
-    _h1(n=1, trials=7_777, snr_db=3.0, seed=10),
-    _h1(n=37, trials=3_001, snr_db=-10.0, seed=11).as_noise_only(),
+@pytest.mark.parametrize("n, trials, seed, snr", [
+    (10, 20_000, 7, -5.0),
+    (1, 7_777, 10, 3.0),
+    (37, 3_001, 11, None),
 ], ids=["n10", "n1", "n37-noise-only"])
-def test_compare_counts_equal_the_per_trial_reference(monkeypatch, workers, channel, sc):
-    sc = replace(sc, channel=channel)
+def test_compare_counts_equal_the_per_trial_reference(monkeypatch, workers, channel, n, trials,
+                                                      seed, snr):
+    sc = _sc(channel=channel, n=n, trials=trials, seed=seed)
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 999)  # ragged blocks
     grid_a, grid_b = (grid_from_pfa_targets([0.001, 0.01, 0.05, 0.1, 0.5], spec,
                                             sc.n_samples, channel=channel)
                       for spec in (P2, P3))
-    [report] = compare_detectors([sc], grid_a, grid_b, P2, P3, workers=workers)
+    [report] = compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)
     for row, (pmd_a, pmd_b, delta, stderr) in zip(
-        report.rows, _compare_reference(sc, grid_a, grid_b, P2, P3)
+        report.rows, _compare_reference(sc, snr, grid_a, grid_b, P2, P3)
     ):
         assert (row.pmd_a, row.pmd_b, row.delta) == (pmd_a, pmd_b, delta)
         assert abs(row.stderr_delta - stderr) <= 1e-15 * stderr
@@ -385,15 +348,14 @@ def test_compare_verdict_names_the_measured_detector():
 
 
 def test_compare_is_bitwise_reproducible():
-    sc1 = _h1(trials=20_000, snr_db=-10.0)
-    a = _compare(sc1, [0.01, 0.1])
-    b = _compare(sc1, [0.01, 0.1])
+    sc = _sc(trials=20_000)
+    a = _compare(sc, -10.0, [0.01, 0.1])
+    b = _compare(sc, -10.0, [0.01, 0.1])
     assert a == b  # frozen dataclasses of floats: bit-for-bit equality
 
 
 def test_compare_no_signal_shows_no_difference():
-    sc0 = _h1(trials=50_000).as_noise_only()
-    report = _compare(sc0, [0.1])
+    report = _compare(_sc(trials=50_000), None, [0.1])
     row = report.rows[0]
     # both detectors run at the same false-alarm budget on pure noise:
     # each misses at about 1 - target, and the paired delta straddles 0
@@ -403,8 +365,8 @@ def test_compare_no_signal_shows_no_difference():
 
 
 def test_compare_rows_follow_targets():
-    sc1 = _h1(trials=10_000, snr_db=0.0)
-    report = _compare(sc1, [0.01, 0.1])
+    sc = _sc(trials=10_000)
+    report = _compare(sc, 0.0, [0.01, 0.1])
     assert [r.target_pfa for r in report.rows] == [0.01, 0.1]
     r_strict, r_loose = report.rows
     assert r_strict.lambda_a > r_loose.lambda_a
@@ -412,40 +374,36 @@ def test_compare_rows_follow_targets():
     assert r_strict.pmd_a >= r_loose.pmd_a
     assert report.sign_summary().count("\n") == 1
     with pytest.raises(ValueError):
-        _compare(sc1, [0.0])
+        _compare(sc, 0.0, [0.0])
     # the two grids must be calibrated to the same targets
     grid_a = grid_from_pfa_targets([0.01, 0.1], P2, 10)
     for grid_b in (grid_from_pfa_targets([0.01, 0.2], P3, 10), ThresholdGrid((30.0, 20.0))):
         with pytest.raises(ValueError):
-            compare_detectors([sc1], grid_a, grid_b, P2, P3)
+            compare_detectors(sc, [0.0], grid_a, grid_b, P2, P3)
         with pytest.raises(ValueError):
-            compare_detectors([sc1], grid_b, grid_a, P3, P2)
+            compare_detectors(sc, [0.0], grid_b, grid_a, P3, P2)
     with pytest.raises(ValueError):
-        compare_detectors([], grid_a, grid_a, P2, P2)
-    # columns share one draw, so they may differ in snr_db only
-    with pytest.raises(ValueError):
-        compare_detectors([sc1, _h1(trials=10_000, seed=8)], grid_a, grid_a, P2, P2)
+        compare_detectors(sc, [], grid_a, grid_a, P2, P2)
 
 
 def test_pair_statistics_share_frames():
-    sc1 = _h1(trials=500)
-    sa, sb = trial_statistics_pair(sc1, P2, P3)
-    assert np.array_equal(sa, trial_statistics(sc1, P2))
-    assert np.array_equal(sb, trial_statistics(sc1, P3))
+    sc = _sc(trials=500)
+    sa, sb = trial_statistics_pair(sc, P2, P3, 0.0)
+    assert np.array_equal(sa, trial_statistics(sc, P2, 0.0))
+    assert np.array_equal(sb, trial_statistics(sc, P3, 0.0))
 
 
 def test_common_noise_pairs_hypotheses():
     # H0 and H1 of one seed share their noise draws trial for trial:
     # subtracting the known signal part of each H1 frame recovers H0 exactly
-    sc1 = _h1(trials=50, n=8, seed=31)
-    sc0 = sc1.as_noise_only()
-    root = Stream.from_seed(sc1.seed)
-    for t in range(sc1.trials):
+    sc = _sc(trials=50, n=8, seed=31)
+    root = Stream.from_seed(sc.seed)
+    for t in range(sc.trials):
         trial = root.child(TRIAL_DOMAIN, t)
-        x = frame(sc1.signal, sc1.n_samples, trial)
-        y1, h = received_frame(sc1.signal, sc1.channel, sc1.snr_db, sc1.n_samples, trial)
-        y0, _ = received_frame(sc1.signal, sc1.channel, None, sc1.n_samples, trial)
-        amp = h * math.sqrt(1.0 * sc1.channel.noise_variance)
+        x = frame(sc.signal, sc.n_samples, trial)
+        y1, h = received_frame(sc.signal, sc.channel, 0.0, sc.n_samples, trial)
+        y0, _ = received_frame(sc.signal, sc.channel, None, sc.n_samples, trial)
+        amp = h * math.sqrt(1.0 * sc.channel.noise_variance)
         assert np.array_equal(y1, amp * x + y0)
 
 
@@ -456,16 +414,15 @@ def test_common_noise_pairs_hypotheses():
 )
 def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, signal):
     specs = (P2, P3)
-    columns = [_h1(channel=channel, n=5, trials=101, seed=29, signal=signal, snr_db=s)
-               for s in (-5.0, 0.0, 7.0)]
-    h0 = columns[0].as_noise_only()
-    stats = [trial_statistics(sc, spec) for sc in (h0, *columns) for spec in specs]
+    sc = _sc(channel=channel, n=5, trials=101, seed=29, signal=signal)
+    snrs = (None, -5.0, 0.0, 7.0)
+    stats = [trial_statistics(sc, spec, snr) for snr in snrs for spec in specs]
     # thresholds equal to trial statistics pin "ties detect" in every column
     ties = np.concatenate([s[[0, 40, 100]] for s in stats])
     lams = tuple(np.unique(np.concatenate([ties, [0.0, 1e9]]))[::-1].tolist())
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 16 * 5)  # six 16-trial blocks, then a ragged 5
     counts = montecarlo._run_blocks(
-        (h0, *columns), specs, TRIAL_DOMAIN, workers, montecarlo._threshold_counts(lams)
+        sc, snrs, specs, TRIAL_DOMAIN, workers, montecarlo._threshold_counts(lams)
     )
     expected = [[np.count_nonzero(s >= lam) for lam in lams] for s in stats]
     assert counts.tolist() == expected
@@ -476,18 +433,18 @@ def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, sig
     k = min(len(g) for g in grids)
     lams_a, lams_b = (tuple(g[::-1][:k].tolist()) for g in grids)
     reduce = montecarlo._paired_counts(lams_a, lams_b)
-    for col, s_a, s_b in zip((h0, *columns), stats[0::2], stats[1::2]):
+    for snr, s_a, s_b in zip(snrs, stats[0::2], stats[1::2]):
         hit_a = s_a[:, None] >= np.array(lams_a)
         hit_b = s_b[:, None] >= np.array(lams_b)
         expected = [np.count_nonzero(h, axis=0).tolist() for h in (hit_a, hit_b, hit_a ^ hit_b)]
-        assert montecarlo._run_blocks((col,), specs, TRIAL_DOMAIN, workers, reduce).tolist() \
-            == [expected]
+        assert montecarlo._run_blocks(sc, (snr,), specs, TRIAL_DOMAIN, workers, reduce) \
+            .tolist() == [expected]
 
 
 @pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
 def test_block_size_and_workers_never_change_results(monkeypatch, channel):
     n = 10
-    columns = [_h1(channel=channel, n=n, trials=500, seed=31, snr_db=s) for s in (-3.0, 4.0)]
+    sc, snrs = _sc(channel=channel, n=n, trials=500, seed=31), (-3.0, 4.0)
     grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, n)
     results = []
     interval = sys.getswitchinterval()
@@ -496,10 +453,10 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
         for samples in (n, 7 * n, 1 << 16):  # 1-trial, 7-trial and single blocks
             monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
             for workers in (1, 2, 3):
-                table = pmd_table(columns, P2, grid, workers=workers)
+                table = pmd_table(sc, snrs, P2, grid, workers=workers)
                 h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
                                                workers=workers)
-                results.append((roc_sweep(columns, P2, grid, workers=workers),
+                results.append((roc_sweep(sc, snrs, P2, grid, workers=workers),
                                 table.values.tolist(), h0.tolist()))
     finally:
         sys.setswitchinterval(interval)
@@ -517,13 +474,13 @@ def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers, swee
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", block * n)
     grid = ThresholdGrid((30.0, 10.0, 3.0), pfa_targets=(0.01, 0.1, 0.5))
     run = {
-        "roc_sweep": lambda sc: roc_sweep([sc], P2, grid, workers=workers),
-        "compare_detectors": lambda sc: compare_detectors([sc], grid, grid, P2, P3,
+        "roc_sweep": lambda sc: roc_sweep(sc, [0.0], P2, grid, workers=workers),
+        "compare_detectors": lambda sc: compare_detectors(sc, [0.0], grid, grid, P2, P3,
                                                           workers=workers),
     }[sweep]
 
     def peak(count):
-        sc = _h1(n=n, trials=block * count, seed=5)
+        sc = _sc(n=n, trials=block * count, seed=5)
         tracemalloc.start()
         try:
             run(sc)
@@ -548,10 +505,9 @@ def test_blocks_reuse_their_buffers_without_page_faults(p):
     spec = DetectorSpec(p=p)
 
     def faults(blocks):
-        columns = [_h1(channel=CH_RAY, n=n, trials=blocks * size, seed=1, snr_db=s)
-                   for s in (-10.0, 0.0, 10.0)]
+        sc = _sc(channel=CH_RAY, n=n, trials=blocks * size, seed=1)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        roc_sweep(columns, spec, grid)
+        roc_sweep(sc, (-10.0, 0.0, 10.0), spec, grid)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     faults(10)  # warm up
