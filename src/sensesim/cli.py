@@ -6,8 +6,11 @@ per subcommand: its handler, help text and default false-alarm targets.
 header echo and, for a setting with a flag, the flag's help text.
 ``build_parser`` makes every subcommand and every flag from them, so
 ``sensesim --help`` lists what the rows declare.  Every simulating
-command draws each trial block once per channel and scores H0 and all
-its SNRs from that draw, in one engine pass.
+command builds its run once (the threshold grid and one draw per
+channel) and scores H0 and all its SNRs from that draw, in one engine
+pass.  Every result file goes through one writer, :func:`_write`: a
+handler hands it the header lines, the rows and a plot callable, which
+runs only under ``--svg``.
 
 Configuration comes from an INI file plus flag overrides (flags win over
 the file; the SENSESIM_SEED environment variable sits below both; built-in
@@ -191,7 +194,7 @@ def _validate_config(cfg: dict) -> None:
     if cfg["signal"] not in SIGNAL_MODELS:
         names = ", ".join(repr(name) for name in SIGNAL_MODELS)
         raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
-    _build_channel(cfg)  # refused here, before any command prints or draws
+    _scenario(cfg)  # a bad channel or signal is refused before any command prints or draws
     tagged: dict[str, float] = {}  # the SNRs are distinct by now
     for snr in cfg["snr_db"]:
         snr_to_linear(snr)
@@ -200,10 +203,6 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"snr_db values {tagged[tag]!r} and {snr!r} share "
                               f"the file and column tag {tag!r}")
         tagged[tag] = snr
-
-
-def _build_channel(cfg: dict) -> ChannelModel:
-    return ChannelModel(cfg["channel"], cfg["noise_variance"])
 
 
 def _build_signal(cfg: dict):
@@ -215,11 +214,13 @@ def _build_spec(cfg: dict) -> DetectorSpec:
     return DetectorSpec(p=cfg["detector_p"], normalized=cfg["normalized"])
 
 
-def _scenario(cfg: dict, channel: ChannelModel) -> Scenario:
-    """The configured draw on ``channel``, from which every SNR is formed."""
+def _scenario(cfg: dict, kind: str | None = None) -> Scenario:
+    """The configured draw, on channel ``kind`` when given, from which
+    every SNR is formed."""
     return Scenario(
-        channel=channel, n_samples=cfg["samples"], trials=cfg["trials"],
-        seed=cfg["seed"], signal=_build_signal(cfg),
+        channel=ChannelModel(kind or cfg["channel"], cfg["noise_variance"]),
+        n_samples=cfg["samples"], trials=cfg["trials"], seed=cfg["seed"],
+        signal=_build_signal(cfg),
     )
 
 
@@ -243,12 +244,6 @@ def _oracle_pd(sc: Scenario, snr: float, lam: float) -> float | None:
     return pd_rayleigh_analytic(sc.n_samples, gamma, lam)
 
 
-def _write_svg(path: str, series, **labels) -> None:
-    with open(path, "w") as handle:
-        handle.write(line_plot(series, **labels))
-    print(f"wrote {path}")
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
@@ -257,24 +252,37 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _meta(cfg: dict, command: str) -> dict:
+def _meta(cfg: dict, command: str, snr: float | None = None) -> dict:
+    """The header lines of a result file; a per-SNR file names its SNR."""
     meta = {"tool": f"sensesim {__version__}", "command": command}
     model_fields = {f.name for f in fields(SIGNAL_MODELS[cfg["signal"]])}
     for s in _SETTINGS:
         if s.echo and (s.section == "run" or s.key == "kind" or s.key in model_fields):
             meta[s.name] = _fmt_value(cfg[s.name])
+    if snr is not None:
+        meta["snr_db_this_file"] = _fmt_value(float(snr))
     return meta
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None) -> None:
+    """Write ``stem.csv`` into the output directory: ``meta`` as ``# key=value``
+    lines, then ``header`` and ``rows``.  Under ``--svg`` also write
+    ``stem.svg`` from ``plot()``, which returns the series and the
+    labels of :func:`line_plot`; no other run pays for the plot."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    path = os.path.join(cfg["out"], stem)
+    with open(path + ".csv", "w", newline="") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_value(v) for v in row])
-    print(f"wrote {path}")
+        writer.writerows([_fmt_value(v) for v in row] for row in rows)
+    print(f"wrote {path}.csv")
+    if cfg["svg"] and plot is not None:
+        series, labels = plot()
+        with open(path + ".svg", "w") as handle:
+            handle.write(line_plot(series, **labels))
+        print(f"wrote {path}.svg")
 
 
 def read_result_csv(path: str) -> tuple[dict, list[dict]]:
@@ -294,11 +302,10 @@ def read_result_csv(path: str) -> tuple[dict, list[dict]]:
     return meta, rows
 
 
-def _grid_for(cfg: dict, spec: DetectorSpec, targets) -> ThresholdGrid:
-    channel = _build_channel(cfg)
+def _grid_for(cfg: dict, spec: DetectorSpec) -> ThresholdGrid:
     return grid_from_pfa_targets(
-        targets, spec, cfg["samples"],
-        channel=channel, cal_trials=cfg["cal_trials"], seed=cfg["seed"],
+        cfg["pfa_targets"], spec, cfg["samples"],
+        channel=_scenario(cfg).channel, cal_trials=cfg["cal_trials"], seed=cfg["seed"],
         workers=cfg["workers"],
     )
 
@@ -309,151 +316,107 @@ def _snr_tag(snr: float) -> str:
 
 def cmd_roc(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    channel = _build_channel(cfg)
-    grid = _grid_for(cfg, spec, cfg["pfa_targets"])
-    sc = _scenario(cfg, channel)
+    grid = _grid_for(cfg, spec)
+    sc = _scenario(cfg)
     curves = roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
-    os.makedirs(cfg["out"], exist_ok=True)
     for snr, curve in zip(cfg["snr_db"], curves):
-        stem = f"roc_{cfg['channel']}_{_snr_tag(snr)}"
-        path = os.path.join(cfg["out"], stem + ".csv")
-        rows = [
-            [lam, pt.pfa, pt.stderr_pfa, pt.pd, pt.stderr_pd]
-            for lam, pt in curve.points
-        ]
-        meta = _meta(cfg, "roc")
-        meta["snr_db_this_file"] = _fmt_value(float(snr))
-        _write_csv(path, meta, ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows)
-        if cfg["svg"]:
-            # log-x only while every empirical pfa is strictly positive;
-            # short runs can hit 0 false alarms at the tightest thresholds
-            use_logx = bool(np.all(curve.pfa > 0.0))
+
+        def plot():
             series = [Series(curve.pfa, curve.pd, label="simulated")]
             if spec == _ORACLE_SPEC:
-                lams = list(curve.thresholds)
-                ana_pd = [_oracle_pd(sc, snr, lam) for lam in lams]
+                ana_pd = [_oracle_pd(sc, snr, lam) for lam in curve.thresholds]
                 if None not in ana_pd:
-                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in lams]
+                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in curve.thresholds]
                     series.append(Series(ana_pfa, ana_pd, label="analytic"))
-            _write_svg(
-                os.path.join(cfg["out"], stem + ".svg"), series,
-                title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
-                xlabel="P_FA", ylabel="P_D", logx=use_logx,
-            )
+            # log-x only while every empirical pfa is strictly positive;
+            # short runs can hit 0 false alarms at the tightest thresholds
+            return series, dict(title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
+                                xlabel="P_FA", ylabel="P_D",
+                                logx=bool(np.all(curve.pfa > 0.0)))
+
+        rows = [[lam, pt.pfa, pt.stderr_pfa, pt.pd, pt.stderr_pd] for lam, pt in curve.points]
+        _write(cfg, f"roc_{cfg['channel']}_{_snr_tag(snr)}", _meta(cfg, "roc", snr),
+               ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows, plot)
     return 0
 
 
 def cmd_pmd_table(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    channel = _build_channel(cfg)
-    grid = _grid_for(cfg, spec, cfg["pfa_targets"])
-    table = pmd_table(_scenario(cfg, channel), sorted(cfg["snr_db"]), spec, grid,
+    grid = _grid_for(cfg, spec)
+    table = pmd_table(_scenario(cfg), sorted(cfg["snr_db"]), spec, grid,
                       workers=cfg["workers"])
-    os.makedirs(cfg["out"], exist_ok=True)
-    stem = os.path.join(cfg["out"], f"pmd_table_p{spec.p}_{cfg['channel']}")
-    path = stem + ".csv"
-
+    snrs = table.snr_list_db
     header = ["threshold_index", "lambda"]
-    for snr in table.snr_list_db:
+    for snr in snrs:
         header += [f"pmd_{_snr_tag(snr)}", f"stderr_{_snr_tag(snr)}"]
-    embed_reference = (
-        len(grid.values) == reference.REFERENCE_ROWS
-        and tuple(table.snr_list_db) == reference.REFERENCE_SNR_DB
-    )
     meta = _meta(cfg, "pmd-table")
-    if embed_reference:
-        for snr in reference.REFERENCE_SNR_DB:
-            header.append(f"ref_squaring_{_snr_tag(snr)}")
-        for snr in reference.REFERENCE_SNR_DB:
-            header.append(f"ref_cubing_{_snr_tag(snr)}")
-        meta["reference_tables"] = (
-            "bundled squaring/cubing reference P_MD, trend comparison only"
-        )
+    refs = []
+    if len(grid.values) == reference.REFERENCE_ROWS and snrs == reference.REFERENCE_SNR_DB:
+        refs = [reference.conventional_array(), reference.improved_array()]
+        header += [f"ref_{name}_{_snr_tag(snr)}" for name in ("squaring", "cubing") for snr in snrs]
+        meta["reference_tables"] = "bundled squaring/cubing reference P_MD, trend comparison only"
     else:
         meta["reference_tables"] = (
             "omitted: grid or SNR list does not match the 26x3 reference shape"
         )
     rows = []
-    ref_sq = reference.conventional_array()
-    ref_cu = reference.improved_array()
     for r, lam in enumerate(grid.values):
         row = [r + 1, lam]
-        for c in range(len(table.snr_list_db)):
+        for c in range(len(snrs)):
             row += [float(table.values[r, c]), float(table.stderr[r, c])]
-        if embed_reference:
-            row += [float(v) for v in ref_sq[r]]
-            row += [float(v) for v in ref_cu[r]]
+        for ref in refs:
+            row += [float(v) for v in ref[r]]
         rows.append(row)
-    _write_csv(path, meta, header, rows)
-    if cfg["svg"]:
+
+    def plot():
         idx = list(range(1, len(grid.values) + 1))
         series = [
             Series(idx, table.values[:, c], label=f"{snr:g} dB")
-            for c, snr in enumerate(table.snr_list_db)
+            for c, snr in enumerate(snrs)
         ]
-        _write_svg(
-            stem + ".svg", series,
-            title=f"P_MD table, p={spec.p}, {cfg['channel']}",
-            xlabel="threshold index", ylabel="P_MD",
-        )
+        return series, dict(title=f"P_MD table, p={spec.p}, {cfg['channel']}",
+                            xlabel="threshold index", ylabel="P_MD")
+
+    _write(cfg, f"pmd_table_p{spec.p}_{cfg['channel']}", meta, header, rows, plot)
     return 0
 
 
 def cmd_compare(cfg: dict) -> int:
-    channel = _build_channel(cfg)
     spec_a, spec_b = DetectorSpec(p=2), DetectorSpec(p=3)
-    grid_a = _grid_for(cfg, spec_a, cfg["pfa_targets"])
-    grid_b = _grid_for(cfg, spec_b, cfg["pfa_targets"])
-    reports = compare_detectors(_scenario(cfg, channel), cfg["snr_db"], grid_a, grid_b,
+    grid_a, grid_b = _grid_for(cfg, spec_a), _grid_for(cfg, spec_b)
+    reports = compare_detectors(_scenario(cfg), cfg["snr_db"], grid_a, grid_b,
                                 spec_a, spec_b, workers=cfg["workers"])
-    os.makedirs(cfg["out"], exist_ok=True)
+    header = ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
+              "delta", "stderr_delta"]
     for snr, report in zip(cfg["snr_db"], reports):
-        meta = _meta(cfg, "compare")
+        meta = _meta(cfg, "compare", snr)
         del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
-        meta["snr_db_this_file"] = _fmt_value(float(snr))
-        # Matched-index headline from the bundled reference tables (row 1
-        # at -10 dB); trend context only, not a target for these numbers.
-        meta["reference_squaring_row1_-10dB"] = _fmt_value(reference.PMD_CONVENTIONAL[0][0])
-        meta["reference_cubing_row1_-10dB"] = _fmt_value(reference.PMD_IMPROVED[0][0])
-        for row in report.rows:
-            meta[f"measured_sign_at_{_fmt_value(row.target_pfa)}"] = report.verdict(row)
         rows = [
-            [
-                row.target_pfa, row.lambda_a, row.lambda_b,
-                row.pmd_a, row.pmd_b, row.delta, row.stderr_delta,
-            ]
+            [row.target_pfa, row.lambda_a, row.lambda_b, row.pmd_a, row.pmd_b,
+             row.delta, row.stderr_delta]
             for row in report.rows
         ]
-        stem = os.path.join(cfg["out"], f"compare_{cfg['channel']}_{_snr_tag(snr)}")
-        path = stem + ".csv"
-        _write_csv(
-            path, meta,
-            ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
-             "delta", "stderr_delta"],
-            rows,
-        )
-        print(f"snr {snr:g} dB:")
-        print(report.sign_summary())
-        if cfg["svg"]:
+
+        def plot():
             xs = [row.target_pfa for row in report.rows]
             series = [
                 Series(xs, [row.pmd_a for row in report.rows], label="p=2"),
                 Series(xs, [row.pmd_b for row in report.rows], label="p=3"),
             ]
-            _write_svg(
-                stem + ".svg", series,
-                title=f"P_MD at matched P_FA, {cfg['channel']}, {snr:g} dB",
-                xlabel="target P_FA", ylabel="P_MD", logx=True,
-            )
+            return series, dict(title=f"P_MD at matched P_FA, {cfg['channel']}, {snr:g} dB",
+                                xlabel="target P_FA", ylabel="P_MD", logx=True)
+
+        _write(cfg, f"compare_{cfg['channel']}_{_snr_tag(snr)}", meta, header, rows, plot)
+        print(f"snr {snr:g} dB:")
+        print(report.sign_summary())
     return 0
 
 
 def cmd_calibrate(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    channel = _build_channel(cfg)
     cals = calibrate_threshold(
         spec, cfg["samples"], cfg["pfa_targets"],
-        channel=channel, trials=cfg["cal_trials"], seed=cfg["seed"],
+        channel=_scenario(cfg).channel, trials=cfg["cal_trials"], seed=cfg["seed"],
         workers=cfg["workers"],
     )
     for cal in cals:
@@ -466,18 +429,35 @@ def cmd_calibrate(cfg: dict) -> int:
     return 0
 
 
+def _sigma_bound(cells: int) -> float:
+    """Šidák bound on the worst of ``cells`` independent |deviations| in
+    sigma: a correct engine exceeds it as often as one cell exceeds 3."""
+    if cells == 1:
+        return 3.0  # exact; the formula rounds it to 2.999999999999997
+    # Imported here: only validate needs it, so no other launch pays for it.
+    from statistics import NormalDist
+
+    alpha = 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** (1.0 / cells)
+    return NormalDist().inv_cdf(1.0 - alpha / 2.0)
+
+
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
     spec = _build_spec(cfg)
     if spec != _ORACLE_SPEC:
         raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
-    grid = _grid_for(cfg, spec, cfg["pfa_targets"])  # refuses bad targets before any check
+    grid = _grid_for(cfg, spec)  # refuses bad targets before any check
     failures: list[str] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         if not ok:
             failures.append(name)
+
+    def check_sigmas(name: str, sigmas: list[float], what: str, where: str) -> None:
+        worst, bound = max(sigmas), _sigma_bound(len(sigmas))
+        check(name, worst <= bound, f"worst |{what}| = {worst:.2f} sigma "
+              f"(bound {bound:.2f} over {len(sigmas)} cells) {where}")
 
     lam_grid = np.linspace(0.0, 100.0, 101)
     err = max(abs(chi2_sf(2, float(lam)) - math.exp(-float(lam) / 2.0)) for lam in lam_grid)
@@ -488,31 +468,27 @@ def cmd_validate(cfg: dict) -> int:
     # alarms, equal to the configured channel's.
     sweeps = {}
     for kind in (AWGN, RAYLEIGH):
-        sc = _scenario(cfg, ChannelModel(kind, cfg["noise_variance"]))
+        sc = _scenario(cfg, kind)
         sweeps[kind] = sc, roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
 
     _, curves = sweeps[AWGN]
-    worst_sigmas = 0.0
-    for target, pfa in zip(grid.pfa_targets, curves[0].pfa):
-        sig = math.sqrt(target * (1 - target) / trials)
-        worst_sigmas = max(worst_sigmas, abs(pfa - target) / sig)
-    check("h0-false-alarm", worst_sigmas <= 3.0,
-          f"worst |pfa - target| = {worst_sigmas:.2f} sigma "
-          f"at targets {_fmt_value(grid.pfa_targets)}")
+    check_sigmas("h0-false-alarm", [
+        abs(pfa - target) / math.sqrt(target * (1 - target) / trials)
+        for target, pfa in zip(grid.pfa_targets, curves[0].pfa)
+    ], "pfa - target", f"at targets {_fmt_value(grid.pfa_targets)}")
 
     for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
         sc, curves = sweeps[kind]
         if sc.signal.mean_square(sc.n_samples) is None:
             print(f"SKIP {kind}-pd-oracle: {sc.signal} frames differ in mean square")
             continue
-        worst_sigmas = 0.0
+        sigmas = []
         for snr, curve in zip(cfg["snr_db"], curves):
             for lam, pd in zip(curve.thresholds, curve.pd):
                 pd_ref = _oracle_pd(sc, snr, lam)
                 sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
-                worst_sigmas = max(worst_sigmas, abs(pd - pd_ref) / sig)
-        check(f"{kind}-pd-oracle", worst_sigmas <= 3.0,
-              f"worst |pd - {ref_name}| = {worst_sigmas:.2f} sigma ({sc.signal} oracle)")
+                sigmas.append(abs(pd - pd_ref) / sig)
+        check_sigmas(f"{kind}-pd-oracle", sigmas, f"pd - {ref_name}", f"({sc.signal} oracle)")
 
     if failures:
         print(f"FAILED checks: {', '.join(failures)}")

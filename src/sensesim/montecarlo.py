@@ -476,22 +476,17 @@ class ComparisonReport:
     spec_a: DetectorSpec
     spec_b: DetectorSpec
 
-    def verdict(self, row: ComparisonRow) -> str:
-        """The measured sign of one row's delta, in words."""
-        if row.delta > 0:
-            return f"p={self.spec_b.p} misses less"
-        if row.delta < 0:
-            return f"p={self.spec_a.p} misses less"
-        return "no measured difference"
-
     def sign_summary(self) -> str:
-        """State the measured sign of each delta; no outcome is assumed."""
-        return "\n".join(
-            f"target pfa {row.target_pfa!r}: "
-            f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
-            f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({self.verdict(row)})"
-            for row in self.rows
-        )
+        """State the measured sign of each delta, in words; no outcome is
+        assumed."""
+        lines = []
+        for row in self.rows:
+            winner = self.spec_b if row.delta > 0 else self.spec_a
+            verdict = f"p={winner.p} misses less" if row.delta else "no measured difference"
+            lines.append(f"target pfa {row.target_pfa!r}: "
+                         f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
+                         f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({verdict})")
+        return "\n".join(lines)
 
 
 def compare_detectors(

@@ -202,6 +202,9 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--config", str(ini)) == 2
     ini.write_text("[signal]\nkind = qpsk\n")
     assert run("roc", "--config", str(ini)) == 2
+    ini.write_text("[signal]\npower = -1\n")  # refused even where no signal is drawn
+    assert run("calibrate", "--config", str(ini)) == 2
+    assert "signal power must be a positive finite number" in capsys.readouterr().err
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
@@ -333,9 +336,9 @@ def test_result_headers_echo_settings_in_a_fixed_order(tmp_path, kind, model_key
     assert list(meta) == head + ["reference_tables"]
     assert run("compare", *common) == 0
     meta, _ = read_result_csv(str(tmp_path / "compare_awgn_-10dB.csv"))
+    # settings only: the measured signs are in the delta column
     assert list(meta) == [k for k in head if k not in ("detector_p", "normalized")] + [
-        "snr_db_this_file", "reference_squaring_row1_-10dB", "reference_cubing_row1_-10dB",
-        "measured_sign_at_0.1",
+        "snr_db_this_file",
     ]
 
 
@@ -367,12 +370,16 @@ def test_compare_records_measured_sign(tmp_path, capsys):
     assert run("compare", "--trials", "4000", "--snr-db=-10",
                "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
-    assert "misses less" in out or "no measured difference" in out
     meta, rows = read_result_csv(str(tmp_path / "compare_awgn_-10dB.csv"))
-    assert meta["measured_sign_at_0.01"] in (
-        "p=2 misses less", "p=3 misses less", "no measured difference"
-    )
-    assert "reference_squaring_row1_-10dB" in meta
+    # the printed summary words the sign of each row's delta; the header
+    # restates no result
+    lines = [line for line in out.splitlines() if line.startswith("target pfa")]
+    assert len(lines) == len(rows)
+    for line, r in zip(lines, rows):
+        delta = float(r["delta"])
+        winner = "p=3" if delta > 0 else "p=2"
+        assert line.endswith(f"({winner} misses less)" if delta else "(no measured difference)")
+    assert not [key for key in meta if key.startswith(("measured_sign", "reference"))]
     # compare always runs the normalized p=2 and p=3 detectors, so it
     # neither echoes nor reads the detector settings
     assert "detector_p" not in meta and "normalized" not in meta
@@ -412,19 +419,42 @@ def test_compare_prints_close_targets_distinctly(tmp_path, capsys):
     assert printed == [f"target pfa {t}" for t in _CLOSE_TARGETS]
 
 
-def test_svg_outputs_are_valid_xml(tmp_path):
-    assert run("roc", "--trials", "1000", "--snr-db=0", "--svg",
+@pytest.mark.parametrize("svg", [True, False], ids=["svg", "csv-only"])
+def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
+    # the plot, oracle overlay included, is built only under --svg
+    oracle_calls = []
+
+    def spy(name):
+        oracle = getattr(cli, name)
+
+        def counted(*args):
+            oracle_calls.append(name)
+            return oracle(*args)
+
+        return counted
+
+    for name in ("pd_awgn_analytic", "pd_rayleigh_analytic", "pfa_analytic"):
+        monkeypatch.setattr(cli, name, spy(name))
+    flags = ["--svg"] if svg else []
+    for channel in ("awgn", "rayleigh"):
+        assert run("roc", "--trials", "1000", "--snr-db=0,10", "--channel", channel,
+                   "--pfa-targets", "0.01,0.1,0.5", *flags, "--out", str(tmp_path)) == 0
+    assert sorted(set(oracle_calls)) == (
+        ["pd_awgn_analytic", "pd_rayleigh_analytic", "pfa_analytic"] if svg else []
+    )
+    assert run("pmd-table", "--trials", "1000", "--snr-db=0,10", *flags,
                "--out", str(tmp_path)) == 0
-    svg = (tmp_path / "roc_awgn_0dB.svg").read_text()
-    xml.dom.minidom.parseString(svg)
-    assert "polyline" in svg
-    assert "analytic" in svg  # p=2 overlays the closed-form curve
-    assert run("pmd-table", "--trials", "1000", "--snr-db=0,10", "--svg",
+    assert run("compare", "--trials", "1000", "--snr-db=0,10", *flags,
                "--out", str(tmp_path)) == 0
-    xml.dom.minidom.parseString((tmp_path / "pmd_table_p2_awgn.svg").read_text())
-    assert run("compare", "--trials", "1000", "--snr-db=0", "--svg",
-               "--out", str(tmp_path)) == 0
-    xml.dom.minidom.parseString((tmp_path / "compare_awgn_0dB.svg").read_text())
+    # one .svg next to each .csv, and none without --svg
+    stems = sorted(path.stem for path in tmp_path.glob("*.csv"))
+    assert len(stems) == 7
+    assert sorted(path.stem for path in tmp_path.glob("*.svg")) == (stems if svg else [])
+    for path in tmp_path.glob("*.svg"):
+        xml.dom.minidom.parseString(path.read_text())
+        assert "polyline" in path.read_text()
+    if svg:  # p=2 overlays the closed-form curve
+        assert "analytic" in (tmp_path / "roc_awgn_0dB.svg").read_text()
 
 
 def test_rayleigh_channel_and_p3_table(tmp_path):
@@ -443,6 +473,18 @@ def test_validate_command_passes(capsys):
     assert "all checks passed" in out
     assert "FAIL" not in out
     assert out.count("PASS") == 4
+    # 3 targets for H0; 3 targets x 3 SNRs for each P_D oracle
+    assert out.count("(bound 3.32 over 3 cells)") == 1
+    assert out.count("(bound 3.62 over 9 cells)") == 2
+
+
+def test_validate_bound_grows_with_the_cells_it_checks():
+    # Sidak: the worst of m cells exceeds the bound as often as one cell
+    # exceeds 3 sigma, so a one-cell check keeps its 3 sigma exactly
+    bounds = [cli._sigma_bound(m) for m in range(1, 101)]
+    assert bounds[0] == 3.0
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    assert 3.61 <= bounds[8] <= 3.62
 
 
 @pytest.mark.parametrize("signal, skips", [

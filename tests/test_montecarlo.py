@@ -342,8 +342,9 @@ def test_compare_verdict_names_the_measured_detector():
     )
     report = ComparisonReport(rows=rows, spec_a=P2, spec_b=DetectorSpec(p=4))
     verdicts = ["p=4 misses less", "p=2 misses less", "no measured difference"]
-    assert [report.verdict(row) for row in rows] == verdicts
-    for line, verdict in zip(report.sign_summary().split("\n"), verdicts):
+    lines = report.sign_summary().split("\n")
+    assert len(lines) == len(verdicts)
+    for line, verdict in zip(lines, verdicts):
         assert line.endswith(f"({verdict})")
 
 
