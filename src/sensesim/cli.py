@@ -46,7 +46,7 @@ from .analytic import (
     pd_rayleigh_analytic,
     pfa_analytic,
 )
-from .detector import DetectorSpec
+from .detector import DetectorSpec, _sigma_p
 from .montecarlo import (
     DEFAULT_PFA_TARGETS,
     Scenario,
@@ -56,7 +56,15 @@ from .montecarlo import (
     pmd_table,
     roc_sweep,
 )
-from .signal_channel import AWGN, RAYLEIGH, SIGNAL_MODELS, ChannelModel, snr_to_linear
+from .rng import NORMAL_MAX
+from .signal_channel import (
+    AWGN,
+    RAYLEIGH,
+    RAYLEIGH_GAIN_MAX,
+    SIGNAL_MODELS,
+    ChannelModel,
+    snr_to_linear,
+)
 from .svgplot import Series, line_plot
 
 ENV_SEED = "SENSESIM_SEED"
@@ -178,11 +186,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     cfg["snr_db"] = tuple(dict.fromkeys(cfg["snr_db"]))  # each SNR runs once
     if cfg["pfa_targets"] is None:
         cfg["pfa_targets"] = _COMMANDS[args.command].targets
-    _validate_config(cfg)
+    _validate_config(cfg, args.command)
     return cfg
 
 
-def _validate_config(cfg: dict) -> None:
+def _validate_config(cfg: dict, command: str) -> None:
     if not 0 <= cfg["seed"] <= (1 << 64) - 1:
         raise ConfigError(f"seed must fit in 64 bits, got {cfg['seed']}")
     for key in ("trials", "samples", "workers", "cal_trials"):
@@ -194,7 +202,7 @@ def _validate_config(cfg: dict) -> None:
     if cfg["signal"] not in SIGNAL_MODELS:
         names = ", ".join(repr(name) for name in SIGNAL_MODELS)
         raise ConfigError(f"signal must be one of {names}, got {cfg['signal']!r}")
-    _scenario(cfg)  # a bad channel or signal is refused before any command prints or draws
+    sc = _scenario(cfg)  # a bad channel or signal is refused before any command prints or draws
     tagged: dict[str, float] = {}  # the SNRs are distinct by now
     for snr in cfg["snr_db"]:
         snr_to_linear(snr)
@@ -203,6 +211,20 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"snr_db values {tagged[tag]!r} and {snr!r} share "
                               f"the file and column tag {tag!r}")
         tagged[tag] = snr
+    # No |y| exceeds peak, so no statistic exceeds n peak^p: refuse, before
+    # any draw, a config where that bound is not a finite double.  compare
+    # also scores p=3, and validate draws on both channels.
+    spec = _COMPARE_SPECS[1] if command == "compare" else _build_spec(cfg)
+    if spec.normalized:
+        _sigma_p(sc.channel.noise_std, spec.p)  # the more precise refusal, where it applies
+    rayleigh = command == "validate" or sc.channel.kind == RAYLEIGH
+    amp = (RAYLEIGH_GAIN_MAX if rayleigh else 1.0) * math.sqrt(
+        snr_to_linear(max(cfg["snr_db"])) * cfg["noise_variance"])
+    peak = NORMAL_MAX * sc.channel.noise_std + amp * sc.signal.crest * math.sqrt(sc.signal.power)
+    if not peak < (sys.float_info.max / cfg["samples"]) ** (1.0 / spec.p):
+        raise ConfigError(f"noise_variance {cfg['noise_variance']!r} with signal_power "
+                          f"{cfg['signal_power']!r} at snr_db {max(cfg['snr_db'])!r} can "
+                          f"overflow the p={spec.p} statistic of {cfg['samples']} samples")
 
 
 def _build_signal(cfg: dict):
@@ -223,6 +245,8 @@ def _scenario(cfg: dict, kind: str | None = None) -> Scenario:
         signal=_build_signal(cfg),
     )
 
+
+_COMPARE_SPECS = (DetectorSpec(p=2), DetectorSpec(p=3))  # compare's two detectors
 
 # The one detector the closed-form oracles score: ``roc --svg`` overlays
 # them only for it, and ``validate`` refuses any other.
@@ -343,72 +367,66 @@ def cmd_roc(cfg: dict) -> int:
 def cmd_pmd_table(cfg: dict) -> int:
     spec = _build_spec(cfg)
     grid = _grid_for(cfg, spec)
-    table = pmd_table(_scenario(cfg), sorted(cfg["snr_db"]), spec, grid,
-                      workers=cfg["workers"])
-    snrs = table.snr_list_db
-    header = ["threshold_index", "lambda"]
-    for snr in snrs:
+    snrs = tuple(sorted(cfg["snr_db"]))
+    pmd, stderr = (a.tolist() for a in pmd_table(_scenario(cfg), snrs, spec, grid,
+                                                 workers=cfg["workers"]))
+    idx = list(range(1, len(grid.values) + 1))
+    header, columns = ["threshold_index", "lambda"], [idx, grid.values]
+    for snr, pmd_snr, stderr_snr in zip(snrs, pmd, stderr):
         header += [f"pmd_{_snr_tag(snr)}", f"stderr_{_snr_tag(snr)}"]
+        columns += [pmd_snr, stderr_snr]
     meta = _meta(cfg, "pmd-table")
-    refs = []
     if len(grid.values) == reference.REFERENCE_ROWS and snrs == reference.REFERENCE_SNR_DB:
-        refs = [reference.conventional_array(), reference.improved_array()]
         header += [f"ref_{name}_{_snr_tag(snr)}" for name in ("squaring", "cubing") for snr in snrs]
+        columns += [*zip(*reference.PMD_CONVENTIONAL), *zip(*reference.PMD_IMPROVED)]
         meta["reference_tables"] = "bundled squaring/cubing reference P_MD, trend comparison only"
     else:
         meta["reference_tables"] = (
             "omitted: grid or SNR list does not match the 26x3 reference shape"
         )
-    rows = []
-    for r, lam in enumerate(grid.values):
-        row = [r + 1, lam]
-        for c in range(len(snrs)):
-            row += [float(table.values[r, c]), float(table.stderr[r, c])]
-        for ref in refs:
-            row += [float(v) for v in ref[r]]
-        rows.append(row)
 
     def plot():
-        idx = list(range(1, len(grid.values) + 1))
-        series = [
-            Series(idx, table.values[:, c], label=f"{snr:g} dB")
-            for c, snr in enumerate(snrs)
-        ]
+        series = [Series(idx, pmd_snr, label=f"{snr:g} dB") for snr, pmd_snr in zip(snrs, pmd)]
         return series, dict(title=f"P_MD table, p={spec.p}, {cfg['channel']}",
                             xlabel="threshold index", ylabel="P_MD")
 
-    _write(cfg, f"pmd_table_p{spec.p}_{cfg['channel']}", meta, header, rows, plot)
+    _write(cfg, f"pmd_table_p{spec.p}_{cfg['channel']}", meta, header, zip(*columns), plot)
     return 0
 
 
+def _sign_summary(spec_a: DetectorSpec, spec_b: DetectorSpec, targets, delta, stderr) -> str:
+    """State the measured sign of each target's delta = pmd_a - pmd_b, in
+    words; no outcome is assumed."""
+    lines = []
+    for target, d, se in zip(targets, delta, stderr):
+        winner = spec_b if d > 0 else spec_a
+        verdict = f"p={winner.p} misses less" if d else "no measured difference"
+        lines.append(f"target pfa {target!r}: pmd(p={spec_a.p}) - pmd(p={spec_b.p}) = "
+                     f"{d:+.6f} +/- {se:.6f} ({verdict})")
+    return "\n".join(lines)
+
+
 def cmd_compare(cfg: dict) -> int:
-    spec_a, spec_b = DetectorSpec(p=2), DetectorSpec(p=3)
+    spec_a, spec_b = _COMPARE_SPECS
     grid_a, grid_b = _grid_for(cfg, spec_a), _grid_for(cfg, spec_b)
-    reports = compare_detectors(_scenario(cfg), cfg["snr_db"], grid_a, grid_b,
-                                spec_a, spec_b, workers=cfg["workers"])
+    measured = compare_detectors(_scenario(cfg), cfg["snr_db"], grid_a, grid_b,
+                                 spec_a, spec_b, workers=cfg["workers"])
+    targets = grid_a.pfa_targets
     header = ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
               "delta", "stderr_delta"]
-    for snr, report in zip(cfg["snr_db"], reports):
+    for snr, pmd_a, pmd_b, delta, stderr in zip(cfg["snr_db"], *(m.tolist() for m in measured)):
         meta = _meta(cfg, "compare", snr)
         del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
-        rows = [
-            [row.target_pfa, row.lambda_a, row.lambda_b, row.pmd_a, row.pmd_b,
-             row.delta, row.stderr_delta]
-            for row in report.rows
-        ]
+        rows = zip(targets, grid_a.values, grid_b.values, pmd_a, pmd_b, delta, stderr)
 
         def plot():
-            xs = [row.target_pfa for row in report.rows]
-            series = [
-                Series(xs, [row.pmd_a for row in report.rows], label="p=2"),
-                Series(xs, [row.pmd_b for row in report.rows], label="p=3"),
-            ]
+            series = [Series(targets, pmd_a, label="p=2"), Series(targets, pmd_b, label="p=3")]
             return series, dict(title=f"P_MD at matched P_FA, {cfg['channel']}, {snr:g} dB",
                                 xlabel="target P_FA", ylabel="P_MD", logx=True)
 
         _write(cfg, f"compare_{cfg['channel']}_{_snr_tag(snr)}", meta, header, rows, plot)
         print(f"snr {snr:g} dB:")
-        print(report.sign_summary())
+        print(_sign_summary(spec_a, spec_b, targets, delta, stderr))
     return 0
 
 

@@ -396,38 +396,6 @@ def roc_sweep(
     ]
 
 
-@dataclass(frozen=True)
-class PmdTable:
-    """Missed-detection grid: one row per threshold, one column per SNR.
-
-    Construction validates the down-column trend at 3 combined standard
-    errors: pmd must not increase as thresholds fall.
-    """
-
-    grid: ThresholdGrid
-    snr_list_db: tuple[float, ...]
-    values: np.ndarray
-    stderr: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=np.float64)
-        se = np.array(self.stderr, dtype=np.float64)
-        rows, cols = len(self.grid.values), len(self.snr_list_db)
-        if v.shape != (rows, cols) or se.shape != (rows, cols):
-            raise ValueError(
-                f"table shape {v.shape} does not match grid x snr ({rows}, {cols})"
-            )
-        if np.any((v < 0) | (v > 1)):
-            raise ValueError("pmd values must lie in [0, 1]")
-        slack_col = 3.0 * (se[:-1, :] + se[1:, :])
-        if np.any(v[1:, :] > v[:-1, :] + slack_col):
-            raise ValueError("pmd increased down a column beyond 3 stderr")
-        for arr in (v, se):
-            arr.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "stderr", se)
-
-
 def pmd_table(
     sc: Scenario,
     snrs: Sequence[float],
@@ -435,58 +403,21 @@ def pmd_table(
     grid: ThresholdGrid,
     *,
     workers: int = 1,
-) -> PmdTable:
-    """Fill the threshold-by-SNR missed-detection matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Missed-detection rates and their binomial standard errors, each a
+    float array of shape (SNRs, thresholds), rows in ``snrs`` order.
 
-    ``snrs`` come in strictly increasing order.  One pass draws every
-    trial's noise, signal and fading once and scores each SNR from it,
-    so all thresholds and all columns share trials (exactly monotone
-    down the grid).
+    One pass draws every trial's noise, signal and fading once and scores
+    each SNR from it, so all thresholds and all SNRs share trials and
+    each row is exactly monotone along the grid.
     """
     snrs = _signal_snrs(snrs, "pmd_table")
-    if any(b <= a for a, b in zip(snrs, snrs[1:])):
-        raise ValueError("pmd_table SNRs must come in strictly increasing order")
     trials = sc.trials
     reduce = _threshold_counts(grid.values)
     counts = _run_blocks(sc, snrs, (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
     pmd = [[(trials - det) / trials for det in detections] for detections in counts]
-    stderr = [[binomial_stderr(rate, trials) for rate in column] for column in pmd]
-    return PmdTable(grid=grid, snr_list_db=tuple(float(s) for s in snrs),
-                    values=np.array(pmd).T, stderr=np.array(stderr).T)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One matched-P_FA comparison of the two detectors."""
-
-    target_pfa: float
-    lambda_a: float
-    lambda_b: float
-    pmd_a: float
-    pmd_b: float
-    delta: float  # pmd_a - pmd_b; positive means detector b misses less
-    stderr_delta: float
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Matched-P_FA detector comparison over identical received frames."""
-
-    rows: tuple[ComparisonRow, ...]
-    spec_a: DetectorSpec
-    spec_b: DetectorSpec
-
-    def sign_summary(self) -> str:
-        """State the measured sign of each delta, in words; no outcome is
-        assumed."""
-        lines = []
-        for row in self.rows:
-            winner = self.spec_b if row.delta > 0 else self.spec_a
-            verdict = f"p={winner.p} misses less" if row.delta else "no measured difference"
-            lines.append(f"target pfa {row.target_pfa!r}: "
-                         f"pmd(p={self.spec_a.p}) - pmd(p={self.spec_b.p}) = "
-                         f"{row.delta:+.6f} +/- {row.stderr_delta:.6f} ({verdict})")
-        return "\n".join(lines)
+    stderr = [[binomial_stderr(rate, trials) for rate in row] for row in pmd]
+    return np.array(pmd), np.array(stderr)
 
 
 def compare_detectors(
@@ -498,16 +429,17 @@ def compare_detectors(
     spec_b: DetectorSpec,
     *,
     workers: int = 1,
-) -> list[ComparisonReport]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Compare the two detectors' P_MD at each matched target P_FA, per SNR.
 
     ``grid_a`` and ``grid_b`` hold the thresholds of ``spec_a`` and
     ``spec_b`` calibrated to the same ``pfa_targets``, as
     :func:`grid_from_pfa_targets` builds them.  One pass draws every
     trial of ``sc`` once and scores both detectors on each SNR's
-    identical received frames.  Each row reports the paired difference
-    delta = pmd_a - pmd_b with its paired standard error.  The sign of
-    delta is measured, never assumed.  Reports come back in SNR order.
+    identical received frames.  Returns ``(pmd_a, pmd_b, delta,
+    stderr_delta)``, each a float array of shape (SNRs, targets), rows in
+    ``snrs`` order: delta = pmd_a - pmd_b with its paired standard error.
+    The sign of delta is measured, never assumed.
 
     An SNR of ``None`` is the noise-only column: that is the degenerate
     no-signal check, where both detectors should miss at rate 1 - target.
@@ -520,16 +452,14 @@ def compare_detectors(
     counts = _run_blocks(sc, snrs, (spec_a, spec_b), TRIAL_DOMAIN, workers,
                          _paired_counts(grid_a.values, grid_b.values))
     trials = sc.trials
-    reports = []
-    for column_counts in counts.tolist():
-        rows = []
-        for target, lam_a, lam_b, det_a, det_b, discordant in zip(
-            grid_a.pfa_targets, grid_a.values, grid_b.values, *column_counts
-        ):
-            pmd_a, pmd_b = (trials - det_a) / trials, (trials - det_b) / trials
-            # McNemar: the per-trial miss difference is +-1 on the discordant
-            # trials and 0 elsewhere, so T^3 stderr^2 = D T - (det_b - det_a)^2
-            stderr = math.sqrt((discordant * trials - (det_b - det_a) ** 2) / trials**3)
-            rows.append(ComparisonRow(target, lam_a, lam_b, pmd_a, pmd_b, pmd_a - pmd_b, stderr))
-        reports.append(ComparisonReport(rows=tuple(rows), spec_a=spec_a, spec_b=spec_b))
-    return reports
+    # McNemar: the per-trial miss difference is +-1 on the discordant trials
+    # and 0 elsewhere, so T^3 stderr^2 = D T - (det_b - det_a)^2, kept in
+    # Python integers (int64 to float64 rounds D T above 2^53).
+    cells = [
+        [((trials - det_a) / trials, (trials - det_b) / trials,
+          math.sqrt((discordant * trials - (det_b - det_a) ** 2) / trials**3))
+         for det_a, det_b, discordant in zip(*column_counts)]
+        for column_counts in counts.tolist()
+    ]
+    pmd_a, pmd_b, stderr = np.moveaxis(np.array(cells), -1, 0)
+    return pmd_a, pmd_b, pmd_a - pmd_b, stderr

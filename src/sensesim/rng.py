@@ -41,6 +41,9 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, the SplitMix64 increment
+# No normal_block value exceeds this in magnitude: the least uniform is
+# 2^-54, so the Box-Muller radius is at most sqrt(-2 ln 2^-54) = 8.65216...
+NORMAL_MAX = 8.6522
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB

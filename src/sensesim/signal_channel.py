@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import fold_in, normal_block, uniform_block
+from .rng import NORMAL_MAX, fold_in, normal_block, uniform_block
 
 AWGN = "awgn"
 RAYLEIGH = "rayleigh"
+RAYLEIGH_GAIN_MAX = 6.1181  # no drawn gain exceeds sqrt(-ln 2^-54) = 6.11800...
 
 SIGNAL_ROLE = 1
 FADING_ROLE = 2
@@ -44,13 +45,15 @@ class SignalModel:
     ``block(keys, n)`` draws one engine frame per trial key from its
     ``SIGNAL_ROLE`` sub-stream (``tests/oracle_scalar.py`` redraws each
     row on its own, bit for bit); ``mean_square(n)`` is the mean of
-    x[k]^2 every frame shares, or None when frames differ in it.
+    x[k]^2 every frame shares, or None when frames differ in it; no
+    |x[k]| it draws exceeds ``crest * sqrt(power)``.
     ``block`` may draw into the buffers of :func:`~sensesim.rng.normal_block`
     (``out`` float64 and ``work`` uint64, ``n + n % 2`` columns) and
     return a view of ``out``; without them its frames are allocated.
     """
 
     power: float
+    crest: float
 
     def block(self, keys: np.ndarray, n: int, *, out=None, work=None) -> np.ndarray:
         raise NotImplementedError
@@ -64,6 +67,7 @@ class Bpsk(SignalModel):
     """Antipodal symbols: every sample is +sqrt(power) or -sqrt(power)."""
 
     power: float = 1.0
+    crest = 1.0
 
     def __post_init__(self):
         _check_power(self.power)
@@ -95,6 +99,7 @@ class Sinusoid(SignalModel):
 
     power: float = 1.0
     cycles_per_frame: float = 1.0
+    crest = math.sqrt(2.0)
 
     def __post_init__(self):
         _check_power(self.power)
@@ -118,6 +123,7 @@ class GaussianIid(SignalModel):
     """White Gaussian samples of variance ``power`` (noise-like primary)."""
 
     power: float = 1.0
+    crest = NORMAL_MAX
 
     def __post_init__(self):
         _check_power(self.power)

@@ -22,8 +22,8 @@ from sensesim.analytic import (
     pd_rayleigh_analytic,
     pfa_analytic,
 )
+from sensesim.cli import _sign_summary, read_result_csv
 from sensesim.cli import main as cli_main
-from sensesim.cli import read_result_csv
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.metrics import ConfusionCounts, rates_from_counts
 from sensesim.montecarlo import (
@@ -163,20 +163,19 @@ def test_acceptance_06_detector_comparison_controls():
         for spec in (P2, P3)
     )
 
-    first, nosignal = compare_detectors(sc, [-10.0, None], grid_2, grid_3, P2, P3)
-    [second] = compare_detectors(sc, [-10.0], grid_2, grid_3, P2, P3)
-    assert first == second  # bit-for-bit reproducible, with or without other columns
+    both = compare_detectors(sc, [-10.0, None], grid_2, grid_3, P2, P3)
+    alone = compare_detectors(sc, [-10.0], grid_2, grid_3, P2, P3)
+    # bit-for-bit reproducible, with or without other columns
+    assert [m[0].tobytes() for m in both] == [m[0].tobytes() for m in alone]
 
-    [selfcmp] = compare_detectors(sc, [-10.0], grid_2, grid_2, P2, P2)
-    assert all(r.delta == 0.0 and r.stderr_delta == 0.0 for r in selfcmp.rows)
+    _, _, self_delta, self_stderr = compare_detectors(sc, [-10.0], grid_2, grid_2, P2, P2)
+    assert self_delta.tolist() == self_stderr.tolist() == [[0.0, 0.0]]
 
-    for row in nosignal.rows:
-        assert abs(row.delta) <= 3.0 * row.stderr_delta + 1e-12
+    _, _, (delta, nosignal_delta), (stderr, nosignal_stderr) = both
+    assert np.all(np.abs(nosignal_delta) <= 3.0 * nosignal_stderr + 1e-12)
 
-    signs = [
-        "p=3" if r.delta > 0 else ("p=2" if r.delta < 0 else "tie") for r in first.rows
-    ]
-    summary = first.sign_summary()
+    signs = ["p=3" if d > 0 else ("p=2" if d < 0 else "tie") for d in delta]
+    summary = _sign_summary(P2, P3, grid_2.pfa_targets, delta.tolist(), stderr.tolist())
     assert "misses less" in summary or "no measured difference" in summary
     print(
         "PASS 06 comparison-controls: reproducible, self-delta 0, no-signal delta "

@@ -286,6 +286,35 @@ def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, var
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variance, snr, p, argv", [
+    ("1e205", 10.0, 3, ["roc", "--detector-p", "3", "--pfa-targets", "0.1,0.5"]),
+    ("1e205", 10.0, 3, ["compare", "--detector-p", "2"]),  # compare also scores p=3
+    ("1e205", 10.0, 3, ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"]),
+    ("1", 3000.0, 3, ["roc", "--detector-p", "3", "--snr-db=3000"]),  # the signal term alone
+    ("1", 3070.0, 2, ["validate", "--snr-db=3070"]),  # its Rayleigh sweep, on an AWGN config
+], ids=["roc", "compare", "pmd-table", "snr", "validate"])
+def test_a_statistic_that_can_overflow_exits_two(tmp_path, capsys, variance, snr, p, argv):
+    # No |y| exceeds 8.6522 sigma plus the peak gain times the signal's
+    # peak amplitude, so n |y|^p bounds the statistic before any draw; in
+    # each of these configs that bound, and |y|^p in a draw, can overflow.
+    ini = tmp_path / "noise.ini"
+    ini.write_text(f"[run]\nnoise_variance = {variance}\n")
+    out = tmp_path / "out"
+    assert run(*argv, "--config", str(ini), "--trials", "2000", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: noise_variance {float(variance)!r} with signal_power 1.0 at snr_db {snr!r} "
+        f"can overflow the p={p} statistic of 10 samples\n")
+    assert not out.exists()
+
+
+def test_a_statistic_bound_within_the_doubles_runs(tmp_path):
+    # the same noise at p=2: n (8.6522 sigma + 6.1181 amp)^2 is about 8e208
+    ini = tmp_path / "noise.ini"
+    ini.write_text("[run]\nnoise_variance = 1e205\n")
+    assert run("roc", "--config", str(ini), "--channel", "rayleigh", "--trials", "2000",
+               "--snr-db=10", "--out", str(tmp_path)) == 0
+
+
 @pytest.mark.parametrize("setting", ["detector_p = 3", "normalized = no"])
 def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting):
     ini = tmp_path / "detector.ini"
@@ -419,6 +448,16 @@ def test_compare_prints_close_targets_distinctly(tmp_path, capsys):
     assert printed == [f"target pfa {t}" for t in _CLOSE_TARGETS]
 
 
+def test_compare_verdict_names_the_measured_detector():
+    lines = cli._sign_summary(DetectorSpec(p=2), DetectorSpec(p=4), (0.1, 0.2, 0.3),
+                              [0.25, -0.25, 0.0], [0.01, 0.02, 0.0]).split("\n")
+    assert lines == [
+        "target pfa 0.1: pmd(p=2) - pmd(p=4) = +0.250000 +/- 0.010000 (p=4 misses less)",
+        "target pfa 0.2: pmd(p=2) - pmd(p=4) = -0.250000 +/- 0.020000 (p=2 misses less)",
+        "target pfa 0.3: pmd(p=2) - pmd(p=4) = +0.000000 +/- 0.000000 (no measured difference)",
+    ]
+
+
 @pytest.mark.parametrize("svg", [True, False], ids=["svg", "csv-only"])
 def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
     # the plot, oracle overlay included, is built only under --svg
@@ -519,6 +558,21 @@ def test_each_command_draws_its_trials_once_per_channel(monkeypatch, tmp_path, a
     monkeypatch.setattr(montecarlo, "_run_blocks", counted)
     assert run(*argv, "--out", str(tmp_path)) == 0  # default trials and targets
     assert len(calls) == passes
+
+
+def test_pmd_table_sorts_the_snrs_it_is_given(tmp_path, capsys):
+    outputs = {}
+    for snrs in ("10,-10,0", "-10,0,10"):
+        out = tmp_path / snrs
+        assert run("pmd-table", "--channel", "rayleigh", "--trials", "2000", "--svg",
+                   f"--snr-db={snrs}", "--out", str(out)) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        outputs[snrs] = [printed] + [(out / f"pmd_table_p2_rayleigh.{ext}").read_text()
+                                     for ext in ("csv", "svg")]
+    # the same bytes, but for the header's echo of the SNRs as given
+    given, ascending = outputs["10,-10,0"], outputs["-10,0,10"]
+    given[1] = given[1].replace("# snr_db=10.0,-10.0,0.0\n", "# snr_db=-10.0,0.0,10.0\n", 1)
+    assert given == ascending
 
 
 def test_pmd_table_accepts_a_single_trial(tmp_path):

@@ -11,11 +11,10 @@ from oracle_scalar import frame, received_frame
 from sensesim import cli, montecarlo
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
+from sensesim.metrics import binomial_stderr
 from sensesim.montecarlo import (
     CALIBRATION_DOMAIN,
     TRIAL_DOMAIN,
-    ComparisonReport,
-    ComparisonRow,
     DEFAULT_PFA_TARGETS,
     Scenario,
     ThresholdGrid,
@@ -52,15 +51,16 @@ def _sc(channel=CH_AWGN, n=10, trials=2000, seed=7, signal=Bpsk()):
 
 
 def _compare(sc, snr, targets, spec_a=P2, spec_b=P3, workers=1):
-    """compare_detectors at one SNR (None: H0) on both detectors' grids,
+    """(pmd_a, pmd_b, delta, stderr_delta), one value per target, of
+    compare_detectors at one SNR (None: H0) on both detectors' grids,
     calibrated on sc's channel and seed."""
     grid_a, grid_b = (
         grid_from_pfa_targets(targets, spec, sc.n_samples, channel=sc.channel, seed=sc.seed,
                               workers=workers)
         for spec in (spec_a, spec_b)
     )
-    [report] = compare_detectors(sc, [snr], grid_a, grid_b, spec_a, spec_b, workers=workers)
-    return report
+    measured = compare_detectors(sc, [snr], grid_a, grid_b, spec_a, spec_b, workers=workers)
+    return tuple(m[0] for m in measured)
 
 
 def _naive_statistics(sc: Scenario, spec: DetectorSpec, snr_db=None) -> np.ndarray:
@@ -267,35 +267,49 @@ def test_compare_over_columns_equals_one_call_per_column(workers, channel):
     grid_a, grid_b = (grid_from_pfa_targets([0.01, 0.1, 0.5], spec, 10, channel=channel)
                       for spec in (P2, P3))
     sc, snrs = _sc(channel=channel, trials=3000), (10.0, None, -10.0, 0.0)
-    reports = compare_detectors(sc, snrs, grid_a, grid_b, P2, P3, workers=workers)
-    assert reports == [compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)[0]
-                       for snr in snrs]
+    measured = compare_detectors(sc, snrs, grid_a, grid_b, P2, P3, workers=workers)
+    singles = [compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)
+               for snr in snrs]
+    for k, rows in enumerate(measured):
+        assert rows.shape == (len(snrs), 3)
+        assert rows.tobytes() == np.concatenate([single[k] for single in singles]).tobytes()
 
 
 def test_pmd_table_structure_and_reference_hookup():
     grid = default_threshold_grid(P2, 10)
-    table = pmd_table(_sc(trials=20_000, seed=19), (-10.0, 0.0, 10.0), P2, grid)
-    assert table.values.shape == (26, 3)
-    assert not table.values.flags.writeable
-    # down-column trend is exact under shared trials
-    assert np.all(table.values[1:, :] <= table.values[:-1, :])
+    sc, snrs = _sc(trials=20_000, seed=19), (-10.0, 0.0, 10.0)
+    pmd, stderr = pmd_table(sc, snrs, P2, grid)
+    assert pmd.shape == stderr.shape == (3, 26)  # one row per SNR, one column per threshold
+    assert np.all((pmd >= 0.0) & (pmd <= 1.0))
+    # the trend along each SNR's thresholds is exact under shared trials
+    assert np.all(pmd[:, 1:] <= pmd[:, :-1])
+    for c, r in ((0, 0), (1, 12), (2, 25)):
+        det = count_detections(sc, P2, grid.values[r], snrs[c])
+        assert pmd[c, r] == (sc.trials - det) / sc.trials
+        assert stderr[c, r] == binomial_stderr(pmd[c, r], sc.trials)
 
 
 def test_pmd_table_input_validation():
     grid = default_threshold_grid(P2, 10)
-    for snrs in ([], [None], [0.0, None], [0.0, -10.0], [0.0, 0.0]):
+    for snrs in ([], [None], [0.0, None]):
         with pytest.raises(ValueError):
             pmd_table(_sc(), snrs, P2, grid)
 
 
+def test_pmd_table_takes_the_snrs_in_any_order():
+    grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, 10)
+    sc = _sc(channel=CH_RAY, trials=3000)
+    ascending = pmd_table(sc, (-10.0, 0.0, 10.0), P2, grid)
+    for snrs, rows in (((10.0, -10.0, 0.0), [2, 0, 1]), ((0.0, 0.0), [1, 1])):
+        for got, want in zip(pmd_table(sc, snrs, P2, grid), ascending):
+            assert got.tobytes() == want[rows].tobytes()
+
+
 def test_compare_same_spec_gives_exact_zero():
-    report = _compare(_sc(trials=20_000), 0.0, [0.01, 0.1], spec_a=P2, spec_b=P2)
-    for row in report.rows:
-        assert row.delta == 0.0
-        assert row.stderr_delta == 0.0
-        assert row.lambda_a == row.lambda_b
-        assert row.pmd_a == row.pmd_b
-    assert "no measured difference" in report.sign_summary()
+    pmd_a, pmd_b, delta, stderr = _compare(_sc(trials=20_000), 0.0, [0.01, 0.1],
+                                           spec_a=P2, spec_b=P2)
+    assert delta.tolist() == stderr.tolist() == [0.0, 0.0]
+    assert pmd_a.tolist() == pmd_b.tolist()
 
 
 def _compare_reference(sc, snr, grid_a, grid_b, spec_a, spec_b):
@@ -326,54 +340,35 @@ def test_compare_counts_equal_the_per_trial_reference(monkeypatch, workers, chan
     grid_a, grid_b = (grid_from_pfa_targets([0.001, 0.01, 0.05, 0.1, 0.5], spec,
                                             sc.n_samples, channel=channel)
                       for spec in (P2, P3))
-    [report] = compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)
-    for row, (pmd_a, pmd_b, delta, stderr) in zip(
-        report.rows, _compare_reference(sc, snr, grid_a, grid_b, P2, P3)
-    ):
-        assert (row.pmd_a, row.pmd_b, row.delta) == (pmd_a, pmd_b, delta)
-        assert abs(row.stderr_delta - stderr) <= 1e-15 * stderr
-
-
-def test_compare_verdict_names_the_measured_detector():
-    rows = tuple(
-        ComparisonRow(target_pfa=0.1, lambda_a=1.0, lambda_b=1.0, pmd_a=0.5,
-                      pmd_b=0.5 - d, delta=d, stderr_delta=0.01)
-        for d in (0.25, -0.25, 0.0)
-    )
-    report = ComparisonReport(rows=rows, spec_a=P2, spec_b=DetectorSpec(p=4))
-    verdicts = ["p=4 misses less", "p=2 misses less", "no measured difference"]
-    lines = report.sign_summary().split("\n")
-    assert len(lines) == len(verdicts)
-    for line, verdict in zip(lines, verdicts):
-        assert line.endswith(f"({verdict})")
+    measured = compare_detectors(sc, [snr], grid_a, grid_b, P2, P3, workers=workers)
+    pmd_a, pmd_b, delta, stderr = (m[0].tolist() for m in measured)
+    reference = _compare_reference(sc, snr, grid_a, grid_b, P2, P3)
+    assert list(zip(pmd_a, pmd_b, delta)) == [row[:3] for row in reference]
+    for got, (*_, want) in zip(stderr, reference):
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_compare_is_bitwise_reproducible():
     sc = _sc(trials=20_000)
     a = _compare(sc, -10.0, [0.01, 0.1])
     b = _compare(sc, -10.0, [0.01, 0.1])
-    assert a == b  # frozen dataclasses of floats: bit-for-bit equality
+    assert [m.tobytes() for m in a] == [m.tobytes() for m in b]
 
 
 def test_compare_no_signal_shows_no_difference():
-    report = _compare(_sc(trials=50_000), None, [0.1])
-    row = report.rows[0]
+    pmd_a, pmd_b, delta, stderr = (m[0] for m in _compare(_sc(trials=50_000), None, [0.1]))
     # both detectors run at the same false-alarm budget on pure noise:
     # each misses at about 1 - target, and the paired delta straddles 0
-    assert abs(row.pmd_a - 0.9) <= 0.015
-    assert abs(row.pmd_b - 0.9) <= 0.015
-    assert abs(row.delta) <= 3.0 * row.stderr_delta + 1e-12
+    assert abs(pmd_a - 0.9) <= 0.015
+    assert abs(pmd_b - 0.9) <= 0.015
+    assert abs(delta) <= 3.0 * stderr + 1e-12
 
 
 def test_compare_rows_follow_targets():
     sc = _sc(trials=10_000)
-    report = _compare(sc, 0.0, [0.01, 0.1])
-    assert [r.target_pfa for r in report.rows] == [0.01, 0.1]
-    r_strict, r_loose = report.rows
-    assert r_strict.lambda_a > r_loose.lambda_a
-    assert r_strict.lambda_b > r_loose.lambda_b
-    assert r_strict.pmd_a >= r_loose.pmd_a
-    assert report.sign_summary().count("\n") == 1
+    pmd_a, pmd_b, delta, stderr = _compare(sc, 0.0, [0.01, 0.1])
+    assert pmd_a.shape == pmd_b.shape == delta.shape == stderr.shape == (2,)
+    assert pmd_a[0] >= pmd_a[1] and pmd_b[0] >= pmd_b[1]  # the stricter target misses more
     with pytest.raises(ValueError):
         _compare(sc, 0.0, [0.0])
     # the two grids must be calibrated to the same targets
@@ -454,11 +449,11 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
         for samples in (n, 7 * n, 1 << 16):  # 1-trial, 7-trial and single blocks
             monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
             for workers in (1, 2, 3):
-                table = pmd_table(sc, snrs, P2, grid, workers=workers)
+                pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
                 h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
                                                workers=workers)
                 results.append((roc_sweep(sc, snrs, P2, grid, workers=workers),
-                                table.values.tolist(), h0.tolist()))
+                                pmd.tolist(), stderr.tolist(), h0.tolist()))
     finally:
         sys.setswitchinterval(interval)
     assert all(r == results[0] for r in results[1:])
@@ -466,7 +461,7 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("sweep, block, blocks", [
-    ("roc_sweep", 8, (2_500, 10_000)),
+    ("roc_sweep", 8, (500, 2_000)),
     ("compare_detectors", 64, (250, 1_000)),
 ], ids=["roc_sweep", "compare_detectors"])
 def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers, sweep, block,
