@@ -90,6 +90,11 @@ def _gammap_series(a: float, x: float) -> float:
 
 def _gammaq_contfrac(a: float, x: float) -> float:
     # Modified Lentz continued fraction for Q(a, x); converges for x >= a + 1.
+    # When the prefactor underflows, Q is the 0.0 the converged fraction
+    # would return (h * 0.0); at huge x the fraction may never converge.
+    front = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if front == 0.0:
+        return 0.0
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
@@ -108,7 +113,7 @@ def _gammaq_contfrac(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _GAMMA_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * front
     raise NumericError(f"incomplete gamma continued fraction stalled at a={a}, x={x}")
 
 

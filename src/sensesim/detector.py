@@ -79,7 +79,8 @@ def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.
     otherwise ``np.sum`` runs along each frame.
     """
     scale = _sigma_p(sigma, spec.p) if spec.normalized else None
-    np.abs(y, out=y)
+    if spec.p != 2:  # y**2 equals |y|**2 bit for bit
+        np.abs(y, out=y)
     y **= spec.p
     t = _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
     if scale is not None:
@@ -119,8 +120,8 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
         tail = m - m % 8
         for i in range(8, tail, 8):
             a[:8] += a[i : i + 8]
-        for i, j in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            a[i] += a[j]
+        for step in (1, 2, 4):  # r0 += r1, r2 += r3, ...; then r0 += r2, r4 += r6; r0 += r4
+            a[0:8:2 * step] += a[step:8:2 * step]
     for i in range(tail, m):
         a[0] += a[i]
     return a[0]

@@ -27,14 +27,14 @@ formed from the scenario share them trial for trial.  Each engine call
 therefore takes one scenario and the SNRs to form from it.  For each
 trial block it draws the keys, noise, signal and fading gains once,
 scores H0 (the noise alone) and then every SNR column, formed by
-scale-and-add.  A block holds 2^16 samples, so it
-stays in L2, and each worker draws, forms and scores all its blocks in
-one set of buffers (sample-major for short frames).  Each block's
-statistics are reduced to integer counts, summed over blocks: against
-the whole threshold grid (sort, then ``searchsorted``) in ``roc_sweep``,
-``pmd_table`` and ``count_detections``; per column and target, as each
-detector's detections and the discordant trials, in the paired detector
-comparison.
+scale-and-add.  A block holds 2^15 samples, 256 KiB per float64 array,
+so it stays in L2, and each worker draws, forms and scores all its
+blocks in one set of buffers (sample-major for short frames).  Each
+block's statistics are reduced to integer counts, summed over blocks:
+against the whole threshold grid (sort, then ``searchsorted``) in
+``roc_sweep``, ``pmd_table`` and ``count_detections``; per column and
+target, as each detector's detections and the discordant trials, in the
+paired detector comparison.
 So memory is O(workers x block) however many trials run, the totals do
 not depend on the worker count, and empirical ROC curves and P_MD
 columns are exactly monotone.  Only empirical calibration keeps
@@ -45,6 +45,7 @@ P_FA target's quantile.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,9 +75,9 @@ from .signal_channel import (
 TRIAL_DOMAIN = 1
 CALIBRATION_DOMAIN = 2
 
-# Samples per vectorized block: 512 KiB per float64 array, so a block
+# Samples per vectorized block: 256 KiB per float64 array, so a block
 # stays in L2.  Block size affects memory and speed only, never values.
-_BLOCK_SAMPLES = 1 << 16
+_BLOCK_SAMPLES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,7 @@ def default_threshold_grid(
 def _threshold_counts(lams):
     """Reducer of each statistic vector to one count row: element i counts
     the trials with statistic >= lams[i] (ties detect).  Sorts in place."""
+    lams = np.asarray(lams)
 
     def reduce(stats):
         for t in stats:
@@ -244,7 +246,9 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     vectors (one per (SNR, spec)), so the totals are worker-invariant
     and nothing is kept per trial.  Worker w of W runs blocks w, w + W,
     ... in one set of block buffers, so memory is O(W x block) at any
-    block count and no block allocates a block.
+    block count and no block allocates a block.  Worker 0 runs on the
+    calling thread, the others on their own threads; once all are
+    joined, the first failed worker's exception is raised here.
     """
     snrs = tuple(snrs)
     for snr in snrs:
@@ -274,15 +278,27 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
                     out[lo:hi] = block_stats
         return counts
 
-    if workers == 1:
-        parts = [run(0)]
-    else:
-        # Imported here: the pool pulls in logging, traceback and queue,
-        # which single-worker runs never need.
-        from concurrent.futures import ThreadPoolExecutor
+    parts, errors = [0] * workers, [None] * workers
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(workers)))
+    def work(w):
+        try:
+            parts[w] = run(w)
+        except BaseException as exc:  # raised by the caller once every worker is joined
+            errors[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=work, args=(w,))
+            thread.start()
+            threads.append(thread)
+        parts[0] = run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return outs if outs is not None else sum(parts)
 
 

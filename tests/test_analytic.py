@@ -363,6 +363,23 @@ def test_pd_rayleigh_extremes_and_node_floor():
     assert pd_rayleigh_analytic(10, 1.0, 500.0) < 1e-6
 
 
+def test_pd_rayleigh_returns_at_huge_mean_snr():
+    # At a=40, x=3.228e16 the continued fraction's delta never rounds to 1;
+    # Q is the 0.0 its underflowed prefactor gives.  Both run in a fresh
+    # interpreter, so a hang fails.
+    code = ("import time\nfrom sensesim.analytic import gammaq, pd_rayleigh_analytic\n"
+            "start = time.perf_counter()\npd = pd_rayleigh_analytic(10, 1e14, 20.0)\n"
+            "print(pd, time.perf_counter() - start, gammaq(40.0, 3.2283858084060612e16))")
+    src = os.path.dirname(os.path.dirname(sensesim.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": path}).stdout
+    pd, seconds, q = map(float, out.split())
+    assert pd == pytest.approx(1.0, abs=1e-9)
+    assert seconds < 1.0
+    assert q == 0.0
+
+
 def test_calibrate_analytic_roundtrip():
     targets = (0.01, 0.1, 0.5)
     for n in (2, 10, 50):

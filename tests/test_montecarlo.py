@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -439,24 +440,44 @@ def test_kernel_counts_equal_per_trial_counts(monkeypatch, workers, channel, sig
 
 @pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY])
 def test_block_size_and_workers_never_change_results(monkeypatch, channel):
-    n = 10
-    sc, snrs = _sc(channel=channel, n=n, trials=500, seed=31), (-3.0, 4.0)
-    grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, n)
-    results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers' writes as finely as possible
     try:
-        for samples in (n, 7 * n, 1 << 16):  # 1-trial, 7-trial and single blocks
-            monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
-            for workers in (1, 2, 3):
-                pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
-                h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
-                                               workers=workers)
-                results.append((roc_sweep(sc, snrs, P2, grid, workers=workers),
-                                pmd.tolist(), stderr.tolist(), h0.tolist()))
+        # n=200 is sample-major in 2^16-sample blocks, trial-major in 2^15-sample ones
+        for n in (10, 200):
+            sc, snrs = _sc(channel=channel, n=n, trials=500, seed=31), (-3.0, 4.0)
+            grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, n)
+            results = []
+            for samples in (n, 7 * n, 1 << 15, 1 << 16):  # 1-trial, 7-trial, larger blocks
+                monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
+                for workers in (1, 2, 3):
+                    pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
+                    h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
+                                                   workers=workers)
+                    results.append((roc_sweep(sc, snrs, P2, grid, workers=workers),
+                                    pmd.tolist(), stderr.tolist(), h0.tolist()))
+            assert all(r == results[0] for r in results[1:]), n
     finally:
         sys.setswitchinterval(interval)
-    assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_errors_reach_the_caller(monkeypatch, workers):
+    # 8-trial blocks; the block at trial 24 (worker 0 of 3, worker 1 of 2) fails.
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)
+    stats_block = montecarlo._stats_block
+
+    def failing(sc, snrs, specs, lo, *args):
+        if lo == 24:
+            raise ZeroDivisionError(f"block at {lo}")
+        return stats_block(sc, snrs, specs, lo, *args)
+
+    monkeypatch.setattr(montecarlo, "_stats_block", failing)
+    grid = ThresholdGrid((30.0, 10.0, 3.0))
+    baseline = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="block at 24"):
+        roc_sweep(_sc(trials=80, seed=5), [0.0], P2, grid, workers=workers)
+    assert threading.active_count() == baseline
 
 
 @pytest.mark.parametrize("workers", [1, 2])
