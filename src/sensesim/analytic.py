@@ -38,6 +38,9 @@ nothing but IEEE arithmetic:
   grows.  The Rayleigh oracle passes all 128 quadrature nodes as one
   vector.  A Marcum-Q routine would compute the same quantity; the
   mixture needs nothing beyond the incomplete gamma.
+* The Rayleigh oracle's Gauss-Laguerre rule is a table of float
+  literals in this module, printed once from numpy's ``laggauss(128)``;
+  no run imports ``laggauss`` or makes a LAPACK call.
 
 No closed form is attempted for the cubing detector: a sum of |Gaussian|^3
 terms has no standard distribution, which is the gap the Monte Carlo
@@ -48,7 +51,6 @@ of :func:`calibrate_threshold`.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -243,14 +245,91 @@ def pd_awgn_analytic(n: int, gamma: float, lam: float) -> float:
     return noncentral_chi2_sf(n, n * gamma, lam)
 
 
-_LAGUERRE_NODES = 128
-
-
-@functools.cache
-def _laguerre_rule() -> tuple[np.ndarray, np.ndarray]:
-    # Built on first use, not at import, so commands without the
-    # Rayleigh oracle do not pay for it.
-    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+# The 128-node Gauss-Laguerre rule: sum_i w_i f(x_i) approximates
+# integral_0^inf f(u) e^-u du.  Printed with repr, which round-trips, from
+# numpy's laggauss(128) (numpy 2.4, OpenBLAS, x86-64), which builds the
+# rule by an eigensolve (Golub and Welsch, Math. Comp. 23, 1969): the table
+# keeps the oracle free of LAPACK and of how a CPU rounds it, and spares
+# each run importing laggauss.
+_LAGUERRE_X = np.array([
+    0.011251388263676821, 0.05928474126902827, 0.14570796659431634, 0.2705531787586663,
+    0.433841407553835, 0.6355976657816192, 0.8758523845465173, 1.1546417019744013,
+    1.472007563166736, 1.827997778312348, 2.2226660715619038, 2.6560721298834795,
+    3.128281655027921, 3.639366419852407, 4.189404329594049, 4.778479488434879,
+    5.406682271600501, 6.07410940319654, 6.7808640399756275, 7.527055861229377,
+    8.312801165007768, 9.13822297088039, 10.003451129468218, 10.908622438990886,
+    11.85388076909186, 12.83937719222325, 13.865270122892085, 14.931725465091924,
+    16.038916768267075, 17.187025392181262, 18.376240681089694, 19.60676014764165,
+    20.87878966697137, 22.19254368146784, 23.54824541674892, 24.94612710940349,
+    26.386430247105288, 27.86940582174639, 29.395314596284916, 30.964427386052755,
+    32.57702535532375, 34.23340033000224, 35.93385512735615, 37.678703903788374,
+    39.46827252171577, 41.30289893670709, 43.18293360612038, 45.10873992057723,
+    47.08069465971722, 49.099188473791024, 51.16462639277666, 53.27742836484077,
+    55.43802982611789, 57.64688230394523, 59.90445405587206, 62.21123074696146,
+    64.56771616812122, 66.97443299844156, 69.43192361478343, 71.94075095215437,
+    74.50149941873403, 77.11477586977057, 79.78121064496855, 82.50145867443146,
+    85.27620065871535, 88.10614432909951, 90.99202579479261, 93.93461098447969,
+    96.93469719038194, 99.99311472386427, 103.11072869259398, 106.28844091034544,
+    109.52719195177755, 112.8279633659042, 116.19178006355678, 119.61971289593201,
+    123.1128814433602, 126.67245703576019, 130.29966602891346, 133.99579336374796,
+    137.7621864393394, 141.60025933439303, 145.51149741665958, 149.4974623851777,
+    153.55979779656644, 157.7002351339781, 161.92060048597563, 166.22282191276886,
+    170.60893758924223, 175.0811048284146, 179.641610105867, 184.2928802258468,
+    189.0374947939541, 193.87820019047297, 198.8179252737206, 203.85979908576985,
+    209.00717088551087, 214.26363289878802, 219.63304625557817, 225.11957068420904,
+    230.72769865820362, 236.46229485017767, 242.3286419497027, 248.33249416235716,
+    254.48014004486913, 260.7784767735797, 267.2350985289538, 273.8584024626936,
+    280.65771677632347, 287.64345689921936, 294.82731778764776, 302.22251324644947,
+    309.84407732661265, 317.7092489549063, 325.8379701211949, 334.2535420676541,
+    342.9835062738253, 352.0608535465262, 361.52572639232505, 371.42788921432754,
+    381.8304441190611, 392.8156712408081, 404.4947247505151, 417.02490297798903,
+    430.64344416659736, 445.743096973928, 463.0800341094463, 484.615543986444,
+])
+_LAGUERRE_W = np.array([
+    0.028551844452651035, 0.06335021178491794, 0.09130838136679392,
+    0.10991390041071356, 0.11827417103409593, 0.1170457390003754,
+    0.10808998754543912, 0.09394288863896039, 0.07725366879786064,
+    0.06032705626564558, 0.044847348247189875, 0.03179694793686763,
+    0.021530149453793498, 0.013936951733841641, 0.008631585380200209,
+    0.005117777013667797, 0.0029063474364849247, 0.001581432943316221,
+    0.0008247389850985627, 0.0004123260885395586, 0.00019764942644251118,
+    9.085157887821105e-05, 4.004849278356429e-05, 1.6930762398076547e-05,
+    6.8645252911086324e-06, 2.669216598141299e-06, 9.953640102860605e-07,
+    3.559435753001789e-07, 1.2205325519483985e-07, 4.012791920934139e-08,
+    1.2648114147471852e-08, 3.821489729425416e-09, 1.106641059227006e-09,
+    3.071009237096476e-10, 8.165499384151915e-11, 2.0798536327807925e-11,
+    5.073953770838298e-12, 1.185314377179243e-12, 2.65092752372804e-13,
+    5.6746322157558915e-14, 1.1623738147071065e-14, 2.2777662927016544e-15,
+    4.2688319702960985e-16, 7.64928879936084e-17, 1.3101313919834053e-17,
+    2.1441452341239985e-18, 3.3519442872077125e-19, 5.003733086457782e-20,
+    7.130030641956162e-21, 9.694540740394167e-22, 1.2572847556393827e-22,
+    1.554661095562559e-23, 1.832109793252833e-24, 2.0567979781360538e-25,
+    2.198666052622652e-26, 2.2369160073235587e-27, 2.164960644633365e-28,
+    1.9922276806181622e-29, 1.7421538863248417e-30, 1.4469497861057801e-31,
+    1.140751706122702e-32, 8.531805097807407e-34, 6.049701177936868e-35,
+    4.064343243263562e-36, 2.585349374987172e-37, 1.5560287625220566e-38,
+    8.854625849660504e-40, 4.76045751736322e-41, 2.416078510660532e-42,
+    1.1566470503384042e-43, 5.21851061949053e-45, 2.2169743353353805e-46,
+    8.860102756610483e-48, 3.327811159200116e-49, 1.1734900430778984e-50,
+    3.880967726419846e-52, 1.202426327932674e-53, 3.486023044104519e-55,
+    9.445545221593612e-57, 2.3888842745589273e-58, 5.631884750752477e-60,
+    1.2359286119117128e-61, 2.5210042023764216e-63, 4.772224621998463e-65,
+    8.370019891996175e-67, 1.3578243411199973e-68, 2.0336887271522908e-70,
+    2.8068384806944207e-72, 3.562567607060276e-74, 4.149452749292608e-76,
+    4.425007965764582e-78, 4.3100842612880155e-80, 3.824661016760052e-82,
+    3.083547842598158e-84, 2.252139822170326e-86, 1.4855147406445582e-88,
+    8.819635476367266e-91, 4.6964178221246515e-93, 2.234393825454218e-95,
+    9.458787038218903e-98, 3.546960831240135e-100, 1.1725321300342731e-102,
+    3.399090555639315e-105, 8.591907200622054e-108, 1.8818913973526714e-110,
+    3.5473586323060535e-113, 5.711482228284574e-116, 7.78947378804456e-119,
+    8.915898699490266e-122, 8.476856358863863e-125, 6.617326935494856e-128,
+    4.1862163574141207e-131, 2.1143851689801508e-134, 8.382163501362361e-138,
+    2.5572023021995627e-141, 5.8667686421879136e-145, 9.849861030058638e-149,
+    1.1713839433416467e-152, 9.483963265562622e-157, 4.977096381122968e-161,
+    1.5908985277505267e-165, 2.8563038291183435e-170, 2.5822507196906743e-175,
+    1.0073502500506266e-180, 1.344252500443508e-186, 4.182962214035409e-193,
+    1.4571653077267546e-200, 8.64059169046095e-210,
+])
 
 
 def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
@@ -259,7 +338,10 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
     Evaluates integral_0^inf pd_awgn(n, gamma_bar*u, lam) e^-u du by
     128-node Gauss-Laguerre quadrature; u = h^2 is exponential(1) under
     the E[h^2] = 1 envelope convention.  All nodes share one ladder of
-    central tails, so a call costs one Poisson-mixture evaluation.
+    central tails, so a call costs one Poisson-mixture evaluation.  The
+    nodes and weights are the module's literal table, printed from
+    numpy's ``laggauss(128)``, so no LAPACK call runs and the values do
+    not depend on the machine's LAPACK build.
 
     The rule's error is not monotone in SNR.  Measured absolute error at
     n=10, lam=15.99 (P_FA 0.1) against the exact series sum_k
@@ -274,8 +356,8 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
     _check_dof_and_threshold(n, lam)
     if not (math.isfinite(gamma_bar) and gamma_bar > 0):
         raise ValueError(f"gamma_bar must be positive and finite, got {gamma_bar!r}")
-    xs, ws = _laguerre_rule()
-    total = float((ws * _poisson_mixture(n / 2.0, n * gamma_bar * xs / 2.0, lam / 2.0)).sum())
+    hs = n * gamma_bar * _LAGUERRE_X / 2.0
+    total = float((_LAGUERRE_W * _poisson_mixture(n / 2.0, hs, lam / 2.0)).sum())
     if not (math.isfinite(total) and -1e-9 <= total <= 1.0 + 1e-9):
         raise NumericError(f"quadrature produced {total!r} for n={n}, "
                            f"gamma_bar={gamma_bar}, lam={lam}")
@@ -338,9 +420,10 @@ def calibrate_threshold(
     defaults to AWGN with unit noise variance.  Each call draws once, on
     ``workers`` threads (the same draw for any worker count), and takes
     every target's quantile from that draw; nothing is kept between
-    calls.  A target no larger than its own tolerance at ``trials`` (3
-    binomial stderr, at least 2/trials) raises ``ValueError`` naming the
-    trials it needs: at 1e5 trials that refuses 1e-5 and accepts 1e-4.
+    calls.  A target within its own tolerance at ``trials`` (3 binomial
+    stderr, at least 2/trials) of 0 or of 1 raises ``ValueError`` naming
+    the trials it needs: at 1e5 trials that refuses 1e-5 and 1 - 1e-5
+    and accepts 1e-4 and 1 - 1e-4.
     """
     if not isinstance(spec, DetectorSpec):
         raise ValueError(f"spec must be a DetectorSpec, got {spec!r}")
@@ -370,9 +453,11 @@ def calibrate_threshold(
     if trials < 100_000:
         raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
     for target in targets:
-        if _quantile_tolerance(target, trials) >= target:
-            needed = math.floor(max(9.0 * (1.0 - target), 2.0) / target) + 1
-            while _quantile_tolerance(target, needed) >= target:
+        # distance to the nearer end: 1 - 1e-5 is no easier to resolve than 1e-5
+        margin = min(target, 1.0 - target)
+        if _quantile_tolerance(margin, trials) >= margin:
+            needed = math.floor(max(9.0 * (1.0 - margin), 2.0) / margin) + 1
+            while _quantile_tolerance(margin, needed) >= margin:
                 needed += 1
             raise ValueError(
                 f"target_pfa {target:g} is within its own tolerance at {trials} "

@@ -220,6 +220,23 @@ def test_pd_rayleigh_equals_scipy_node_sum():
     assert worst <= 1e-13
 
 
+def test_laguerre_table_matches_laggauss():
+    # The rule is a table printed from laggauss(128); not compared bitwise,
+    # since another CPU may round laggauss's eigensolve differently.
+    xs, ws = np.polynomial.laguerre.laggauss(128)
+    np.testing.assert_allclose(analytic._LAGUERRE_X, xs, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(analytic._LAGUERRE_W, ws, rtol=1e-13, atol=0)
+
+
+def test_laguerre_table_integrates_monomials():
+    # sum_i w_i x_i^k = integral_0^inf u^k e^-u du = k!, exact for k < 256;
+    # laggauss(128) itself is within 3.4e-13 up to k = 60
+    xs, ws = analytic._LAGUERRE_X, analytic._LAGUERRE_W
+    for k in range(61):
+        moment = math.fsum(ws * xs**k)
+        assert moment == pytest.approx(math.factorial(k), rel=1e-12), k
+
+
 def _exact_rayleigh_pd(n, gbar, lam):
     # sum_k theta^k/(1+theta)^(k+1) Q(n/2+k, lam/2), theta = n*gbar/2.
     # K runs 20 sigma past lam/2, where Q is 1 to double precision, so the
@@ -504,6 +521,19 @@ def test_calibrate_checks_every_target_before_drawing(monkeypatch):
         calibrate_threshold(spec, 10, [0.1, 1.0], seed=5)
     with pytest.raises(ValueError, match=">= 1e5 trials"):
         calibrate_threshold(spec, 10, [0.1], trials=99_999, seed=5)
+
+
+def test_calibrate_empirical_refuses_targets_near_one_as_near_zero(monkeypatch):
+    # the draws below the threshold estimate 1 - target, so a target within
+    # its tolerance of 1 is refused as one near 0 is, before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("calibration drew before checking its targets")
+
+    monkeypatch.setattr(montecarlo, "calibration_h0_statistics", no_draw)
+    spec = DetectorSpec(p=3)
+    for target, needed in ((1e-5, 899991), (1 - 1e-5, 899992), (1 - 1e-6, 8999991)):
+        with pytest.raises(ValueError, match=f"needs cal_trials >= {needed}$"):
+            calibrate_threshold(spec, 10, [0.5, target], seed=5)
 
 
 def test_calibrate_empirical_rejects_small_runs():

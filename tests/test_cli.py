@@ -48,6 +48,17 @@ def test_small_cal_trials_exit_two_on_every_command(tmp_path, capsys):
     assert "needs >= 1e5 trials" in capsys.readouterr().err
 
 
+def test_empirical_calibrate_refuses_targets_near_one_as_near_zero(capsys):
+    # 1 - 1e-5 is as unresolvable at 1e5 draws as 1e-5 is
+    common = ("calibrate", "--detector-p", "3", "--pfa-targets")
+    assert run(*common, "0.99999,0.999999") == 2
+    assert "target_pfa 0.99999 " in capsys.readouterr().err
+    assert run(*common, "0.999999") == 2
+    assert "needs cal_trials >= 8999991" in capsys.readouterr().err
+    assert run(*common, "0.9999") == 0
+    assert "achieved_pfa=0.9999 " in capsys.readouterr().out
+
+
 def test_calibrate_rejects_a_target_it_cannot_resolve(capsys):
     assert run("calibrate", "--pfa-targets", "1e-300") == 0
     out = capsys.readouterr().out
@@ -660,6 +671,20 @@ def test_script_entry_freezes_the_imports():
     version, frozen = _fresh(code).splitlines()
     assert version == f"sensesim {sensesim.__version__}"
     assert frozen.startswith("frozen ") and int(frozen.split()[1]) > 0
+
+
+def test_rayleigh_oracle_runs_leave_numpy_polynomial_out(tmp_path):
+    # the Gauss-Laguerre rule is a table, so no run builds it with laggauss
+    steps = [["roc", "--channel", "rayleigh", "--svg", "--trials", "2000",
+              "--snr-db=0,10", "--pfa-targets", "0.1", "--out", str(tmp_path)],
+             ["validate", "--trials", "2000"]]
+    code = ("import sys\nfrom sensesim.cli import main\n"
+            f"for argv in {steps!r}:\n"
+            "    assert main(argv) == 0\n"
+            "    print('numpy.polynomial' in sys.modules)\n")
+    out = _fresh(code).splitlines()
+    assert [line for line in out if line in ("True", "False")] == ["False", "False"]
+    assert "analytic" in (tmp_path / "roc_rayleigh_10dB.svg").read_text()
 
 
 def test_runs_import_the_pool_and_the_ini_parser_only_when_used(tmp_path):
