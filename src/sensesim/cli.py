@@ -304,8 +304,9 @@ def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None)
     print(f"wrote {path}.csv")
     if cfg["svg"] and plot is not None:
         series, labels = plot()
+        svg = line_plot(series, **labels)  # rendered first: a failed plot leaves no file
         with open(path + ".svg", "w") as handle:
-            handle.write(line_plot(series, **labels))
+            handle.write(svg)
         print(f"wrote {path}.svg")
 
 
@@ -342,23 +343,24 @@ def cmd_roc(cfg: dict) -> int:
     spec = _build_spec(cfg)
     grid = _grid_for(cfg, spec)
     sc = _scenario(cfg)
-    curves = roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
-    for snr, curve in zip(cfg["snr_db"], curves):
+    # Python floats, which _fmt_value writes with repr
+    pfa, stderr_pfa, pd, stderr_pd = (a.tolist() for a in roc_sweep(
+        sc, cfg["snr_db"], spec, grid, workers=cfg["workers"]))
+    for snr, pd_snr, stderr_snr in zip(cfg["snr_db"], pd, stderr_pd):
 
         def plot():
-            series = [Series(curve.pfa, curve.pd, label="simulated")]
+            series = [Series(pfa, pd_snr, label="simulated")]
             if spec == _ORACLE_SPEC:
-                ana_pd = [_oracle_pd(sc, snr, lam) for lam in curve.thresholds]
+                ana_pd = [_oracle_pd(sc, snr, lam) for lam in grid.values]
                 if None not in ana_pd:
-                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in curve.thresholds]
+                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in grid.values]
                     series.append(Series(ana_pfa, ana_pd, label="analytic"))
             # log-x only while every empirical pfa is strictly positive;
             # short runs can hit 0 false alarms at the tightest thresholds
             return series, dict(title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
-                                xlabel="P_FA", ylabel="P_D",
-                                logx=bool(np.all(curve.pfa > 0.0)))
+                                xlabel="P_FA", ylabel="P_D", logx=min(pfa) > 0.0)
 
-        rows = [[lam, pt.pfa, pt.stderr_pfa, pt.pd, pt.stderr_pd] for lam, pt in curve.points]
+        rows = zip(grid.values, pfa, stderr_pfa, pd_snr, stderr_snr)
         _write(cfg, f"roc_{cfg['channel']}_{_snr_tag(snr)}", _meta(cfg, "roc", snr),
                ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows, plot)
     return 0
@@ -487,25 +489,27 @@ def cmd_validate(cfg: dict) -> int:
     sweeps = {}
     for kind in (AWGN, RAYLEIGH):
         sc = _scenario(cfg, kind)
-        sweeps[kind] = sc, roc_sweep(sc, cfg["snr_db"], spec, grid, workers=cfg["workers"])
+        pfa, _, pd, _ = (a.tolist() for a in roc_sweep(sc, cfg["snr_db"], spec, grid,
+                                                        workers=cfg["workers"]))
+        sweeps[kind] = sc, pfa, pd
 
-    _, curves = sweeps[AWGN]
+    _, pfa, _ = sweeps[AWGN]
     check_sigmas("h0-false-alarm", [
-        abs(pfa - target) / math.sqrt(target * (1 - target) / trials)
-        for target, pfa in zip(grid.pfa_targets, curves[0].pfa)
+        abs(rate - target) / math.sqrt(target * (1 - target) / trials)
+        for target, rate in zip(grid.pfa_targets, pfa)
     ], "pfa - target", f"at targets {_fmt_value(grid.pfa_targets)}")
 
     for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
-        sc, curves = sweeps[kind]
+        sc, _, pd = sweeps[kind]
         if sc.signal.mean_square(sc.n_samples) is None:
             print(f"SKIP {kind}-pd-oracle: {sc.signal} frames differ in mean square")
             continue
         sigmas = []
-        for snr, curve in zip(cfg["snr_db"], curves):
-            for lam, pd in zip(curve.thresholds, curve.pd):
+        for snr, pd_snr in zip(cfg["snr_db"], pd):
+            for lam, rate in zip(grid.values, pd_snr):
                 pd_ref = _oracle_pd(sc, snr, lam)
                 sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
-                sigmas.append(abs(pd - pd_ref) / sig)
+                sigmas.append(abs(rate - pd_ref) / sig)
         check_sigmas(f"{kind}-pd-oracle", sigmas, f"pd - {ref_name}", f"({sc.signal} oracle)")
 
     if failures:

@@ -53,14 +53,7 @@ import numpy as np
 
 from .analytic import calibrate_threshold
 from .detector import DetectorSpec, statistic_rows
-from .metrics import (
-    ConfusionCounts,
-    RatePoint,
-    RocCurve,
-    binomial_stderr,
-    rates_from_counts,
-    roc_assemble,
-)
+from .metrics import rates_from_counts, roc_assemble
 from .rng import MASK64, Stream, fold_in, fold_range, normal_block, uniform_block
 from .signal_channel import (
     AWGN,
@@ -355,26 +348,23 @@ def count_detections(
 
 def estimate_pfa(
     sc: Scenario, spec: DetectorSpec, lam: float, *, workers: int = 1
-) -> RatePoint:
-    """Empirical false-alarm probability: the H0 column of ``sc``.
+) -> tuple[float, float]:
+    """Empirical false-alarm probability of the H0 column of ``sc`` and
+    its binomial standard error.
 
     No package code calls it; it stays for the tests and the bench tracer's hook."""
-    fa = count_detections(sc, spec, lam, workers=workers)
-    pfa = fa / sc.trials
-    return RatePoint.pfa_only(pfa, stderr_pfa=binomial_stderr(pfa, sc.trials))
+    return rates_from_counts(count_detections(sc, spec, lam, workers=workers), sc.trials)
 
 
 def estimate_pmd(
     sc: Scenario, spec: DetectorSpec, lam: float, snr_db: float, *, workers: int = 1
-) -> RatePoint:
-    """Empirical missed-detection probability of ``sc``'s signal at ``snr_db``.
+) -> tuple[float, float]:
+    """Empirical missed-detection probability of ``sc``'s signal at
+    ``snr_db``, counted as (T - det) / T, and its binomial standard error.
 
-    pmd is the measured fraction; pd = 1 - pmd is derived from it.  No
-    package code calls it; it stays for the tests and the bench tracer's hook.
-    """
+    No package code calls it; it stays for the tests and the bench tracer's hook."""
     det = count_detections(sc, spec, lam, snr_db, workers=workers)
-    pmd = (sc.trials - det) / sc.trials
-    return RatePoint.from_pmd(pmd, stderr_pd=binomial_stderr(pmd, sc.trials))
+    return rates_from_counts(sc.trials - det, sc.trials)
 
 
 def _signal_snrs(snrs, caller: str) -> tuple[float, ...]:
@@ -392,24 +382,20 @@ def roc_sweep(
     grid: ThresholdGrid,
     *,
     workers: int = 1,
-) -> list[RocCurve]:
-    """One ROC curve per SNR, all thresholds sharing trials.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Empirical ROC curves at every SNR, all thresholds sharing trials.
 
-    One pass draws every trial of ``sc`` once and scores H0 and each SNR
-    from it, so the empirical curves are exactly monotone.  Curves come
-    back in SNR order.
+    Returns ``(pfa, stderr_pfa, pd, stderr_pd)``: the false-alarm rates
+    of the one H0 column and their binomial standard errors, each of
+    shape (thresholds,), and the detection rates and theirs, each of
+    shape (SNRs, thresholds), rows in ``snrs`` order; columns follow the
+    grid.  One pass draws every trial of ``sc`` once and scores H0 and
+    each SNR from it, so every curve is exactly monotone.
     """
     snrs = _signal_snrs(snrs, "roc_sweep")
     reduce = _threshold_counts(grid.values)
-    h0, *counts = _run_blocks(sc, (None, *snrs), (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
-    trials = sc.trials
-    return [
-        roc_assemble([
-            (lam, rates_from_counts(ConfusionCounts(trials, trials, fa, det)))
-            for lam, fa, det in zip(grid.values, h0, detections)
-        ])
-        for detections in counts
-    ]
+    counts = _run_blocks(sc, (None, *snrs), (spec,), TRIAL_DOMAIN, workers, reduce)
+    return roc_assemble(counts, sc.trials)
 
 
 def pmd_table(
@@ -428,12 +414,9 @@ def pmd_table(
     each row is exactly monotone along the grid.
     """
     snrs = _signal_snrs(snrs, "pmd_table")
-    trials = sc.trials
     reduce = _threshold_counts(grid.values)
-    counts = _run_blocks(sc, snrs, (spec,), TRIAL_DOMAIN, workers, reduce).tolist()
-    pmd = [[(trials - det) / trials for det in detections] for detections in counts]
-    stderr = [[binomial_stderr(rate, trials) for rate in row] for row in pmd]
-    return np.array(pmd), np.array(stderr)
+    counts = _run_blocks(sc, snrs, (spec,), TRIAL_DOMAIN, workers, reduce)
+    return rates_from_counts(sc.trials - counts, sc.trials)
 
 
 def compare_detectors(

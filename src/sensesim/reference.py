@@ -16,10 +16,6 @@ trend invariants enforced on simulated tables therefore do not apply to
 this data.
 """
 
-from __future__ import annotations
-
-import numpy as np
-
 REFERENCE_SNR_DB = (-10.0, 0.0, 10.0)
 REFERENCE_ROWS = 26
 
@@ -81,14 +77,4 @@ PMD_IMPROVED = (
     (0.0050, 0.0003, 0.0048),
     (0.0030, 0.0000, 0.0015),
 )
-
-
-def conventional_array() -> np.ndarray:
-    """The squaring-detector reference table as a (26, 3) float array."""
-    return np.array(PMD_CONVENTIONAL, dtype=np.float64)
-
-
-def improved_array() -> np.ndarray:
-    """The cubing-detector reference table as a (26, 3) float array."""
-    return np.array(PMD_IMPROVED, dtype=np.float64)
 

@@ -64,8 +64,8 @@ def line_plot(
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    if x_hi == x_lo:  # one x: a decade each way on a log axis, which stays positive
+        x_lo, x_hi = (x_lo / 10.0, x_hi * 10.0) if logx else (x_lo - 0.5, x_hi + 0.5)
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

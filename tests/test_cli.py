@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import xml.dom.minidom
+import xml.etree.ElementTree
 
 import numpy as np
 import pytest
@@ -388,8 +389,8 @@ def test_pmd_table_embeds_reference_columns(tmp_path):
     meta, rows = read_result_csv(str(tmp_path / "pmd_table_p2_awgn.csv"))
     assert len(rows) == 26
     assert "bundled" in meta["reference_tables"]
-    conv = reference.conventional_array()
-    impr = reference.improved_array()
+    conv = np.array(reference.PMD_CONVENTIONAL)
+    impr = np.array(reference.PMD_IMPROVED)
     for i, row in enumerate(rows):
         assert int(row["threshold_index"]) == i + 1
         assert float(row["ref_squaring_-10dB"]) == conv[i, 0]
@@ -505,6 +506,55 @@ def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
         assert "polyline" in path.read_text()
     if svg:  # p=2 overlays the closed-form curve
         assert "analytic" in (tmp_path / "roc_awgn_0dB.svg").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--snr-db=0"],
+    ["roc", "--detector-p", "3"],
+], ids=["compare", "roc-p3"])
+def test_a_single_target_log_plot_is_written(tmp_path, argv):
+    # one P_FA on a log-x axis: widening its range by +-0.5 reached x <= 0
+    argv = [*argv, "--pfa-targets", "0.1", "--trials", "1000"]
+    assert run(*argv, "--svg", "--out", str(tmp_path / "svg")) == 0
+    assert run(*argv, "--out", str(tmp_path / "csv")) == 0
+    csvs = sorted(path.name for path in (tmp_path / "csv").iterdir())
+    assert csvs and all(name.endswith(".csv") for name in csvs)
+    for name in csvs:  # the plot changes no CSV byte
+        assert (tmp_path / "svg" / name).read_bytes() == (tmp_path / "csv" / name).read_bytes()
+        svg = (tmp_path / "svg" / name).with_suffix(".svg")
+        assert svg.stat().st_size > 0
+        xml.etree.ElementTree.parse(svg)
+
+
+def test_a_plot_that_fails_leaves_no_svg(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("plot failed")
+
+    monkeypatch.setattr(cli, "line_plot", broken)
+    assert run("roc", "--trials", "1000", "--snr-db=0", "--svg", "--out", str(tmp_path)) == 2
+    assert "plot failed" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["roc_awgn_0dB.csv"]
+
+
+def test_p3_never_leads_p2_on_gaussian_signals(tmp_path):
+    # For Gaussian signal frames the likelihood ratio increases with sum y^2,
+    # on AWGN and on Rayleigh block fading alike, so p=2 is uniformly most
+    # powerful: no cell may find p=3 missing less, delta = pmd_p2 - pmd_p3 > 0,
+    # beyond the Sidak bound over every cell checked.
+    ini = tmp_path / "gaussian.ini"
+    ini.write_text("[signal]\nkind = gaussian\n")
+    cells = []
+    for channel in ("awgn", "rayleigh"):
+        out = tmp_path / channel
+        assert run("compare", "--trials", "20000", "--channel", channel,
+                   "--config", str(ini), "--out", str(out)) == 0
+        for path in sorted(out.glob("*.csv")):
+            _, rows = read_result_csv(str(path))
+            cells += [(float(r["delta"]), float(r["stderr_delta"]), path.stem, r["target_pfa"])
+                      for r in rows]
+    assert len(cells) == 12  # 2 channels x 3 SNRs x 2 targets
+    bound = cli._sigma_bound(len(cells))
+    assert [cell for cell in cells if cell[0] > bound * cell[1]] == []
 
 
 def test_rayleigh_channel_and_p3_table(tmp_path):

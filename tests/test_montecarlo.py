@@ -155,10 +155,10 @@ def test_empirical_grid_for_p3_is_decreasing():
 
 def test_trivial_thresholds():
     sc = _sc()
-    assert estimate_pfa(sc, P2, 0.0).pfa == 1.0  # ties decide H1
-    assert estimate_pfa(sc, P2, 1e12).pfa == 0.0
-    assert estimate_pmd(sc, P2, 0.0, 0.0).pmd == 0.0
-    assert estimate_pmd(sc, P2, 1e12, 0.0).pmd == 1.0
+    assert estimate_pfa(sc, P2, 0.0) == (1.0, 0.0)  # ties decide H1
+    assert estimate_pfa(sc, P2, 1e12) == (0.0, 0.0)
+    assert estimate_pmd(sc, P2, 0.0, 0.0) == (0.0, 0.0)
+    assert estimate_pmd(sc, P2, 1e12, 0.0) == (1.0, 0.0)
     with pytest.raises(ValueError):
         count_detections(sc, P2, -1.0)
     with pytest.raises(ValueError):
@@ -168,11 +168,14 @@ def test_trivial_thresholds():
 def test_rates_are_exact_count_ratios():
     sc = _sc(trials=1000)
     lam = calibrate_threshold(P2, 10, [0.1])[0].threshold
-    pt = estimate_pfa(sc, P2, lam)
-    assert pt.pfa == count_detections(sc, P2, lam) / 1000
-    pm = estimate_pmd(sc, P2, lam, 0.0)
-    assert pm.pmd == (1000 - count_detections(sc, P2, lam, 0.0)) / 1000
-    assert pm.pd + pm.pmd == 1.0
+    pfa, stderr_pfa = estimate_pfa(sc, P2, lam)
+    assert pfa == count_detections(sc, P2, lam) / 1000
+    assert stderr_pfa == binomial_stderr(pfa, 1000)
+    det = count_detections(sc, P2, lam, 0.0)
+    pmd, stderr_pmd = estimate_pmd(sc, P2, lam, 0.0)
+    assert pmd == (1000 - det) / 1000
+    assert stderr_pmd == binomial_stderr(pmd, 1000)
+    assert det / 1000 + pmd == 1.0
 
 
 def test_engine_matches_naive_loop_awgn():
@@ -245,10 +248,11 @@ def test_calibration_domain_is_disjoint_from_trials():
 def test_roc_sweep_is_exactly_monotone():
     sc = _sc(trials=20_000)
     grid = default_threshold_grid(P2, 10)
-    (curve,) = roc_sweep(sc, [0.0], P2, grid)
-    assert len(curve.points) == 26
-    assert np.all(np.diff(curve.pfa) >= 0.0)  # shared trials: no wiggle at all
-    assert np.all(np.diff(curve.pd) >= 0.0)
+    pfa, stderr_pfa, pd, stderr_pd = roc_sweep(sc, [0.0], P2, grid)
+    assert pfa.shape == stderr_pfa.shape == (26,)
+    assert pd.shape == stderr_pd.shape == (1, 26)
+    assert np.all(np.diff(pfa) >= 0.0)  # shared trials: no wiggle at all
+    assert np.all(np.diff(pd) >= 0.0)
     with pytest.raises(ValueError):  # H0 is scored on every call, never named
         roc_sweep(sc, [None], P2, grid)
     with pytest.raises(ValueError):
@@ -258,8 +262,14 @@ def test_roc_sweep_is_exactly_monotone():
 def test_roc_sweep_over_columns_equals_one_call_per_column():
     grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, 10)
     sc, snrs = _sc(channel=CH_RAY, trials=3000), (10.0, -10.0, 0.0)
-    curves = roc_sweep(sc, snrs, P2, grid)
-    assert curves == [roc_sweep(sc, [snr], P2, grid)[0] for snr in snrs]
+    pfa, stderr_pfa, pd, stderr_pd = roc_sweep(sc, snrs, P2, grid)
+    assert pd.shape == stderr_pd.shape == (len(snrs), 3)
+    for row, snr in enumerate(snrs):
+        single = roc_sweep(sc, [snr], P2, grid)
+        assert [a.tobytes() for a in single] == [
+            pfa.tobytes(), stderr_pfa.tobytes(), pd[row:row + 1].tobytes(),
+            stderr_pd[row:row + 1].tobytes(),
+        ]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -454,7 +464,8 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
                     pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
                     h0 = calibration_h0_statistics(P3, n, 500, channel=channel, seed=31,
                                                    workers=workers)
-                    results.append((roc_sweep(sc, snrs, P2, grid, workers=workers),
+                    roc = roc_sweep(sc, snrs, P2, grid, workers=workers)
+                    results.append(([a.tobytes() for a in roc],
                                     pmd.tolist(), stderr.tolist(), h0.tolist()))
             assert all(r == results[0] for r in results[1:]), n
     finally:

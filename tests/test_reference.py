@@ -2,6 +2,7 @@
 and do not satisfy."""
 
 import numpy as np
+import pytest
 
 from sensesim import reference
 
@@ -9,8 +10,8 @@ from sensesim import reference
 def test_shape_and_snr_axis():
     assert reference.REFERENCE_SNR_DB == (-10.0, 0.0, 10.0)
     assert reference.REFERENCE_ROWS == 26
-    assert reference.conventional_array().shape == (26, 3)
-    assert reference.improved_array().shape == (26, 3)
+    assert np.array(reference.PMD_CONVENTIONAL).shape == (26, 3)
+    assert np.array(reference.PMD_IMPROVED).shape == (26, 3)
 
 
 def test_spot_values():
@@ -23,13 +24,13 @@ def test_spot_values():
 
 
 def test_all_values_are_probabilities():
-    for table in (reference.conventional_array(), reference.improved_array()):
+    for table in (np.array(reference.PMD_CONVENTIONAL), np.array(reference.PMD_IMPROVED)):
         assert np.all(table >= 0.0)
         assert np.all(table <= 1.0)
 
 
 def test_pmd_falls_down_every_column():
-    for table in (reference.conventional_array(), reference.improved_array()):
+    for table in (np.array(reference.PMD_CONVENTIONAL), np.array(reference.PMD_IMPROVED)):
         assert np.all(table[1:, :] <= table[:-1, :])
 
 
@@ -37,13 +38,14 @@ def test_reference_is_not_row_monotone_in_snr():
     # the bundled data itself violates the with-SNR trend in places (the
     # improved table's first rows, the conventional table's lower rows),
     # which is why simulated-table invariants are never applied to it
-    conv = reference.conventional_array()
-    impr = reference.improved_array()
+    conv = np.array(reference.PMD_CONVENTIONAL)
+    impr = np.array(reference.PMD_IMPROVED)
     assert np.any(conv[:, 2] > conv[:, 1])
     assert np.any(impr[:, 2] > impr[:, 1])
 
 
-def test_accessors_return_fresh_arrays():
-    a = reference.conventional_array()
-    a[0, 0] = -1.0
-    assert reference.conventional_array()[0, 0] == 0.9690
+def test_tables_are_read_only():
+    for table in (reference.PMD_CONVENTIONAL, reference.PMD_IMPROVED):
+        assert isinstance(table, tuple) and all(isinstance(row, tuple) for row in table)
+        with pytest.raises(TypeError):
+            table[0] = (-1.0, -1.0, -1.0)
