@@ -470,10 +470,10 @@ def calibrate_threshold(
 
     stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed,
                                       workers=workers)
-    # The quantile depends only on order statistics, so the sorted draw
-    # gives the same bits as the raw one, and the sort serves the counts.
+    # The quantiles are read by index from the sorted draw, which the
+    # counts below search as well.
     stats.sort()
-    lams = np.quantile(stats, [1.0 - t for t in targets], method="linear")
+    lams = _sorted_quantiles(stats, [1.0 - t for t in targets])
     below = np.searchsorted(stats, lams, side="left")
     results = []
     for target, lam, k in zip(targets, lams, below):
@@ -487,6 +487,24 @@ def calibrate_threshold(
             mc_trials=trials,
         ))
     return results
+
+
+def _sorted_quantiles(stats: np.ndarray, probs) -> np.ndarray:
+    """numpy's ``quantile(stats, probs, method="linear")`` of an already
+    sorted 1-D ``stats``: definition 7 of Hyndman and Fan (1996), two
+    order statistics read by index and numpy's own interpolation steps,
+    so every value keeps its bits.  numpy's function would import
+    ``numpy.ma`` and partition a copy of the draw.
+    """
+    last = stats.size - 1
+    vi = last * np.asarray(probs, dtype=np.float64)
+    lo = np.floor(vi)
+    g = vi - lo
+    lo = lo.astype(np.intp)
+    a = stats[lo]
+    b = stats[np.minimum(lo + 1, last)]
+    diff = b - a
+    return np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
 
 
 def _quantile_tolerance(pfa: float, trials: int) -> float:

@@ -475,13 +475,34 @@ def test_calibrate_empirical_p3_orders_with_target():
     assert again.threshold == lam_01
 
 
-def test_calibrate_empirical_grid_equals_independent_quantiles():
-    spec, n, seed = DetectorSpec(p=3), 4, 11
+@pytest.mark.parametrize("n", [2, 3, 10_001, 100_000])
+def test_sorted_quantiles_equal_numpy_linear_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    stats = np.sort(rng.standard_normal(n) ** 2)
+    last = n - 1
+    top = 1.0  # the largest q whose virtual index lies below n - 1
+    while last * top >= last:
+        top = np.nextafter(top, 0.0)
+    probs = np.concatenate([rng.uniform(0.0, 1.0, 29), [0.0, 0.5, top]])
+    vi = last * probs
+    g = vi - np.floor(vi)
+    assert (g < 0.5).any() and (g >= 0.5).any()  # both interpolation branches
+    assert last - 1 < vi[-1] < last
+    if n == 10_001:
+        assert vi[-2] == 5000.0  # an integral virtual index
+    got = analytic._sorted_quantiles(stats, probs)
+    assert got.tobytes() == np.quantile(stats, probs, method="linear").tobytes()
+
+
+# (4, 11) is a short frame; (10, 3) is the pmd-cubing benchmark's calibration
+@pytest.mark.parametrize("n, seed", [(4, 11), (10, 3)], ids=["n4", "pmd-cubing"])
+def test_calibrate_empirical_grid_equals_independent_quantiles(n, seed):
+    spec = DetectorSpec(p=3)
     grid = calibrate_threshold(spec, n, montecarlo.DEFAULT_PFA_TARGETS, seed=seed)
     assert [cal.target_pfa for cal in grid] == list(montecarlo.DEFAULT_PFA_TARGETS)
     fresh = montecarlo.calibration_h0_statistics(spec, n, 100_000, seed=seed)
     for cal in grid:
-        # one vector quantile gives every target the bits of its own scalar one
+        # the quantiles read from the sorted draw keep numpy's scalar bits
         lam = float(np.quantile(fresh, 1.0 - cal.target_pfa, method="linear"))
         assert cal.threshold == lam
         assert cal.achieved_pfa == float(np.mean(fresh >= lam))

@@ -737,6 +737,20 @@ def test_rayleigh_oracle_runs_leave_numpy_polynomial_out(tmp_path):
     assert "analytic" in (tmp_path / "roc_rayleigh_10dB.svg").read_text()
 
 
+def test_empirical_calibration_runs_leave_numpy_ma_out(tmp_path):
+    # the p=3 thresholds are read by index from the sorted draw, so no run
+    # calls np.quantile, whose first call imports numpy.ma
+    steps = [["calibrate", "--detector-p", "3", "--pfa-targets", "0.01,0.1"],
+             ["pmd-table", "--detector-p", "3", "--trials", "2000", "--out", str(tmp_path)],
+             ["compare", "--trials", "2000", "--out", str(tmp_path)]]
+    code = ("import sys\nfrom sensesim.cli import main\n"
+            f"for argv in {steps!r}:\n"
+            "    assert main(argv) == 0\n"
+            "    print('numpy.ma' in sys.modules)\n")
+    out = _fresh(code).splitlines()
+    assert [line for line in out if line in ("True", "False")] == ["False"] * 3
+
+
 def test_runs_import_the_pool_and_the_ini_parser_only_when_used(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[run]\nseed = 5\n")
