@@ -13,7 +13,9 @@ redrawn on its own: the per-trial loop of ``tests/oracle_scalar.py``
 reproduces the engine's statistics and counts bit for bit, H0 frames
 included.  The engine vectorizes that loop in fixed-size trial blocks;
 block boundaries and worker counts cannot change any value, only
-wall-clock time.
+wall-clock time.  Before any draw, a call refuses a statistic that can
+overflow, a normalized sigma^p that is not a normal double, a bad SNR
+and fewer than one worker, each with ``ValueError``.
 
 Empirical-quantile threshold calibration draws from
 ``child(CALIBRATION_DOMAIN, t)`` instead, so calibration noise is
@@ -45,6 +47,7 @@ P_FA target's quantile.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,14 +55,15 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import calibrate_threshold
-from .detector import DetectorSpec, statistic_rows
+from .detector import DetectorSpec, _sigma_p, statistic_rows
 from .metrics import rates_from_counts, roc_assemble
-from .rng import MASK64, Stream, fold_in, fold_range, normal_block, uniform_block
+from .rng import MASK64, NORMAL_MAX, Stream, fold_in, fold_range, normal_block, uniform_block
 from .signal_channel import (
     AWGN,
     FADING_ROLE,
     NOISE_ROLE,
     RAYLEIGH,
+    RAYLEIGH_GAIN_MAX,
     ChannelModel,
     SignalModel,
     snr_to_linear,
@@ -230,8 +234,9 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     """Run :func:`_stats_block` over all trial blocks of ``sc``.
 
     ``snrs`` are the columns formed from the scenario's one draw, in dB;
-    ``None`` is the noise-only (H0) column.  Every SNR is refused here,
-    before any draw, unless its linear power is a positive finite double.
+    ``None`` is the noise-only (H0) column.  Before any draw, the call is
+    refused for fewer than one worker, a bad SNR, a sigma^p that
+    :func:`_sigma_p` refuses, or a spec whose statistic can overflow.
 
     Without ``reduce``: one per-trial statistic array per (SNR, spec),
     in trial order.  With ``reduce``: the sum over all blocks of
@@ -244,21 +249,36 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     joined, the first failed worker's exception is raised here.
     """
     snrs = tuple(snrs)
-    for snr in snrs:
-        if snr is not None:
-            snr_to_linear(snr)
-            if sc.signal is None:
-                raise ValueError("an SNR needs a signal model; the scenario has none")
-    trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // sc.n_samples))
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    channel, n = sc.channel, sc.n_samples
+    # No |y| exceeds peak, so no statistic exceeds n peak^p: NORMAL_MAX
+    # sigma, plus the peak gain times the signal's peak at the largest SNR.
+    peak, what = NORMAL_MAX * channel.noise_std, f"noise_variance {channel.noise_variance!r}"
+    signal_snrs = [snr for snr in snrs if snr is not None]
+    if signal_snrs:
+        gamma = max(snr_to_linear(snr) for snr in signal_snrs)
+        if sc.signal is None:
+            raise ValueError("an SNR needs a signal model; the scenario has none")
+        amp = (RAYLEIGH_GAIN_MAX if channel.kind == RAYLEIGH else 1.0) * math.sqrt(
+            gamma * channel.noise_variance)
+        peak += amp * sc.signal.crest * math.sqrt(sc.signal.power)
+        what += f" with signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"
+    for spec in specs:
+        if spec.normalized:
+            _sigma_p(channel.noise_std, spec.p)  # the more precise refusal, where it applies
+        if not peak < (sys.float_info.max / n) ** (1.0 / spec.p):
+            raise ValueError(f"{what} can overflow the p={spec.p} statistic of {n} samples")
+    trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // n))
     starts = range(0, trials, size)
-    workers = max(1, min(workers, len(starts)))
+    workers = min(workers, len(starts))
     outs = None if reduce else [np.empty(trials) for _ in range(len(snrs) * len(specs))]
 
     def run(first):
         counts = 0
         # (trials, n) noise, signal and uint64 scratch, n padded to Box-Muller
         # pairs, longer side contiguous; then fading gain and per-SNR scaling.
-        pad = sc.n_samples + sc.n_samples % 2
+        pad = n + n % 2
         buffers = [np.empty((pad, size), dt).T if size >= pad else np.empty((size, pad), dt)
                    for dt in (np.float64, np.float64, np.uint64)] + [np.empty((2, size)).T]
         for lo in starts[first::workers]:
@@ -340,9 +360,7 @@ def count_detections(
     the threshold (ties detect).
 
     No package code calls it; it stays for the tests and the bench tracer's hook."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"threshold must be finite and >= 0, got {lam!r}")
-    reduce = _threshold_counts((float(lam),))
+    reduce = _threshold_counts(ThresholdGrid((float(lam),)).values)  # refuses a bad lam
     return int(_run_blocks(sc, (snr_db,), (spec,), TRIAL_DOMAIN, workers, reduce)[0, 0])
 
 

@@ -18,8 +18,8 @@ Stream layout
   integer path components into the key, one ``mix64`` round per
   component.  Distinct paths give statistically independent streams.
 * The i-th uniform of a stream is ``tofloat(mix64(key + i*GOLDEN))``;
-  uniforms are mapped to the open interval (0, 1) so logarithms are
-  always safe.
+  uniforms lie in (0, 1]: never 0, so logarithms stay finite, and a
+  uniform of 1.0 gives a Box-Muller radius of -0.0, never NaN.
 * Normal variates come from Box-Muller pairs: uniforms (u[2j], u[2j+1])
   produce normals (z[2j], z[2j+1]).  A request for an odd count draws
   the full last pair and discards the trailing normal, so the mapping
@@ -74,11 +74,11 @@ def mix64_array(z: np.ndarray, *, out=None, work=None) -> np.ndarray:
 
 
 def bits_to_uniform(z: np.ndarray, *, out=None) -> np.ndarray:
-    """Map mixed 64-bit words to float64 uniforms in the open (0, 1).
+    """Map mixed 64-bit words to float64 uniforms in (0, 1].
 
-    Uses the top 53 bits; the +0.5 offset keeps both endpoints excluded
-    (minimum 2^-54, maximum 1 - 2^-54).  With a float64 ``out`` the
-    uniforms go there and ``z`` is shifted in place, as scratch.
+    Top 53 bits plus 0.5, times 2^-53: the least is 2^-54; the top 2^11
+    words give 1.0, as (2^53 - 1) + 0.5 rounds to 2^53.  With a float64
+    ``out`` the uniforms go there and ``z`` is shifted in place, as scratch.
     """
     z = np.right_shift(z, _U64(11), out=None if out is None else z)
     return np.multiply(np.add(z, 0.5, out=out), 2.0**-53, out=out)

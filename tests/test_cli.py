@@ -298,25 +298,52 @@ def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, var
     assert not out.exists()
 
 
-@pytest.mark.parametrize("variance, snr, p, argv", [
-    ("1e205", 10.0, 3, ["roc", "--detector-p", "3", "--pfa-targets", "0.1,0.5"]),
-    ("1e205", 10.0, 3, ["compare", "--detector-p", "2"]),  # compare also scores p=3
-    ("1e205", 10.0, 3, ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"]),
-    ("1", 3000.0, 3, ["roc", "--detector-p", "3", "--snr-db=3000"]),  # the signal term alone
-    ("1", 3070.0, 2, ["validate", "--snr-db=3070"]),  # its Rayleigh sweep, on an AWGN config
+_NOISE_OVERFLOWS = "noise_variance 1e+205 can overflow the p=3 statistic of 10 samples"
+
+
+@pytest.mark.parametrize("variance, argv, message, calibration_draws", [
+    # the p=3 calibration draw is refused on the noise alone
+    ("1e205", ["roc", "--detector-p", "3", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS, False),
+    ("1e205", ["compare", "--detector-p", "2"], _NOISE_OVERFLOWS, False),  # p=3 too
+    ("1e205", ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"], _NOISE_OVERFLOWS,
+     False),
+    ("1", ["roc", "--detector-p", "3", "--snr-db=3000"],  # the signal term alone
+     "noise_variance 1.0 with signal_power 1.0 at snr_db 3000.0 can overflow the p=3 "
+     "statistic of 10 samples", True),
+    ("1", ["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
+     "noise_variance 1.0 with signal_power 1.0 at snr_db 3070.0 can overflow the p=2 "
+     "statistic of 10 samples", False),
 ], ids=["roc", "compare", "pmd-table", "snr", "validate"])
-def test_a_statistic_that_can_overflow_exits_two(tmp_path, capsys, variance, snr, p, argv):
+def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, variance, argv,
+                                                 message, calibration_draws):
     # No |y| exceeds 8.6522 sigma plus the peak gain times the signal's
     # peak amplitude, so n |y|^p bounds the statistic before any draw; in
     # each of these configs that bound, and |y|^p in a draw, can overflow.
+    # The engine refuses the first draw whose bound overflows, so only a
+    # p=3 run whose signal alone overflows draws (its calibration) first.
+    draws = []
+    normal_block = montecarlo.normal_block
+
+    def counted(*args, **kwargs):
+        draws.append(args[1])
+        return normal_block(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "normal_block", counted)
     ini = tmp_path / "noise.ini"
     ini.write_text(f"[run]\nnoise_variance = {variance}\n")
     out = tmp_path / "out"
     assert run(*argv, "--config", str(ini), "--trials", "2000", "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"error: noise_variance {float(variance)!r} with signal_power 1.0 at snr_db {snr!r} "
-        f"can overflow the p={p} statistic of 10 samples\n")
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert bool(draws) == calibration_draws
     assert not out.exists()
+
+
+def test_calibrate_runs_where_only_the_signal_can_overflow(capsys):
+    # calibrate draws the noise alone, whose statistic fits at any SNR
+    assert run("calibrate", "--detector-p", "3", "--snr-db=3000") == 0
+    assert "method=empirical" in capsys.readouterr().out
 
 
 def test_a_statistic_bound_within_the_doubles_runs(tmp_path):

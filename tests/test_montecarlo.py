@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracle_scalar import frame, received_frame
 
-from sensesim import cli, montecarlo
+from sensesim import cli, montecarlo, rng, signal_channel
 from sensesim.analytic import calibrate_threshold
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.metrics import binomial_stderr
@@ -95,6 +95,100 @@ def test_engine_entries_refuse_an_snr_without_a_positive_finite_power(monkeypatc
     }[entry]
     with pytest.raises(ValueError, match="snr_db"):
         call([snr_db])
+
+
+class _Drew(Exception):
+    """Raised by a patched ``normal_block``: the engine began to draw."""
+
+
+@pytest.fixture
+def no_normals(monkeypatch):
+    def drew(*args, **kwargs):
+        raise _Drew
+
+    for module in (montecarlo, rng, signal_channel):
+        monkeypatch.setattr(module, "normal_block", drew)
+
+
+# The configs of test_cli's overflow and sigma^p refusals, as engine calls:
+# (noise variance, channel, SNR, spec, whether the noise alone is refused).
+# The "validate" row is its Rayleigh sweep; the last three fail sigma^p.
+_UNREPRESENTABLE = {
+    "roc": (1e205, AWGN, 10.0, P3, True),
+    "compare": (1e205, AWGN, 10.0, P3, True),
+    "pmd-table": (1e205, RAYLEIGH, 10.0, P3, True),
+    "snr": (1.0, AWGN, 3000.0, P3, False),
+    "validate": (1.0, RAYLEIGH, 3070.0, P2, False),
+    "sigma-p-1e250": (1e250, AWGN, 0.0, P3, True),
+    "sigma-p-1e-250": (1e-250, AWGN, 0.0, P3, True),
+    "sigma-p-1e-320": (1e-320, AWGN, 0.0, P2, True),
+}
+
+
+@pytest.mark.parametrize("config", list(_UNREPRESENTABLE))
+def test_engine_entries_refuse_an_unrepresentable_statistic_before_drawing(no_normals,
+                                                                           config):
+    variance, kind, snr, spec, noise_alone = _UNREPRESENTABLE[config]
+    channel = ChannelModel(kind, variance)
+    sc = _sc(channel=channel, trials=100)
+    grid = ThresholdGrid((30.0, 10.0), pfa_targets=(0.01, 0.1))
+    message = "sigma\\^p must be" if config.startswith("sigma-p") else "can overflow the p="
+    with_snr = [
+        lambda: roc_sweep(sc, [snr], spec, grid),
+        lambda: pmd_table(sc, [snr], spec, grid),
+        lambda: compare_detectors(sc, [snr], grid, grid, P2, spec),  # the second spec
+        lambda: trial_statistics(sc, spec, snr),
+        lambda: trial_statistics_pair(sc, P2, spec, snr),
+        lambda: count_detections(sc, spec, 10.0, snr),
+        lambda: estimate_pmd(sc, spec, 10.0, snr),
+    ]
+    noise_only = [
+        lambda: trial_statistics(sc, spec),
+        lambda: estimate_pfa(sc, spec, 10.0),
+        lambda: calibration_h0_statistics(spec, 10, 100, channel=channel),
+    ]
+    for call in with_snr + (noise_only if noise_alone else []):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # a noise-only statistic that fits is drawn: only the signal overflows
+    for call in [] if noise_alone else noise_only:
+        with pytest.raises(_Drew):
+            call()
+
+
+def test_the_overflow_refusal_names_the_largest_snr_and_the_signal():
+    sc = _sc(channel=CH_RAY, signal=GaussianIid(power=2.0))
+    grid = ThresholdGrid((30.0,))
+    with pytest.raises(ValueError) as exc:
+        roc_sweep(sc, [3000.0, 0.0], P3, grid)
+    assert str(exc.value) == ("noise_variance 1.0 with signal_power 2.0 at snr_db 3000.0 "
+                              "can overflow the p=3 statistic of 10 samples")
+    with pytest.raises(ValueError) as exc:
+        trial_statistics(Scenario(ChannelModel(AWGN, 1e205), 10, 100, 0), P3)
+    assert str(exc.value) == "noise_variance 1e+205 can overflow the p=3 statistic of 10 samples"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_engine_refuses_fewer_than_one_worker(no_normals, workers):
+    grid = ThresholdGrid((30.0, 10.0))
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        roc_sweep(_sc(), [0.0], P2, grid, workers=workers)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        calibrate_threshold(P3, 10, [0.1], workers=workers)
+
+
+def test_a_uniform_of_one_gives_a_rayleigh_gain_of_zero(monkeypatch):
+    # The top 2^11 words map to exactly 1.0, so sqrt(-ln u) is sqrt(-0.0):
+    # a gain of -0.0, never NaN, which leaves the frame as its noise.
+    sc = _sc(channel=CH_RAY, trials=50)
+    h0 = trial_statistics(sc, P2)
+
+    def ones(keys, count, start=0, *, out=None, work=None):
+        out[:, :count] = 1.0
+        return out[:, :count]
+
+    monkeypatch.setattr(montecarlo, "uniform_block", ones)
+    assert trial_statistics(sc, P2, 10.0).tobytes() == h0.tobytes()
 
 
 def test_scenario_validation():
@@ -240,8 +334,8 @@ def test_calibration_domain_is_disjoint_from_trials():
     # and the calibration stream is its own naive recipe, domain swapped
     root = Stream.from_seed(7)
     t = 137
-    rng = root.child(CALIBRATION_DOMAIN, t)
-    y, _ = received_frame(None, CH_AWGN, None, 10, rng)
+    stream = root.child(CALIBRATION_DOMAIN, t)
+    y, _ = received_frame(None, CH_AWGN, None, 10, stream)
     assert cal[t] == statistic(y, P2, 1.0)
 
 
@@ -516,8 +610,12 @@ def test_worker_memory_does_not_grow_with_block_count(monkeypatch, workers, swee
         finally:
             tracemalloc.stop()
 
+    # The peaks are only about 20 KB, so a transient allocation in a
+    # worker thread can raise one past the bound; it never lowers one, so
+    # each side takes its least of three runs.
     peak(blocks[0] // 25)  # warm up, so one-time allocations land in neither measurement
-    assert peak(blocks[1]) <= 1.25 * peak(blocks[0])
+    assert min(peak(blocks[1]) for _ in range(3)) <= 1.25 * min(
+        peak(blocks[0]) for _ in range(3))
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_scalar import normals, uniform, uniforms
 
+from sensesim import rng
 from sensesim.rng import (
     GOLDEN,
     MASK64,
@@ -59,12 +60,28 @@ def test_mix64_array_matches_scalar():
 
 
 def test_bits_to_uniform_endpoints_and_range():
-    u = bits_to_uniform(np.array([0, MASK64], dtype=np.uint64))
+    # (2^53 - 1) + 0.5 rounds to 2^53, so the top 2^11 words give exactly 1.0
+    u = bits_to_uniform(np.array([0, MASK64, 2**64 - 2**11, 2**64 - 2**12], dtype=np.uint64))
     assert u[0] == 2.0**-54
-    assert u[1] == 1.0 - 2.0**-54
+    assert u[1] == 1.0 and u[2] == 1.0
+    assert u[3] < 1.0
     big = bits_to_uniform(mix64_array(np.arange(100_000, dtype=np.uint64)))
     assert big.min() > 0.0
     assert big.max() < 1.0
+
+
+def test_a_uniform_of_one_gives_a_zero_normal_pair(monkeypatch):
+    # Box-Muller's radius sqrt(-2 ln 1) is sqrt(-0.0) = -0.0: both normals
+    # of the pair are +-0.0 whatever the angle, never NaN.
+    def uniforms_of_one(keys, count, start=0, *, out=None, work=None):
+        u = np.ones((keys.size, count))
+        u[:, 1::2] = np.linspace(0.0, 1.0, count // 2)
+        return u
+
+    monkeypatch.setattr(rng, "uniform_block", uniforms_of_one)
+    z = normal_block(np.arange(3, dtype=np.uint64), 8)
+    assert not np.isnan(z).any()
+    assert np.all(z == 0.0)
 
 
 def test_fold_range_and_fold_in_match_scalar_fold():
