@@ -189,7 +189,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    for key in ("trials", "samples", "workers", "cal_trials"):
+    for key in ("workers", "cal_trials"):  # the Scenario refuses trials and samples
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     if cfg["signal"] not in SIGNAL_MODELS:

@@ -25,10 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-H0 = "H0"
-H1 = "H1"
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """Exponent p (2 = conventional, 3 = proposed) and normalization flag."""
@@ -39,16 +35,6 @@ class DetectorSpec:
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 1:
             raise ValueError(f"detector exponent p must be an integer >= 1, got {self.p!r}")
-
-
-@dataclass(frozen=True)
-class Decision:
-    hypothesis: str
-    threshold: float
-
-    def __post_init__(self):
-        if self.hypothesis not in (H0, H1):
-            raise ValueError(f"hypothesis must be {H0!r} or {H1!r}, got {self.hypothesis!r}")
 
 
 def statistic(y, spec: DetectorSpec, sigma: float = 1.0) -> float:
@@ -127,10 +113,10 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def decide(t: float, threshold: float) -> Decision:
-    """H1 iff ``t >= threshold`` (ties decide H1)."""
+def decide(t: float, threshold: float) -> bool:
+    """True (decide H1) iff ``t >= threshold``: ties decide H1."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"statistic must be finite and >= 0, got {t!r}")
-    return Decision(H1 if t >= threshold else H0, threshold)
+    return t >= threshold

@@ -27,16 +27,17 @@ A :class:`Scenario` is one draw: noise, fading gain and signal live on
 separate role streams of the same per-trial key, so H0 and every SNR
 formed from the scenario share them trial for trial.  Each engine call
 therefore takes one scenario and the SNRs to form from it.  For each
-trial block it draws the keys, noise, signal and fading gains once,
-scores H0 (the noise alone) and then every SNR column, formed by
-scale-and-add.  A block holds 2^15 samples, 256 KiB per float64 array,
-so it stays in L2, and each worker draws, forms and scores all its
-blocks in one set of buffers (sample-major for short frames).  Each
-block's statistics are reduced to integer counts, summed over blocks:
-against the whole threshold grid (sort, then ``searchsorted``) in
-``roc_sweep``, ``pmd_table`` and ``count_detections``; per column and
-target, as each detector's detections and the discordant trials, in the
-paired detector comparison.
+trial block it folds the keys once, has the channel draw the noise and
+fading gains and the signal model the signal, and scores H0 (the noise
+alone) and then every SNR column, formed by scale-and-add.  A block
+holds 2^15 samples, 256 KiB per float64 array, so it stays in L2, and
+each worker draws, forms and scores all its blocks in one set of
+buffers (sample-major for short frames).  Each block's statistics are
+reduced to integer counts, summed over blocks: against the whole
+threshold grid (sort, then ``searchsorted``) in ``roc_sweep``,
+``pmd_table`` and ``count_detections``; per column and target, as each
+detector's detections and the discordant trials, in the paired
+detector comparison.
 So memory is O(workers x block) however many trials run, the totals do
 not depend on the worker count, and empirical ROC curves and P_MD
 columns are exactly monotone.  Only empirical calibration keeps
@@ -57,17 +58,8 @@ import numpy as np
 from .analytic import calibrate_threshold
 from .detector import DetectorSpec, _sigma_p, statistic_rows
 from .metrics import rates_from_counts, roc_assemble
-from .rng import MASK64, NORMAL_MAX, Stream, fold_in, fold_range, normal_block, uniform_block
-from .signal_channel import (
-    AWGN,
-    FADING_ROLE,
-    NOISE_ROLE,
-    RAYLEIGH,
-    RAYLEIGH_GAIN_MAX,
-    ChannelModel,
-    SignalModel,
-    snr_to_linear,
-)
+from .rng import MASK64, Stream, fold_range
+from .signal_channel import ChannelModel, SignalModel, snr_to_linear
 
 TRIAL_DOMAIN = 1
 CALIBRATION_DOMAIN = 2
@@ -193,12 +185,13 @@ def _paired_counts(lams_a, lams_b):
 def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce=None):
     """Statistics of trials [lo, hi), one vector per (SNR, spec) pair.
 
-    The block's keys, noise, signal and fading gains are drawn once from
-    ``sc`` into the worker's ``buffers``; each (SNR, spec) pair is formed,
-    as a copy of the noise for an SNR of ``None`` (H0) and ``amp * x + w``
-    otherwise, and scored in the draw scratch, reused as float64.  With
-    ``reduce`` the block returns ``reduce(vectors)``, an int64 count
-    array, in place of the statistic vectors.
+    The block's keys are folded once; ``sc.channel`` draws its noise and
+    gains and ``sc.signal`` its signal into the worker's ``buffers``;
+    each (SNR, spec) pair is formed, as a copy of the noise for an SNR
+    of ``None`` (H0) and ``amp * x + w`` otherwise, and scored in the
+    draw scratch, reused as float64.  With ``reduce`` the block returns
+    ``reduce(vectors)``, an int64 count array, in place of the
+    statistic vectors.
     """
     n = sc.n_samples
     channel = sc.channel
@@ -206,21 +199,17 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     w_buf, x_buf, work, gains = (b[: hi - lo] for b in buffers)
     dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
-    w = normal_block(fold_in(keys, NOISE_ROLE), n, out=w_buf, work=work)
-    w *= sigma
+    w = channel.noise(keys, n, out=w_buf, work=work)
     if any(snr is not None for snr in snrs):
         x = sc.signal.block(keys, n, out=x_buf, work=work)
-        if channel.kind == RAYLEIGH:
-            gain, scaled = gains.T
-            uniform_block(fold_in(keys, FADING_ROLE), 1, out=gains, work=work)
-            np.sqrt(np.negative(np.log(gain, out=gain), out=gain), out=gain)
+        h = channel.gains(keys, out=gains, work=work)
     y = work.view(np.float64)[:, :n]
     out = []
     for snr in snrs:
         if snr is not None:
             amp = math.sqrt(snr_to_linear(snr) * channel.noise_variance)
-            if channel.kind == RAYLEIGH:
-                amp = np.multiply(gain, amp, out=scaled)[:, None]
+            if h is not None:
+                amp = np.multiply(h, amp, out=gains[:, 1])[:, None]
         for spec in specs:
             if snr is None:
                 np.copyto(y, w)
@@ -252,17 +241,15 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     channel, n = sc.channel, sc.n_samples
-    # No |y| exceeds peak, so no statistic exceeds n peak^p: NORMAL_MAX
-    # sigma, plus the peak gain times the signal's peak at the largest SNR.
-    peak, what = NORMAL_MAX * channel.noise_std, f"noise_variance {channel.noise_variance!r}"
+    # No |y| exceeds the channel's peak at the largest SNR, so no
+    # statistic exceeds n peak^p.
+    peak, what = channel.peak(), f"noise_variance {channel.noise_variance!r}"
     signal_snrs = [snr for snr in snrs if snr is not None]
     if signal_snrs:
         gamma = max(snr_to_linear(snr) for snr in signal_snrs)
         if sc.signal is None:
             raise ValueError("an SNR needs a signal model; the scenario has none")
-        amp = (RAYLEIGH_GAIN_MAX if channel.kind == RAYLEIGH else 1.0) * math.sqrt(
-            gamma * channel.noise_variance)
-        peak += amp * sc.signal.crest * math.sqrt(sc.signal.power)
+        peak = channel.peak(sc.signal, gamma)
         what += f" with signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"
     for spec in specs:
         if spec.normalized:
@@ -347,7 +334,7 @@ def calibration_h0_statistics(
     workers: int = 1,
 ) -> np.ndarray:
     """Pure-noise statistics from the calibration domain of ``seed``."""
-    channel = channel if channel is not None else ChannelModel(AWGN, 1.0)
+    channel = channel if channel is not None else ChannelModel()
     sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
     return _run_blocks(sc, (None,), (spec,), CALIBRATION_DOMAIN, workers)[0]
 

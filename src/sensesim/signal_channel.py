@@ -16,9 +16,10 @@ kind of draw -- ``SIGNAL_ROLE`` for signal symbols, ``FADING_ROLE`` for
 the envelope gain, ``NOISE_ROLE`` for noise.  One trial key therefore
 serves all three roles without interference, and the noise realization
 of a frame is identical whether or not a signal is present (common
-random numbers across hypotheses).  A model's ``block`` is the only
-code here that draws its frames; ``tests/oracle_scalar.py`` redraws
-single trials from the same sub-streams as the test-side reference.
+random numbers across hypotheses).  A signal model's ``block`` draws
+its frames and a channel's ``noise`` and ``gains`` draw the rest; no
+other package code draws.  ``tests/oracle_scalar.py`` redraws single
+trials from the same sub-streams as the test-side reference.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def _check_power(power) -> None:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Channel kind plus noise power sigma^2."""
+    """Channel kind plus noise power sigma^2.  ``noise(keys, n)`` draws
+    sigma*w from each key's ``NOISE_ROLE`` sub-stream and ``gains(keys)``
+    h = sqrt(-ln u) from its ``FADING_ROLE`` one (None on AWGN: gain 1),
+    in the buffers of ``rng.normal_block`` and ``uniform_block`` if given."""
 
     kind: str = AWGN
     noise_variance: float = 1.0
@@ -162,6 +166,28 @@ class ChannelModel:
     @property
     def noise_std(self) -> float:
         return math.sqrt(self.noise_variance)
+
+    def noise(self, keys: np.ndarray, n: int, *, out=None, work=None) -> np.ndarray:
+        w = normal_block(fold_in(keys, NOISE_ROLE), n, out=out, work=work)
+        w *= self.noise_std
+        return w
+
+    def gains(self, keys: np.ndarray, *, out=None, work=None) -> np.ndarray | None:
+        if self.kind == AWGN:
+            return None
+        h = uniform_block(fold_in(keys, FADING_ROLE), 1, out=out, work=work)[:, 0]
+        return np.sqrt(np.negative(np.log(h, out=h), out=h), out=h)
+
+    def peak(self, signal: SignalModel | None = None, gamma: float = 0.0) -> float:
+        """A bound on every |y| of y = h sqrt(gamma sigma^2) x + w: NORMAL_MAX
+        sigma, plus the largest gain times sqrt(gamma sigma^2) times the
+        signal's peak ``crest * sqrt(power)``; the noise alone without a signal."""
+        peak = NORMAL_MAX * self.noise_std
+        if signal is not None:
+            amp = (RAYLEIGH_GAIN_MAX if self.kind == RAYLEIGH else 1.0) * math.sqrt(
+                gamma * self.noise_variance)
+            peak += amp * signal.crest * math.sqrt(signal.power)
+        return peak
 
 
 def snr_to_linear(snr_db: float) -> float:

@@ -73,5 +73,11 @@ def test_traced_cli_run_sees_every_layer(monkeypatch, tmp_path, before, argv, sa
         tracer.restore()
     metrics = tracer.summary(wall, str(out))["metrics"]
     assert metrics["rng.normals"] > 0
+    # the channel's and the signal's draws are still tagged by role
+    assert metrics["rng.noise.s"] > 0
     assert metrics["rng.signal.s"] > 0
+    if "rayleigh" in argv:
+        assert metrics["rng.fading.s"] > 0
+    else:  # an AWGN run draws no gain
+        assert metrics["rng.fading.s"] == 0
     assert metrics["detector.samples_scored"] == samples

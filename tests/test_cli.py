@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sensesim
-from sensesim import cli, montecarlo, reference
+from sensesim import cli, montecarlo, reference, signal_channel
 from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
@@ -249,6 +249,22 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert channel_error in captured.err and captured.out == ""  # refused before any check
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--trials", "trials must be an integer >= 1, got 0"),
+    ("--samples", "n_samples must be an integer >= 1, got 0"),
+])
+@pytest.mark.parametrize("command", ["roc", "compare", "pmd-table", "validate", "calibrate"])
+def test_no_trials_or_samples_exit_two_before_any_output(tmp_path, capsys, flag, message,
+                                                         command):
+    # the engine's Scenario refuses them, before any command prints or writes
+    out = tmp_path / "out"
+    assert run(command, flag, "0", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 _FLAGS = {"--config", "--seed", "--trials", "--samples", "--snr-db", "--channel",
           "--detector-p", "--pfa-targets", "--out", "--svg", "--workers"}
 
@@ -322,13 +338,13 @@ def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, 
     # The engine refuses the first draw whose bound overflows, so only a
     # p=3 run whose signal alone overflows draws (its calibration) first.
     draws = []
-    normal_block = montecarlo.normal_block
+    normal_block = signal_channel.normal_block
 
     def counted(*args, **kwargs):
         draws.append(args[1])
         return normal_block(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "normal_block", counted)
+    monkeypatch.setattr(signal_channel, "normal_block", counted)
     ini = tmp_path / "noise.ini"
     ini.write_text(f"[run]\nnoise_variance = {variance}\n")
     out = tmp_path / "out"

@@ -106,7 +106,7 @@ def no_normals(monkeypatch):
     def drew(*args, **kwargs):
         raise _Drew
 
-    for module in (montecarlo, rng, signal_channel):
+    for module in (rng, signal_channel):
         monkeypatch.setattr(module, "normal_block", drew)
 
 
@@ -180,6 +180,7 @@ def test_engine_refuses_fewer_than_one_worker(no_normals, workers):
 def test_a_uniform_of_one_gives_a_rayleigh_gain_of_zero(monkeypatch):
     # The top 2^11 words map to exactly 1.0, so sqrt(-ln u) is sqrt(-0.0):
     # a gain of -0.0, never NaN, which leaves the frame as its noise.
+    # (The Bpsk symbols draw their uniforms here too: every x is +1.)
     sc = _sc(channel=CH_RAY, trials=50)
     h0 = trial_statistics(sc, P2)
 
@@ -187,7 +188,7 @@ def test_a_uniform_of_one_gives_a_rayleigh_gain_of_zero(monkeypatch):
         out[:, :count] = 1.0
         return out[:, :count]
 
-    monkeypatch.setattr(montecarlo, "uniform_block", ones)
+    monkeypatch.setattr(signal_channel, "uniform_block", ones)
     assert trial_statistics(sc, P2, 10.0).tobytes() == h0.tobytes()
 
 

@@ -141,6 +141,33 @@ def test_model_block_into_buffers_equals_fresh_block(model, n):
     assert np.shares_memory(got, out) != isinstance(model, Sinusoid)  # which draws nothing
 
 
+@pytest.mark.parametrize("kind", [AWGN, RAYLEIGH])
+@pytest.mark.parametrize("n", [7, 10])
+def test_channel_draws_match_scalar_reference_and_buffers(kind, n):
+    channel = ChannelModel(kind, 2.5)
+    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(9, dtype=np.uint64))
+    noise, gains = channel.noise(keys, n), channel.gains(keys)
+    assert noise.shape == (keys.size, n)
+    for r in range(keys.size):
+        trial = Stream(int(keys[r]))
+        assert np.array_equal(noise[r], _noise(channel, n, trial))
+        if gains is not None:
+            assert gains[r] == fading_gain(channel, trial)
+    assert (gains is None) == (kind == AWGN)
+    # the engine's buffers: sample-major noise and scratch, two gain columns
+    rows = n + n % 2
+    out = np.full((rows + 2, keys.size + 4), np.nan)[:rows, : keys.size].T
+    work = np.zeros((rows + 2, keys.size + 4), dtype=np.uint64)[:rows, : keys.size].T
+    got = channel.noise(keys, n, out=out, work=work)
+    assert np.shares_memory(got, out) and np.array_equal(got, noise)
+    gain_buf = np.full((2, keys.size), np.nan).T
+    got = channel.gains(keys, out=gain_buf, work=work)
+    if gains is None:
+        assert got is None and np.isnan(gain_buf).all()
+    else:
+        assert np.shares_memory(got, gain_buf[:, 0]) and np.array_equal(got, gains)
+
+
 def _noise(channel, n, trial):
     return received_frame(None, channel, None, n, trial)[0]
 
