@@ -44,8 +44,8 @@ nothing but IEEE arithmetic:
 
 No closed form is attempted for the cubing detector: a sum of |Gaussian|^3
 terms has no standard distribution, which is the gap the Monte Carlo
-engine fills.  Cubing thresholds come from the empirical quantile route
-of :func:`calibrate_threshold`.
+engine fills.  :func:`h0_law` and :func:`pd_law` are the one place that
+says which closed form applies; without one, calibration draws instead.
 """
 
 from __future__ import annotations
@@ -364,6 +364,32 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def h0_law(p: int, n: int):
+    """``(sf, isf)`` of the normalized p-statistic's exact H0 law at n samples
+    (P_FA at a threshold, the threshold of a P_FA: chi-square at p=2), or None.
+    Both look this module's functions up per call, so wrappers see each call."""
+    if p != 2:
+        return None
+    return (lambda lam: pfa_analytic(n, lam)), (lambda target: _bisect_chi2_isf(n, target))
+
+
+def pd_law(p: int, n: int, channel, signal):
+    """``(name, pd(snr_db, lam))`` of the normalized p-statistic's exact P_D law
+    for ``signal`` frames on ``channel``, at SNR times their mean square: at p=2
+    "analytic" (noncentral chi-square) on AWGN, "quadrature" (its Rayleigh
+    average) on Rayleigh; or None.  Oracles resolve per call, as in h0_law."""
+    mean_square = signal.mean_square(n)
+    if p != 2 or mean_square is None:  # frames that differ in mean square have none
+        return None
+    from .signal_channel import AWGN, snr_to_linear  # here, as only the lookup needs them
+
+    if channel.kind == AWGN:
+        return "analytic", lambda snr_db, lam: pd_awgn_analytic(
+            n, snr_to_linear(snr_db) * mean_square, lam)
+    return "quadrature", lambda snr_db, lam: pd_rayleigh_analytic(
+        n, snr_to_linear(snr_db) * mean_square, lam)
+
+
 class CalibrationMethod(enum.Enum):
     ANALYTIC = "analytic"
     EMPIRICAL_QUANTILE = "empirical-quantile"
@@ -405,13 +431,13 @@ def calibrate_threshold(
     """Find, for each P_FA target, the lambda at which the detector hits it.
 
     Returns one result per target, in the order given.  The route
-    follows the exponent: analytic for the squaring detector (p=2),
-    empirical quantile for every other p.  This is the one place that
-    choice is made.
+    follows :func:`h0_law`, the one place that choice is made: analytic
+    where the detector's H0 law is known (the squaring detector, p=2),
+    empirical quantile everywhere else.
 
-    Analytic: bisection on :func:`pfa_analytic`, since the p=2 detector's
-    H0 law is known.  The normalized threshold is rescaled by sigma^p
-    for an unnormalized spec.
+    Analytic: each lambda is the H0 law's ``isf`` of its target, and
+    ``achieved_pfa`` its ``sf`` there.  The normalized threshold is
+    rescaled by sigma^p for an unnormalized spec.
 
     Empirical quantile: each lambda is the (1 - target)
     linear-interpolation quantile of ``trials`` >= 1e5 seeded pure-noise
@@ -434,17 +460,19 @@ def calibrate_threshold(
         if not (isinstance(target, (int, float)) and 0.0 < target < 1.0):
             raise ValueError(f"target_pfa must lie strictly inside (0, 1), got {target!r}")
 
-    if spec.p == 2:
+    law = h0_law(spec.p, n)
+    if law is not None:
         if not spec.normalized and channel is None:
             raise ValueError("unnormalized calibration needs the channel for sigma")
+        sf, isf = law
         scale = 1.0 if spec.normalized else channel.noise_variance  # sigma^2 = sigma^p
         results = []
         for target in targets:
-            lam = _bisect_chi2_isf(n, target)
+            lam = isf(target)
             results.append(CalibrationResult(
                 threshold=lam * scale,
                 target_pfa=target,
-                achieved_pfa=pfa_analytic(n, lam),
+                achieved_pfa=sf(lam),
                 method=CalibrationMethod.ANALYTIC,
                 tolerance=min(1e-9, 1e-6 * target),
             ))

@@ -39,13 +39,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__, reference
-from .analytic import (
-    calibrate_threshold,
-    chi2_sf,
-    pd_awgn_analytic,
-    pd_rayleigh_analytic,
-    pfa_analytic,
-)
+from .analytic import calibrate_threshold, chi2_sf, h0_law, pd_law
 from .detector import DetectorSpec
 from .montecarlo import (
     DEFAULT_PFA_TARGETS,
@@ -227,25 +221,6 @@ def _scenario(cfg: dict, kind: str | None = None) -> Scenario:
 
 _COMPARE_SPECS = (DetectorSpec(p=2), DetectorSpec(p=3))  # compare's two detectors
 
-# The one detector the closed-form oracles score: ``roc --svg`` overlays
-# them only for it, and ``validate`` refuses any other.
-_ORACLE_SPEC = DetectorSpec(p=2, normalized=True)
-
-
-def _oracle_pd(sc: Scenario, snr: float, lam: float) -> float | None:
-    """Closed-form P_D of :data:`_ORACLE_SPEC` on ``sc``'s signal at
-    ``snr`` (run at SNR times the frame's mean square), or None when its
-    frames do not share one mean square."""
-    mean_square = sc.signal.mean_square(sc.n_samples)
-    if mean_square is None:
-        return None
-    gamma = snr_to_linear(snr) * mean_square
-    # Looked up by module-global name at call time, so a wrapper bound
-    # over either oracle in this module sees every call.
-    if sc.channel.kind == AWGN:
-        return pd_awgn_analytic(sc.n_samples, gamma, lam)
-    return pd_rayleigh_analytic(sc.n_samples, gamma, lam)
-
 
 def _fmt_value(v) -> str:
     if isinstance(v, float):
@@ -329,11 +304,11 @@ def cmd_roc(cfg: dict) -> int:
 
         def plot():
             series = [Series(pfa, pd_snr, label="simulated")]
-            if spec == _ORACLE_SPEC:
-                ana_pd = [_oracle_pd(sc, snr, lam) for lam in grid.values]
-                if None not in ana_pd:
-                    ana_pfa = [pfa_analytic(cfg["samples"], lam) for lam in grid.values]
-                    series.append(Series(ana_pfa, ana_pd, label="analytic"))
+            law = spec.normalized and pd_law(spec.p, sc.n_samples, sc.channel, sc.signal)
+            if law:  # the laws describe the normalized statistic only
+                ana_pd = [law[1](snr, lam) for lam in grid.values]
+                sf = h0_law(spec.p, sc.n_samples)[0]
+                series.append(Series([sf(lam) for lam in grid.values], ana_pd, label="analytic"))
             # log-x only while every empirical pfa is strictly positive;
             # short runs can hit 0 false alarms at the tightest thresholds
             return series, dict(title=f"ROC, {cfg['channel']}, {snr:g} dB, p={spec.p}",
@@ -443,7 +418,7 @@ def _sigma_bound(cells: int) -> float:
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
     spec = _build_spec(cfg)
-    if spec != _ORACLE_SPEC:
+    if h0_law(spec.p, cfg["samples"]) is None or not spec.normalized:
         raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
     grid = _grid_for(cfg, spec)  # refuses bad targets before any check
     failures: list[str] = []
@@ -479,15 +454,17 @@ def cmd_validate(cfg: dict) -> int:
         for target, rate in zip(grid.pfa_targets, pfa)
     ], "pfa - target", f"at targets {_fmt_value(grid.pfa_targets)}")
 
-    for kind, ref_name in ((AWGN, "analytic"), (RAYLEIGH, "quadrature")):
+    for kind in (AWGN, RAYLEIGH):
         sc, _, pd = sweeps[kind]
-        if sc.signal.mean_square(sc.n_samples) is None:
+        law = pd_law(spec.p, sc.n_samples, sc.channel, sc.signal)
+        if law is None:
             print(f"SKIP {kind}-pd-oracle: {sc.signal} frames differ in mean square")
             continue
+        ref_name, pd_of = law
         sigmas = []
         for snr, pd_snr in zip(cfg["snr_db"], pd):
             for lam, rate in zip(grid.values, pd_snr):
-                pd_ref = _oracle_pd(sc, snr, lam)
+                pd_ref = pd_of(snr, lam)
                 sig = max(math.sqrt(pd_ref * (1 - pd_ref) / trials), 1e-12)
                 sigmas.append(abs(rate - pd_ref) / sig)
         check_sigmas(f"{kind}-pd-oracle", sigmas, f"pd - {ref_name}", f"({sc.signal} oracle)")

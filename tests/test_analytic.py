@@ -28,14 +28,24 @@ from sensesim.analytic import (
     calibrate_threshold,
     chi2_sf,
     gammaq,
+    h0_law,
     noncentral_chi2_sf,
     pd_awgn_analytic,
+    pd_law,
     pd_rayleigh_analytic,
     pfa_analytic,
 )
 from sensesim.detector import DetectorSpec
 from sensesim.rng import Stream, normal_block
-from sensesim.signal_channel import AWGN, ChannelModel
+from sensesim.signal_channel import (
+    AWGN,
+    RAYLEIGH,
+    Bpsk,
+    ChannelModel,
+    GaussianIid,
+    Sinusoid,
+    snr_to_linear,
+)
 
 _LAM_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 
@@ -395,6 +405,40 @@ def test_pd_rayleigh_returns_at_huge_mean_snr():
     assert pd == pytest.approx(1.0, abs=1e-9)
     assert seconds < 1.0
     assert q == 0.0
+
+
+def test_law_lookups_return_none_where_no_closed_form_applies():
+    for n in (1, 10, 100):
+        assert h0_law(2, n) is not None
+        for p in (1, 3, 4):
+            assert h0_law(p, n) is None
+        for kind in (AWGN, RAYLEIGH):
+            channel = ChannelModel(kind)
+            for signal in (Bpsk(), Sinusoid(cycles_per_frame=0.3)):
+                assert pd_law(2, n, channel, signal) is not None
+                assert pd_law(3, n, channel, signal) is None
+            # GaussianIid frames differ in mean square
+            assert pd_law(2, n, channel, GaussianIid()) is None
+    # the reference names validate prints
+    assert [pd_law(2, 10, ChannelModel(kind), Bpsk())[0] for kind in (AWGN, RAYLEIGH)] == [
+        "analytic", "quadrature"]
+
+
+@pytest.mark.parametrize("n", [1, 10, 100])
+def test_law_lookups_equal_the_closed_forms(n):
+    sf, isf = h0_law(2, n)
+    targets = montecarlo.DEFAULT_PFA_TARGETS
+    lams = montecarlo.grid_from_pfa_targets(targets, DetectorSpec(p=2), n).values
+    assert len(lams) == 26
+    assert tuple(isf(t) for t in targets) == lams
+    assert [isf(t) for t in targets] == [analytic._bisect_chi2_isf(n, t) for t in targets]
+    assert [sf(lam) for lam in lams] == [pfa_analytic(n, lam) for lam in lams]
+    for signal in (Bpsk(power=2.0), Sinusoid(cycles_per_frame=0.3)):
+        for kind, oracle in ((AWGN, pd_awgn_analytic), (RAYLEIGH, pd_rayleigh_analytic)):
+            _, pd = pd_law(2, n, ChannelModel(kind), signal)
+            for snr in (-10.0, 0.0, 10.0, 20.0):
+                gamma = snr_to_linear(snr) * signal.mean_square(n)
+                assert [pd(snr, lam) for lam in lams] == [oracle(n, gamma, lam) for lam in lams]
 
 
 def test_calibrate_analytic_roundtrip():

@@ -16,13 +16,12 @@ import pytest
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_tracer_wraps_and_restores_by_identity(monkeypatch):
+def test_tracer_wraps_and_restores_by_identity(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     from tracer import Tracer
 
-    from sensesim import analytic, cli
-    from sensesim.montecarlo import Scenario
-    from sensesim.signal_channel import RAYLEIGH, Bpsk, ChannelModel
+    from sensesim import analytic
+    from sensesim.signal_channel import AWGN, RAYLEIGH, Bpsk, ChannelModel
 
     original = analytic.pd_rayleigh_analytic
     tracer = Tracer()
@@ -31,17 +30,21 @@ def test_tracer_wraps_and_restores_by_identity(monkeypatch):
         wrapped = analytic.pd_rayleigh_analytic
         assert wrapped is not original
         assert wrapped.__wrapped__ is original
-        assert cli.pd_rayleigh_analytic is wrapped
-        # the CLI oracle helper resolves the oracle at call time, so the
-        # wrapper sees the call
-        sc = Scenario(channel=ChannelModel(RAYLEIGH), n_samples=4, trials=1, seed=0,
-                      signal=Bpsk())
-        cli._oracle_pd(sc, 0.0, 5.0)
-        assert [s.name for s in tracer.spans].count("analytic.pd_rayleigh") == 1
+        # the laws resolve the oracles at call time, so the wrappers see
+        # each call; a law that held the functions in a table built at
+        # import would leave these counts at 0
+        for kind in (AWGN, RAYLEIGH):
+            _, pd = analytic.pd_law(2, 4, ChannelModel(kind), Bpsk())
+            pd(0.0, 5.0)
+        names = [s.name for s in tracer.spans]
+        assert names.count("analytic.pd_awgn") == 1
+        assert names.count("analytic.pd_rayleigh") == 1
+        sf, _ = analytic.h0_law(2, 4)
+        sf(5.0)
+        assert tracer.summary(1.0, str(tmp_path))["metrics"]["analytic.pfa.calls"] == 1
     finally:
         tracer.restore()
     assert analytic.pd_rayleigh_analytic is original
-    assert cli.pd_rayleigh_analytic is original
 
 
 @pytest.mark.parametrize("before, argv, samples", [

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import sensesim
-from sensesim import cli, montecarlo, reference, signal_channel
+from sensesim import analytic, cli, montecarlo, reference, signal_channel
 from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main, read_result_csv
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
@@ -380,15 +380,19 @@ def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting
     assert captured.out == ""
 
 
+def _spy_on(monkeypatch, module, names, calls):
+    """Record ``(name, args)`` of each call to ``module.<name>``."""
+    for name in names:
+        def counted(*args, _name=name, _oracle=getattr(module, name)):
+            calls.append((_name, args))
+            return _oracle(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 def test_validate_checks_the_targets_it_is_given(monkeypatch, capsys):
-    lams = []
-    oracle = cli._oracle_pd
-
-    def spy(*args):
-        lams.append(args[-1])
-        return oracle(*args)
-
-    monkeypatch.setattr(cli, "_oracle_pd", spy)
+    calls = []
+    _spy_on(monkeypatch, analytic, ("pd_awgn_analytic", "pd_rayleigh_analytic"), calls)
     assert run("validate", "--trials", "20000", "--pfa-targets", "0.3") == 0
     out = capsys.readouterr().out
     (h0_line,) = [line for line in out.splitlines() if "h0-false-alarm" in line]
@@ -396,7 +400,8 @@ def test_validate_checks_the_targets_it_is_given(monkeypatch, capsys):
     assert "0.01" not in out
     # both P_D oracles score every SNR at the one calibrated threshold
     [lam] = grid_from_pfa_targets([0.3], DetectorSpec(p=2), 10).values
-    assert lams == [lam] * 6
+    assert sorted((name, args[-1]) for name, args in calls) == (
+        [("pd_awgn_analytic", lam)] * 3 + [("pd_rayleigh_analytic", lam)] * 3)
 
 
 _HEAD = ["tool", "command", "seed", "trials", "samples", "channel", "noise_variance",
@@ -516,26 +521,24 @@ def test_compare_verdict_names_the_measured_detector():
 @pytest.mark.parametrize("svg", [True, False], ids=["svg", "csv-only"])
 def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
     # the plot, oracle overlay included, is built only under --svg
-    oracle_calls = []
-
-    def spy(name):
-        oracle = getattr(cli, name)
-
-        def counted(*args):
-            oracle_calls.append(name)
-            return oracle(*args)
-
-        return counted
-
-    for name in ("pd_awgn_analytic", "pd_rayleigh_analytic", "pfa_analytic"):
-        monkeypatch.setattr(cli, name, spy(name))
+    calls = []
+    _spy_on(monkeypatch, analytic, ("pd_awgn_analytic", "pd_rayleigh_analytic", "pfa_analytic"),
+            calls)
     flags = ["--svg"] if svg else []
-    for channel in ("awgn", "rayleigh"):
-        assert run("roc", "--trials", "1000", "--snr-db=0,10", "--channel", channel,
-                   "--pfa-targets", "0.01,0.1,0.5", *flags, "--out", str(tmp_path)) == 0
-    assert sorted(set(oracle_calls)) == (
-        ["pd_awgn_analytic", "pd_rayleigh_analytic", "pfa_analytic"] if svg else []
+    pfa_calls = {}
+    # calibration calls pfa_analytic too, so a CSV-only run into a second
+    # directory counts those calls alone
+    for out, run_flags in ((tmp_path / "csv-only", []), (tmp_path, flags)):
+        calls.clear()
+        for channel in ("awgn", "rayleigh"):
+            assert run("roc", "--trials", "1000", "--snr-db=0,10", "--channel", channel,
+                       "--pfa-targets", "0.01,0.1,0.5", *run_flags, "--out", str(out)) == 0
+        pfa_calls[out] = [name for name, _ in calls].count("pfa_analytic")
+    assert sorted({name for name, _ in calls} - {"pfa_analytic"}) == (
+        ["pd_awgn_analytic", "pd_rayleigh_analytic"] if svg else []
     )
+    # the overlay's P_FA axis: one call per threshold per SVG
+    assert pfa_calls[tmp_path] - pfa_calls[tmp_path / "csv-only"] == (3 * 2 * 2 if svg else 0)
     assert run("pmd-table", "--trials", "1000", "--snr-db=0,10", *flags,
                "--out", str(tmp_path)) == 0
     assert run("compare", "--trials", "1000", "--snr-db=0,10", *flags,
@@ -549,6 +552,53 @@ def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
         assert "polyline" in path.read_text()
     if svg:  # p=2 overlays the closed-form curve
         assert "analytic" in (tmp_path / "roc_awgn_0dB.svg").read_text()
+
+
+@pytest.mark.parametrize("ini, flags, overlaid", [
+    ("", [], True),
+    ("", ["--channel", "rayleigh"], True),
+    ("[signal]\nkind = sinusoid\ncycles_per_frame = 0.3\n", ["--channel", "rayleigh"], True),
+    ("", ["--detector-p", "3"], False),
+    ("[signal]\nkind = gaussian\n", [], False),
+    ("[run]\nnormalized = no\nnoise_variance = 2.0\n", [], False),
+], ids=["bpsk-awgn", "bpsk-rayleigh", "sinusoid-rayleigh", "p3", "gaussian", "unnormalized"])
+def test_roc_overlays_the_closed_form_wherever_a_law_applies(tmp_path, ini, flags, overlaid):
+    # the laws describe the normalized p=2 statistic of frames sharing one
+    # mean square; everywhere else the SVG holds the simulated curve alone
+    config = tmp_path / "run.ini"
+    config.write_text(ini)
+    out = tmp_path / "out"
+    assert run("roc", "--svg", "--trials", "1000", "--snr-db=0,10", "--pfa-targets",
+               "0.01,0.1,0.5", "--config", str(config), *flags, "--out", str(out)) == 0
+    svgs = sorted(out.glob("*.svg"))
+    assert len(svgs) == 2
+    assert [">analytic<" in path.read_text() for path in svgs] == [overlaid] * 2
+
+
+def _csv_bodies(out) -> dict:
+    """Each result CSV in ``out`` without its ``#`` header lines."""
+    return {path.name: [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            for path in sorted(out.glob("*.csv"))}
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare"],
+    ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"],
+    ["roc", "--channel", "rayleigh"],
+], ids=["compare", "pmd-table-p3-rayleigh", "roc-rayleigh"])
+def test_the_noise_scale_changes_no_rate(tmp_path, argv):
+    # sigma scales each statistic and each calibrated threshold alike, and a
+    # power-of-two variance scales every step exactly, so no byte may move
+    bodies = []
+    for variance in ("1.0", "4.0", "0.25"):
+        config = tmp_path / f"{variance}.ini"
+        config.write_text(f"[run]\nnoise_variance = {variance}\n")
+        out = tmp_path / variance
+        assert run(*argv, "--trials", "4000", "--config", str(config), "--out", str(out)) == 0
+        bodies.append(_csv_bodies(out))
+    assert bodies[0]
+    assert bodies[1] == bodies[0]
+    assert bodies[2] == bodies[0]
 
 
 @pytest.mark.parametrize("argv", [
