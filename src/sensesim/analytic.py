@@ -1,7 +1,7 @@
 """Closed-form oracles for the squaring detector and threshold calibration.
 
-Under pure noise the normalized p=2 statistic sum(y^2)/sigma^2 of n
-Gaussian samples is chi-square with n degrees of freedom.  With a known
+Under pure unit-variance noise the p=2 statistic sum(y^2) of n Gaussian
+samples is chi-square with n degrees of freedom.  With a known
 frame x at linear SNR gamma and fading gain h it is noncentral chi-square
 with noncentrality delta = gamma*h^2*sum(x_k^2) (Urkowitz, Proc. IEEE
 1967); the P_D routines take gamma times x's mean square.  Averaging
@@ -229,14 +229,14 @@ def noncentral_chi2_sf(nu: int, delta: float, lam: float) -> float:
 
 
 def pfa_analytic(n: int, lam: float) -> float:
-    """False-alarm probability of the normalized squaring detector."""
+    """False-alarm probability of the squaring detector."""
     return chi2_sf(n, lam)
 
 
 def pd_awgn_analytic(n: int, gamma: float, lam: float) -> float:
     """Detection probability on AWGN at linear SNR gamma (gain h = 1).
 
-    The normalized statistic is noncentral chi-square with n dof and
+    The statistic is noncentral chi-square with n dof and
     noncentrality snr*sum(x_k^2) = n*gamma for a known frame x, where
     the caller passes ``gamma`` = snr * mean(x_k^2).
     """
@@ -365,7 +365,7 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
 
 
 def h0_law(p: int, n: int):
-    """``(sf, isf)`` of the normalized p-statistic's exact H0 law at n samples
+    """``(sf, isf)`` of the p-statistic's exact H0 law at n samples
     (P_FA at a threshold, the threshold of a P_FA: chi-square at p=2), or None.
     Both look this module's functions up per call, so wrappers see each call."""
     if p != 2:
@@ -374,7 +374,7 @@ def h0_law(p: int, n: int):
 
 
 def pd_law(p: int, n: int, channel, signal):
-    """``(name, pd(snr_db, lam))`` of the normalized p-statistic's exact P_D law
+    """``(name, pd(snr_db, lam))`` of the p-statistic's exact P_D law
     for ``signal`` frames on ``channel``, at SNR times their mean square: at p=2
     "analytic" (noncentral chi-square) on AWGN, "quadrature" (its Rayleigh
     average) on Rayleigh; or None.  Oracles resolve per call, as in h0_law."""
@@ -423,7 +423,6 @@ def calibrate_threshold(
     n: int,
     targets,
     *,
-    channel=None,
     trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
@@ -436,14 +435,13 @@ def calibrate_threshold(
     empirical quantile everywhere else.
 
     Analytic: each lambda is the H0 law's ``isf`` of its target, and
-    ``achieved_pfa`` its ``sf`` there.  The normalized threshold is
-    rescaled by sigma^p for an unnormalized spec.
+    ``achieved_pfa`` its ``sf`` there.
 
     Empirical quantile: each lambda is the (1 - target)
     linear-interpolation quantile of ``trials`` >= 1e5 seeded pure-noise
     statistics, drawn from the calibration domain of the seed's stream
-    (disjoint from evaluation trials); works for every p.  ``channel``
-    defaults to AWGN with unit noise variance.  Each call draws once, on
+    (disjoint from evaluation trials); works for every p.  H0 frames are
+    unit noise alone, so no channel enters.  Each call draws once, on
     ``workers`` threads (the same draw for any worker count), and takes
     every target's quantile from that draw; nothing is kept between
     calls.  A target within its own tolerance at ``trials`` (3 binomial
@@ -462,15 +460,12 @@ def calibrate_threshold(
 
     law = h0_law(spec.p, n)
     if law is not None:
-        if not spec.normalized and channel is None:
-            raise ValueError("unnormalized calibration needs the channel for sigma")
         sf, isf = law
-        scale = 1.0 if spec.normalized else channel.noise_variance  # sigma^2 = sigma^p
         results = []
         for target in targets:
             lam = isf(target)
             results.append(CalibrationResult(
-                threshold=lam * scale,
+                threshold=lam,
                 target_pfa=target,
                 achieved_pfa=sf(lam),
                 method=CalibrationMethod.ANALYTIC,
@@ -496,8 +491,7 @@ def calibrate_threshold(
     # evaluation trial of the same seed.
     from .montecarlo import calibration_h0_statistics
 
-    stats = calibration_h0_statistics(spec, n, trials, channel=channel, seed=seed,
-                                      workers=workers)
+    stats = calibration_h0_statistics(spec, n, trials, seed=seed, workers=workers)
     # The quantiles are read by index from the sorted draw, which the
     # counts below search as well.
     stats.sort()

@@ -105,7 +105,10 @@ def _run(name, parse, default, help=None, echo=True) -> _Setting:
 # has the flag ``--name-with-dashes``; a flag of a boolean is a switch.
 # A [signal] row other than ``kind`` names a model field and is echoed
 # only for models that have it.  ``pfa_targets`` defaults per command, to
-# the targets of its ``_COMMANDS`` row.
+# the targets of its ``_COMMANDS`` row.  ``noise_variance`` and
+# ``normalized`` are removed settings: a noise scale changes no rate at a
+# calibrated false-alarm target.  Their rows stay only so every result
+# file keeps its header lines; each accepts its default alone.
 _SETTINGS = (
     _run("seed", int, 0, "root seed (64-bit)"),
     _run("trials", int, 100_000, "Monte Carlo trials"),
@@ -127,6 +130,7 @@ _SETTINGS = (
     _run("workers", int, 1, "worker threads (default 1)", echo=False),
 )
 _BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
+_REMOVED = ("noise_variance", "normalized")
 
 
 def _parse(setting: _Setting, key: str, raw: str):
@@ -183,6 +187,11 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
+    for name in _REMOVED:
+        default = _BY_KEY["run", name].default
+        if cfg[name] != default:
+            raise ConfigError(f"{name} was removed, as it changes no rate at a calibrated "
+                              f"false-alarm target; only its default {default!r} is accepted")
     for key in ("workers", "cal_trials"):  # the Scenario refuses trials and samples
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
@@ -206,14 +215,14 @@ def _build_signal(cfg: dict):
 
 
 def _build_spec(cfg: dict) -> DetectorSpec:
-    return DetectorSpec(p=cfg["detector_p"], normalized=cfg["normalized"])
+    return DetectorSpec(p=cfg["detector_p"])
 
 
 def _scenario(cfg: dict, kind: str | None = None) -> Scenario:
     """The configured draw, on channel ``kind`` when given, from which
     every SNR is formed."""
     return Scenario(
-        channel=ChannelModel(kind or cfg["channel"], cfg["noise_variance"]),
+        channel=ChannelModel(kind or cfg["channel"]),
         n_samples=cfg["samples"], trials=cfg["trials"], seed=cfg["seed"],
         signal=_build_signal(cfg),
     )
@@ -282,11 +291,9 @@ def read_result_csv(path: str) -> tuple[dict, list[dict]]:
 
 
 def _grid_for(cfg: dict, spec: DetectorSpec) -> ThresholdGrid:
-    return grid_from_pfa_targets(
-        cfg["pfa_targets"], spec, cfg["samples"],
-        channel=_scenario(cfg).channel, cal_trials=cfg["cal_trials"], seed=cfg["seed"],
-        workers=cfg["workers"],
-    )
+    return grid_from_pfa_targets(cfg["pfa_targets"], spec, cfg["samples"],
+                                 cal_trials=cfg["cal_trials"], seed=cfg["seed"],
+                                 workers=cfg["workers"])
 
 
 def _snr_tag(snr: float) -> str:
@@ -304,8 +311,8 @@ def cmd_roc(cfg: dict) -> int:
 
         def plot():
             series = [Series(pfa, pd_snr, label="simulated")]
-            law = spec.normalized and pd_law(spec.p, sc.n_samples, sc.channel, sc.signal)
-            if law:  # the laws describe the normalized statistic only
+            law = pd_law(spec.p, sc.n_samples, sc.channel, sc.signal)
+            if law:
                 ana_pd = [law[1](snr, lam) for lam in grid.values]
                 sf = h0_law(spec.p, sc.n_samples)[0]
                 series.append(Series([sf(lam) for lam in grid.values], ana_pd, label="analytic"))
@@ -372,7 +379,7 @@ def cmd_compare(cfg: dict) -> int:
               "delta", "stderr_delta"]
     for snr, pmd_a, pmd_b, delta, stderr in zip(cfg["snr_db"], *(m.tolist() for m in measured)):
         meta = _meta(cfg, "compare", snr)
-        del meta["detector_p"], meta["normalized"]  # always normalized p=2 vs p=3
+        del meta["detector_p"], meta["normalized"]  # always p=2 vs p=3
         rows = zip(targets, grid_a.values, grid_b.values, pmd_a, pmd_b, delta, stderr)
 
         def plot():
@@ -388,11 +395,9 @@ def cmd_compare(cfg: dict) -> int:
 
 def cmd_calibrate(cfg: dict) -> int:
     spec = _build_spec(cfg)
-    cals = calibrate_threshold(
-        spec, cfg["samples"], cfg["pfa_targets"],
-        channel=_scenario(cfg).channel, trials=cfg["cal_trials"], seed=cfg["seed"],
-        workers=cfg["workers"],
-    )
+    cals = calibrate_threshold(spec, cfg["samples"], cfg["pfa_targets"],
+                               trials=cfg["cal_trials"], seed=cfg["seed"],
+                               workers=cfg["workers"])
     for cal in cals:
         extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
         print(
@@ -418,7 +423,7 @@ def _sigma_bound(cells: int) -> float:
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
     spec = _build_spec(cfg)
-    if h0_law(spec.p, cfg["samples"]) is None or not spec.normalized:
+    if h0_law(spec.p, cfg["samples"]) is None:
         raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
     grid = _grid_for(cfg, spec)  # refuses bad targets before any check
     failures: list[str] = []

@@ -3,14 +3,17 @@
 The conventional energy detector squares the received samples (p=2);
 the proposed variant cubes them (p=3).  The statistic is
 
-    T = sum_k |y[k]|^p           (optionally divided by sigma^p)
+    T = sum_k |y[k]|^p
 
 Note the absolute value: the signed cube of zero-mean samples sums to
 roughly zero under both hypotheses and cannot discriminate anything, so
 the cubing detector is defined on magnitudes.  At p=2 the absolute value
-is a no-op and T is the usual energy statistic; normalized by sigma^2 it
-is chi-square with n degrees of freedom under pure noise, which is what
-the closed-form oracles in :mod:`sensesim.analytic` assume.
+is a no-op and T is the usual energy statistic.  The noise has unit
+variance (:mod:`sensesim.signal_channel`), so T is already normalized:
+at p=2 it is chi-square with n degrees of freedom under pure noise,
+which is what the closed-form oracles in :mod:`sensesim.analytic`
+assume.  A noise scale sigma would multiply T and every calibrated
+threshold by sigma^p alike, so it could not move a rate.
 
 Decisions compare T against a threshold lambda; a tie T == lambda decides
 H1.  Ties have probability zero for continuous statistics but the rule
@@ -20,43 +23,33 @@ is fixed anyway so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """Exponent p (2 = conventional, 3 = proposed) and normalization flag."""
+    """Exponent p (2 = conventional, 3 = proposed)."""
 
     p: int = 2
-    normalized: bool = True
 
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 1:
             raise ValueError(f"detector exponent p must be an integer >= 1, got {self.p!r}")
 
 
-def statistic(y, spec: DetectorSpec, sigma: float = 1.0) -> float:
-    """T = sum |y[k]|^p, divided by sigma^p when ``spec.normalized``.
-
-    ``y`` is any 1-D array-like; ``sigma`` is the noise amplitude
-    (square root of the channel noise variance).  Normalization refuses
-    a sigma whose sigma^p is not a positive, finite, normal double.
-    """
+def statistic(y, spec: DetectorSpec) -> float:
+    """T = sum |y[k]|^p of any 1-D array-like ``y``."""
     a = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("statistic requires finite samples")
-    t = float(np.sum(np.abs(a) ** spec.p))
-    if spec.normalized:
-        t /= _sigma_p(sigma, spec.p)
-    return t
+    return float(np.sum(np.abs(a) ** spec.p))
 
 
-def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.ndarray:
+def statistic_rows(y: np.ndarray, spec: DetectorSpec) -> np.ndarray:
     """Row-wise :func:`statistic` over a (trials, n) block, overwriting ``y``.
 
-    Element r equals ``statistic(y[r], spec, sigma)`` bit for bit; the
+    Element r equals ``statistic(y[r], spec)`` bit for bit; the
     Monte Carlo engine relies on that equivalence.  ``y`` (writable
     float64) becomes |y|^p and may then be the accumulator: score a copy
     to keep it.  If ``y`` is sample-major (a transposed C-ordered (n,
@@ -64,29 +57,10 @@ def statistic_rows(y: np.ndarray, spec: DetectorSpec, sigma: float = 1.0) -> np.
     numpy's pairwise order as additions of long contiguous rows;
     otherwise ``np.sum`` runs along each frame.
     """
-    scale = _sigma_p(sigma, spec.p) if spec.normalized else None
     if spec.p != 2:  # y**2 equals |y|**2 bit for bit
         np.abs(y, out=y)
     y **= spec.p
-    t = _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
-    if scale is not None:
-        t /= scale
-    return t
-
-
-def _sigma_p(sigma: float, p: int) -> float:
-    """sigma^p, the divisor of a normalized statistic, refused unless a
-    positive, finite, normal double (a subnormal one has lost precision)."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
-    try:
-        scale = sigma**p
-    except OverflowError:
-        scale = math.inf
-    if not sys.float_info.min <= scale < math.inf:
-        raise ValueError(f"sigma^p must be a positive, finite, normal double; "
-                         f"sigma={sigma!r} at p={p} gives {scale!r}")
-    return scale
+    return _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:

@@ -13,9 +13,10 @@ redrawn on its own: the per-trial loop of ``tests/oracle_scalar.py``
 reproduces the engine's statistics and counts bit for bit, H0 frames
 included.  The engine vectorizes that loop in fixed-size trial blocks;
 block boundaries and worker counts cannot change any value, only
-wall-clock time.  Before any draw, a call refuses a statistic that can
-overflow, a normalized sigma^p that is not a normal double, a bad SNR
-and fewer than one worker, each with ``ValueError``.
+wall-clock time.  Noise has unit variance, so every statistic is the
+normalized one.  Before any draw, a call refuses a statistic that can
+overflow, a bad SNR and fewer than one worker, each with
+``ValueError``.
 
 Empirical-quantile threshold calibration draws from
 ``child(CALIBRATION_DOMAIN, t)`` instead, so calibration noise is
@@ -56,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import calibrate_threshold
-from .detector import DetectorSpec, _sigma_p, statistic_rows
+from .detector import DetectorSpec, statistic_rows
 from .metrics import rates_from_counts, roc_assemble
 from .rng import MASK64, Stream, fold_range
 from .signal_channel import ChannelModel, SignalModel, snr_to_linear
@@ -120,7 +121,6 @@ def grid_from_pfa_targets(
     spec: DetectorSpec,
     n: int,
     *,
-    channel: ChannelModel | None = None,
     cal_trials: int = 100_000,
     seed: int = 0,
     workers: int = 1,
@@ -134,9 +134,7 @@ def grid_from_pfa_targets(
     targets = tuple(float(t) for t in targets)
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("pfa targets must be strictly increasing")
-    cals = calibrate_threshold(
-        spec, n, targets, channel=channel, trials=cal_trials, seed=seed, workers=workers
-    )
+    cals = calibrate_threshold(spec, n, targets, trials=cal_trials, seed=seed, workers=workers)
     return ThresholdGrid(tuple(cal.threshold for cal in cals), pfa_targets=targets)
 
 
@@ -144,14 +142,11 @@ def default_threshold_grid(
     spec: DetectorSpec,
     n: int,
     *,
-    channel: ChannelModel | None = None,
     cal_trials: int = 100_000,
     seed: int = 0,
 ) -> ThresholdGrid:
     """The 26-row default grid: P_FA targets log-spaced from 0.001 to 0.9."""
-    return grid_from_pfa_targets(
-        DEFAULT_PFA_TARGETS, spec, n, channel=channel, cal_trials=cal_trials, seed=seed
-    )
+    return grid_from_pfa_targets(DEFAULT_PFA_TARGETS, spec, n, cal_trials=cal_trials, seed=seed)
 
 
 def _threshold_counts(lams):
@@ -195,7 +190,6 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     """
     n = sc.n_samples
     channel = sc.channel
-    sigma = channel.noise_std
     w_buf, x_buf, work, gains = (b[: hi - lo] for b in buffers)
     dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
@@ -207,7 +201,7 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     out = []
     for snr in snrs:
         if snr is not None:
-            amp = math.sqrt(snr_to_linear(snr) * channel.noise_variance)
+            amp = math.sqrt(snr_to_linear(snr))
             if h is not None:
                 amp = np.multiply(h, amp, out=gains[:, 1])[:, None]
         for spec in specs:
@@ -215,7 +209,7 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
                 np.copyto(y, w)
             else:
                 np.add(np.multiply(amp, x, out=y), w, out=y)
-            out.append(statistic_rows(y, spec, sigma))
+            out.append(statistic_rows(y, spec))
     return out if reduce is None else reduce(out)
 
 
@@ -224,8 +218,8 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
 
     ``snrs`` are the columns formed from the scenario's one draw, in dB;
     ``None`` is the noise-only (H0) column.  Before any draw, the call is
-    refused for fewer than one worker, a bad SNR, a sigma^p that
-    :func:`_sigma_p` refuses, or a spec whose statistic can overflow.
+    refused for fewer than one worker, a bad SNR, or a spec whose
+    statistic can overflow.
 
     Without ``reduce``: one per-trial statistic array per (SNR, spec),
     in trial order.  With ``reduce``: the sum over all blocks of
@@ -243,17 +237,15 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     channel, n = sc.channel, sc.n_samples
     # No |y| exceeds the channel's peak at the largest SNR, so no
     # statistic exceeds n peak^p.
-    peak, what = channel.peak(), f"noise_variance {channel.noise_variance!r}"
+    peak, what = channel.peak(), "unit noise"
     signal_snrs = [snr for snr in snrs if snr is not None]
     if signal_snrs:
         gamma = max(snr_to_linear(snr) for snr in signal_snrs)
         if sc.signal is None:
             raise ValueError("an SNR needs a signal model; the scenario has none")
         peak = channel.peak(sc.signal, gamma)
-        what += f" with signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"
+        what = f"signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"
     for spec in specs:
-        if spec.normalized:
-            _sigma_p(channel.noise_std, spec.p)  # the more precise refusal, where it applies
         if not peak < (sys.float_info.max / n) ** (1.0 / spec.p):
             raise ValueError(f"{what} can overflow the p={spec.p} statistic of {n} samples")
     trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // n))
@@ -329,13 +321,12 @@ def calibration_h0_statistics(
     n: int,
     trials: int,
     *,
-    channel: ChannelModel | None = None,
     seed: int = 0,
     workers: int = 1,
 ) -> np.ndarray:
-    """Pure-noise statistics from the calibration domain of ``seed``."""
-    channel = channel if channel is not None else ChannelModel()
-    sc = Scenario(channel=channel, n_samples=n, trials=trials, seed=seed)
+    """Pure-noise statistics from the calibration domain of ``seed``; noise
+    is drawn alike on every channel kind, so none is asked for."""
+    sc = Scenario(channel=ChannelModel(), n_samples=n, trials=trials, seed=seed)
     return _run_blocks(sc, (None,), (spec,), CALIBRATION_DOMAIN, workers)[0]
 
 

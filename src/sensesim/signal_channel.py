@@ -1,10 +1,11 @@
 """Primary-user signal models and channel models.
 
-Samples are real baseband amplitudes under a unit-noise-variance
-convention: the channel adds zero-mean Gaussian noise of variance
-``noise_variance`` (default 1.0), and the engine scales a signal frame
-by ``sqrt(gamma * sigma^2)``: the received SNR at fading gain 1 is gamma
-times the frame's mean square, so gamma itself for a unit-power frame.
+Samples are real baseband amplitudes in units of the noise: the
+channel adds zero-mean Gaussian noise of variance 1, and the engine
+scales a signal frame by ``sqrt(gamma)``, so the received SNR at fading
+gain 1 is gamma times the frame's mean square, and gamma itself for a
+unit-power frame.  No noise scale is modelled: at a calibrated
+false-alarm rate one would cancel from every rate.
 
 Fading is flat block fading: one envelope gain per frame, drawn fresh
 each frame and held constant across its samples.  The Rayleigh envelope
@@ -148,29 +149,20 @@ def _check_power(power) -> None:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Channel kind plus noise power sigma^2.  ``noise(keys, n)`` draws
-    sigma*w from each key's ``NOISE_ROLE`` sub-stream and ``gains(keys)``
-    h = sqrt(-ln u) from its ``FADING_ROLE`` one (None on AWGN: gain 1),
-    in the buffers of ``rng.normal_block`` and ``uniform_block`` if given."""
+    """Channel kind.  ``noise(keys, n)`` draws unit-variance w from each
+    key's ``NOISE_ROLE`` sub-stream, alike on every kind, and
+    ``gains(keys)`` h = sqrt(-ln u) from its ``FADING_ROLE`` one (None on
+    AWGN: gain 1), in the buffers of ``rng.normal_block`` and
+    ``uniform_block`` if given."""
 
     kind: str = AWGN
-    noise_variance: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (AWGN, RAYLEIGH):
             raise ValueError(f"channel kind must be '{AWGN}' or '{RAYLEIGH}', got {self.kind!r}")
-        v = self.noise_variance
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ValueError(f"noise_variance must be a positive finite number, got {v!r}")
-
-    @property
-    def noise_std(self) -> float:
-        return math.sqrt(self.noise_variance)
 
     def noise(self, keys: np.ndarray, n: int, *, out=None, work=None) -> np.ndarray:
-        w = normal_block(fold_in(keys, NOISE_ROLE), n, out=out, work=work)
-        w *= self.noise_std
-        return w
+        return normal_block(fold_in(keys, NOISE_ROLE), n, out=out, work=work)
 
     def gains(self, keys: np.ndarray, *, out=None, work=None) -> np.ndarray | None:
         if self.kind == AWGN:
@@ -179,13 +171,12 @@ class ChannelModel:
         return np.sqrt(np.negative(np.log(h, out=h), out=h), out=h)
 
     def peak(self, signal: SignalModel | None = None, gamma: float = 0.0) -> float:
-        """A bound on every |y| of y = h sqrt(gamma sigma^2) x + w: NORMAL_MAX
-        sigma, plus the largest gain times sqrt(gamma sigma^2) times the
-        signal's peak ``crest * sqrt(power)``; the noise alone without a signal."""
-        peak = NORMAL_MAX * self.noise_std
+        """A bound on every |y| of y = h sqrt(gamma) x + w: NORMAL_MAX, plus
+        the largest gain times sqrt(gamma) times the signal's peak
+        ``crest * sqrt(power)``; the noise alone without a signal."""
+        peak = NORMAL_MAX
         if signal is not None:
-            amp = (RAYLEIGH_GAIN_MAX if self.kind == RAYLEIGH else 1.0) * math.sqrt(
-                gamma * self.noise_variance)
+            amp = (RAYLEIGH_GAIN_MAX if self.kind == RAYLEIGH else 1.0) * math.sqrt(gamma)
             peak += amp * signal.crest * math.sqrt(signal.power)
         return peak
 

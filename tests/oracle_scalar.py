@@ -12,7 +12,7 @@ signal, ``child(FADING_ROLE)`` for the envelope gain and
     for t in range(sc.trials):
         trial = root.child(TRIAL_DOMAIN, t)
         y, _ = received_frame(sc.signal, sc.channel, snr_db, sc.n_samples, trial)
-        hit = statistic(y, spec, sc.channel.noise_std) >= lam
+        hit = statistic(y, spec) >= lam
 
 reproduces ``sensesim.montecarlo``'s statistics and counts at ``snr_db``
 bit for bit (``snr_db=None`` is the noise-only frame), and ``frame(model, n,
@@ -84,15 +84,15 @@ def fading_gain(channel, trial) -> float:
 
 
 def received_frame(model, channel, snr_db, n: int, trial) -> tuple[np.ndarray, float]:
-    """``(y, h)`` with ``y[k] = h * sqrt(gamma * sigma^2) * x[k] + w[k]``.
+    """``(y, h)`` with ``y[k] = h * sqrt(gamma) * x[k] + w[k]``, w unit noise.
 
     ``snr_db=None`` is the noise-only frame: ``y = w`` and ``h = 0``, and
     neither the signal nor the fading sub-stream is read, so the noise
     lines up exactly with the signal-present frame of the same trial.
     """
-    w = normals(trial.child(NOISE_ROLE), n) * channel.noise_std
+    w = normals(trial.child(NOISE_ROLE), n)
     if snr_db is None:
         return w, 0.0
     h = fading_gain(channel, trial)
-    amp = h * math.sqrt(snr_to_linear(snr_db) * channel.noise_variance)
+    amp = h * math.sqrt(snr_to_linear(snr_db))
     return amp * frame(model, n, trial) + w, h

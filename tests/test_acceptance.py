@@ -46,8 +46,8 @@ from sensesim.signal_channel import (
 SEED = 1234
 P2 = DetectorSpec(p=2)
 P3 = DetectorSpec(p=3)
-CH_AWGN = ChannelModel(AWGN, 1.0)
-CH_RAY = ChannelModel(RAYLEIGH, 1.0)
+CH_AWGN = ChannelModel(AWGN)
+CH_RAY = ChannelModel(RAYLEIGH)
 TARGETS = (0.01, 0.1, 0.5)
 
 
@@ -159,7 +159,7 @@ def test_acceptance_06_detector_comparison_controls():
     trials = 100_000
     sc = _sc(CH_AWGN, trials)
     grid_2, grid_3 = (
-        grid_from_pfa_targets([0.01, 0.1], spec, sc.n_samples, channel=CH_AWGN, seed=SEED)
+        grid_from_pfa_targets([0.01, 0.1], spec, sc.n_samples, seed=SEED)
         for spec in (P2, P3)
     )
 
@@ -247,7 +247,7 @@ def test_acceptance_10_engine_equals_naive_loop():
         for t in range(trials):
             trial = root.child(TRIAL_DOMAIN, t)
             y, _ = received_frame(Bpsk(), channel, snr, n, trial)
-            stat = statistic(y, P2, channel.noise_std)
+            stat = statistic(y, P2)
             assert stat == engine_stats[t], (channel.kind, snr, t)
             naive_count += stat >= lam
         assert naive_count == engine_count

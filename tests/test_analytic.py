@@ -472,16 +472,6 @@ def test_calibrate_known_value():
     assert cal.threshold == pytest.approx(-2.0 * math.log(0.1), rel=1e-8)
 
 
-def test_calibrate_unnormalized_rescales_by_noise_power():
-    [norm] = calibrate_threshold(DetectorSpec(p=2), 10, [0.1])
-    [raw] = calibrate_threshold(
-        DetectorSpec(p=2, normalized=False), 10, [0.1], channel=ChannelModel(AWGN, 4.0)
-    )
-    assert raw.threshold == norm.threshold * 4.0
-    with pytest.raises(ValueError):
-        calibrate_threshold(DetectorSpec(p=2, normalized=False), 10, [0.1])
-
-
 def test_calibrate_default_route_follows_exponent():
     [cal] = calibrate_threshold(DetectorSpec(p=2), 10, [0.1])
     assert cal.method is CalibrationMethod.ANALYTIC

@@ -138,9 +138,9 @@ trials = 1500
 samples = 12
 snr_db = -3, 4
 channel = rayleigh
-noise_variance = 2
+noise_variance = 1
 detector_p = 3
-normalized = no
+normalized = yes
 pfa_targets = 0.05, 0.2
 out = from-file
 svg = yes
@@ -154,7 +154,7 @@ cycles_per_frame = 4
 """
 _EVERY_KEY_VALUES = {
     "seed": 5, "trials": 1500, "samples": 12, "snr_db": (-3.0, 4.0), "channel": "rayleigh",
-    "noise_variance": 2.0, "detector_p": 3, "normalized": False, "pfa_targets": (0.05, 0.2),
+    "noise_variance": 1.0, "detector_p": 3, "normalized": True, "pfa_targets": (0.05, 0.2),
     "out": "from-file", "svg": True, "workers": 2, "cal_trials": 200000,
     "signal": "sinusoid", "signal_power": 1.5, "cycles_per_frame": 4.0,
 }
@@ -303,40 +303,27 @@ def test_snr_without_a_finite_positive_power_exits_two(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("variance, p", [("1e250", 3), ("1e-250", 3), ("1e-320", 2)])
-def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, variance, p):
-    ini = tmp_path / "noise.ini"
-    ini.write_text(f"[run]\nnoise_variance = {variance}\n")
-    out = tmp_path / "out"
-    assert run("roc", "--config", str(ini), "--detector-p", str(p), "--trials", "100",
-               "--snr-db=0", "--pfa-targets", "0.1", "--out", str(out)) == 2
-    assert "sigma^p must be a positive, finite, normal double" in capsys.readouterr().err
-    assert not out.exists()
+_NOISE_OVERFLOWS = "unit noise can overflow the p=400 statistic of 10 samples"
 
 
-_NOISE_OVERFLOWS = "noise_variance 1e+205 can overflow the p=3 statistic of 10 samples"
-
-
-@pytest.mark.parametrize("variance, argv, message, calibration_draws", [
-    # the p=3 calibration draw is refused on the noise alone
-    ("1e205", ["roc", "--detector-p", "3", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS, False),
-    ("1e205", ["compare", "--detector-p", "2"], _NOISE_OVERFLOWS, False),  # p=3 too
-    ("1e205", ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"], _NOISE_OVERFLOWS,
-     False),
-    ("1", ["roc", "--detector-p", "3", "--snr-db=3000"],  # the signal term alone
-     "noise_variance 1.0 with signal_power 1.0 at snr_db 3000.0 can overflow the p=3 "
-     "statistic of 10 samples", True),
-    ("1", ["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
-     "noise_variance 1.0 with signal_power 1.0 at snr_db 3070.0 can overflow the p=2 "
-     "statistic of 10 samples", False),
+@pytest.mark.parametrize("argv, message, calibration_draws", [
+    # the p=400 calibration draw is refused on the noise alone
+    (["roc", "--detector-p", "400", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS, False),
+    (["compare", "--channel", "rayleigh", "--snr-db=3000"],  # its p=3 signal term
+     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples", True),
+    (["pmd-table", "--detector-p", "400", "--channel", "rayleigh"], _NOISE_OVERFLOWS, False),
+    (["roc", "--detector-p", "3", "--snr-db=3000"],  # the signal term alone
+     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples", True),
+    (["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
+     "signal_power 1.0 at snr_db 3070.0 can overflow the p=2 statistic of 10 samples", False),
 ], ids=["roc", "compare", "pmd-table", "snr", "validate"])
-def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, variance, argv,
+def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, argv,
                                                  message, calibration_draws):
-    # No |y| exceeds 8.6522 sigma plus the peak gain times the signal's
-    # peak amplitude, so n |y|^p bounds the statistic before any draw; in
-    # each of these configs that bound, and |y|^p in a draw, can overflow.
-    # The engine refuses the first draw whose bound overflows, so only a
-    # p=3 run whose signal alone overflows draws (its calibration) first.
+    # No |y| exceeds 8.6522 plus the peak gain times the signal's peak
+    # amplitude, so n |y|^p bounds the statistic before any draw; in each
+    # of these configs that bound, and |y|^p in a draw, can overflow.  The
+    # engine refuses the first draw whose bound overflows, so only a p=3
+    # run whose signal alone overflows draws (its calibration) first.
     draws = []
     normal_block = signal_channel.normal_block
 
@@ -345,10 +332,8 @@ def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, 
         return normal_block(*args, **kwargs)
 
     monkeypatch.setattr(signal_channel, "normal_block", counted)
-    ini = tmp_path / "noise.ini"
-    ini.write_text(f"[run]\nnoise_variance = {variance}\n")
     out = tmp_path / "out"
-    assert run(*argv, "--config", str(ini), "--trials", "2000", "--out", str(out)) == 2
+    assert run(*argv, "--trials", "2000", "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
@@ -363,14 +348,38 @@ def test_calibrate_runs_where_only_the_signal_can_overflow(capsys):
 
 
 def test_a_statistic_bound_within_the_doubles_runs(tmp_path):
-    # the same noise at p=2: n (8.6522 sigma + 6.1181 amp)^2 is about 8e208
-    ini = tmp_path / "noise.ini"
-    ini.write_text("[run]\nnoise_variance = 1e205\n")
-    assert run("roc", "--config", str(ini), "--channel", "rayleigh", "--trials", "2000",
-               "--snr-db=10", "--out", str(tmp_path)) == 0
+    # n (8.6522 + 6.1181 amp)^327 is about 3e307 at -100 dB; p=328 overflows
+    assert run("roc", "--detector-p", "327", "--channel", "rayleigh", "--trials", "2000",
+               "--snr-db=-100", "--pfa-targets", "0.1", "--out", str(tmp_path)) == 0
 
 
-@pytest.mark.parametrize("setting", ["detector_p = 3", "normalized = no"])
+@pytest.mark.parametrize("setting", ["noise_variance = 4.0", "normalized = no"])
+def test_the_removed_noise_settings_accept_only_their_defaults(tmp_path, capsys, setting):
+    # a noise scale changes no rate at a calibrated P_FA, so both settings
+    # left the engine; their rows stay only for the result header lines
+    ini = tmp_path / "removed.ini"
+    ini.write_text(f"[run]\n{setting}\n")
+    out = tmp_path / "out"
+    assert run("roc", "--config", str(ini), "--trials", "500", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    name = setting.split()[0]
+    assert captured.err.startswith(f"error: {name} was removed, as it changes no rate")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_the_removed_noise_settings_keep_their_header_lines(tmp_path):
+    ini = tmp_path / "defaults.ini"
+    ini.write_text("[run]\nnoise_variance = 1\nnormalized = yes\n")
+    common = ("--trials", "500", "--snr-db=0", "--pfa-targets", "0.1")
+    assert run("roc", *common, "--config", str(ini), "--out", str(tmp_path / "ini")) == 0
+    assert run("roc", *common, "--out", str(tmp_path / "flags")) == 0
+    written = (tmp_path / "ini" / "roc_awgn_0dB.csv").read_text()
+    assert written == (tmp_path / "flags" / "roc_awgn_0dB.csv").read_text()
+    assert "\n# noise_variance=1.0\n" in written and "\n# normalized=True\n" in written
+
+
+@pytest.mark.parametrize("setting", ["detector_p = 3"])
 def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting):
     ini = tmp_path / "detector.ini"
     ini.write_text(f"[run]\n{setting}\n")
@@ -469,7 +478,7 @@ def test_compare_records_measured_sign(tmp_path, capsys):
         winner = "p=3" if delta > 0 else "p=2"
         assert line.endswith(f"({winner} misses less)" if delta else "(no measured difference)")
     assert not [key for key in meta if key.startswith(("measured_sign", "reference"))]
-    # compare always runs the normalized p=2 and p=3 detectors, so it
+    # compare always runs the p=2 and p=3 detectors, so it
     # neither echoes nor reads the detector settings
     assert "detector_p" not in meta and "normalized" not in meta
     assert run("compare", "--trials", "4000", "--snr-db=-10", "--detector-p", "4",
@@ -560,11 +569,10 @@ def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
     ("[signal]\nkind = sinusoid\ncycles_per_frame = 0.3\n", ["--channel", "rayleigh"], True),
     ("", ["--detector-p", "3"], False),
     ("[signal]\nkind = gaussian\n", [], False),
-    ("[run]\nnormalized = no\nnoise_variance = 2.0\n", [], False),
-], ids=["bpsk-awgn", "bpsk-rayleigh", "sinusoid-rayleigh", "p3", "gaussian", "unnormalized"])
+], ids=["bpsk-awgn", "bpsk-rayleigh", "sinusoid-rayleigh", "p3", "gaussian"])
 def test_roc_overlays_the_closed_form_wherever_a_law_applies(tmp_path, ini, flags, overlaid):
-    # the laws describe the normalized p=2 statistic of frames sharing one
-    # mean square; everywhere else the SVG holds the simulated curve alone
+    # the laws describe the p=2 statistic of frames sharing one mean
+    # square; everywhere else the SVG holds the simulated curve alone
     config = tmp_path / "run.ini"
     config.write_text(ini)
     out = tmp_path / "out"
@@ -573,32 +581,6 @@ def test_roc_overlays_the_closed_form_wherever_a_law_applies(tmp_path, ini, flag
     svgs = sorted(out.glob("*.svg"))
     assert len(svgs) == 2
     assert [">analytic<" in path.read_text() for path in svgs] == [overlaid] * 2
-
-
-def _csv_bodies(out) -> dict:
-    """Each result CSV in ``out`` without its ``#`` header lines."""
-    return {path.name: [line for line in path.read_text().splitlines() if not line.startswith("#")]
-            for path in sorted(out.glob("*.csv"))}
-
-
-@pytest.mark.parametrize("argv", [
-    ["compare"],
-    ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"],
-    ["roc", "--channel", "rayleigh"],
-], ids=["compare", "pmd-table-p3-rayleigh", "roc-rayleigh"])
-def test_the_noise_scale_changes_no_rate(tmp_path, argv):
-    # sigma scales each statistic and each calibrated threshold alike, and a
-    # power-of-two variance scales every step exactly, so no byte may move
-    bodies = []
-    for variance in ("1.0", "4.0", "0.25"):
-        config = tmp_path / f"{variance}.ini"
-        config.write_text(f"[run]\nnoise_variance = {variance}\n")
-        out = tmp_path / variance
-        assert run(*argv, "--trials", "4000", "--config", str(config), "--out", str(out)) == 0
-        bodies.append(_csv_bodies(out))
-    assert bodies[0]
-    assert bodies[1] == bodies[0]
-    assert bodies[2] == bodies[0]
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,12 +20,7 @@ def test_worked_examples():
     assert statistic([1.0, 2.0], P3) == 9.0
     assert statistic([-1.0, 2.0], P3) == 9.0  # magnitudes, not signed cubes
     assert statistic([0.0, 0.0], P2) == 0.0
-    assert statistic([2.0, 2.0], P2, sigma=2.0) == 2.0
-
-
-def test_unnormalized_ignores_sigma():
-    spec = DetectorSpec(p=2, normalized=False)
-    assert statistic([2.0, 2.0], spec, sigma=2.0) == 8.0
+    assert statistic([2.0, 2.0], P2) == 8.0
 
 
 def _layouts(y):
@@ -45,10 +40,10 @@ def test_statistic_rows_matches_scalar_bitwise():
     keys = np.array([Stream.from_seed(t).key for t in range(20)], dtype=np.uint64)
     for n in [*range(1, 301), 511, 8191, 8192, 8193, 65537]:
         y = normal_block(keys, n)
-        for spec in [DetectorSpec(p, norm) for p in (1, 2, 3) for norm in (True, False)]:
-            scalar = np.array([statistic(y[r], spec, sigma=1.3) for r in range(y.shape[0])])
+        for spec in [DetectorSpec(p) for p in (1, 2, 3)]:
+            scalar = np.array([statistic(y[r], spec) for r in range(y.shape[0])])
             for layout in _layouts(y):  # fresh copies: each call overwrites its input
-                rows = statistic_rows(layout, spec, sigma=1.3)
+                rows = statistic_rows(layout, spec)
                 assert np.array_equal(rows, scalar), (n, spec, layout.strides)
 
 
@@ -74,27 +69,10 @@ def test_spec_validation():
         DetectorSpec(p=2.0)
     with pytest.raises(ValueError):
         statistic([1.0, float("inf")], P2)
-    with pytest.raises(ValueError):
-        statistic([1.0], P2, sigma=0.0)
-
-
-@pytest.mark.parametrize("variance, spec", [(1e250, P3), (1e-250, P3), (1e-320, P2)])
-def test_normalization_refuses_sigma_p_outside_the_normal_doubles(variance, spec):
-    # sigma^p overflows, underflows to 0, or is subnormal and has lost bits
-    sigma = variance**0.5
-    with pytest.raises(ValueError, match="normal double"):
-        statistic([1.0], spec, sigma=sigma)
-    with pytest.raises(ValueError, match="normal double"):
-        statistic_rows(np.ones((2, 3)), spec, sigma)
-    unnormalized = DetectorSpec(spec.p, normalized=False)  # sigma is not used
-    assert statistic([1.0], unnormalized, sigma=sigma) == 1.0
-    # the same scales that pass normalize to the same statistic
-    for ok in (1e-200, 1e200):
-        assert statistic([ok**0.5], spec, sigma=ok**0.5) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_chi_square_moments_under_noise():
-    # normalized p=2 statistic of n unit Gaussians ~ chi-square with n dof
+    # p=2 statistic of n unit Gaussians ~ chi-square with n dof
     n, trials = 10, 100_000
     keys = np.array(
         [Stream.from_seed(77).child(1, t).key for t in range(trials)], dtype=np.uint64
@@ -118,12 +96,3 @@ def test_homogeneity(y, c, p):
     base = statistic(y, spec)
     scaled = statistic(c * y, spec)
     assert scaled == pytest.approx((c**p) * base, rel=1e-12, abs=1e-300)
-
-
-@given(y=_arrays, sigma=st.floats(min_value=0.25, max_value=4.0), p=st.integers(1, 4))
-@settings(deadline=None)
-def test_normalization_cancels_noise_scale(y, sigma, p):
-    spec = DetectorSpec(p=p)
-    assert statistic(sigma * y, spec, sigma=sigma) == pytest.approx(
-        statistic(y, spec, sigma=1.0), rel=1e-12, abs=1e-300
-    )
