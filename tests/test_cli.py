@@ -303,6 +303,19 @@ def test_snr_without_a_finite_positive_power_exits_two(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variance, p", [("1e250", 3), ("1e-250", 3), ("1e-320", 2)])
+def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, variance, p):
+    # scales whose sigma^p overflows, underflows or is subnormal: no scale
+    # reaches the engine any more, so each is refused as a removed setting
+    ini = tmp_path / "noise.ini"
+    ini.write_text(f"[run]\nnoise_variance = {variance}\n")
+    out = tmp_path / "out"
+    assert run("roc", "--config", str(ini), "--detector-p", str(p), "--trials", "100",
+               "--snr-db=0", "--pfa-targets", "0.1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: noise_variance was removed")
+    assert not out.exists()
+
+
 _NOISE_OVERFLOWS = "unit noise can overflow the p=400 statistic of 10 samples"
 
 
@@ -368,6 +381,19 @@ def test_the_removed_noise_settings_accept_only_their_defaults(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["noise_variance = 0.25", "normalized = no"])
+@pytest.mark.parametrize("command", ["pmd-table", "compare", "calibrate", "validate"])
+def test_every_command_refuses_the_removed_noise_settings(tmp_path, capsys, command, setting):
+    ini = tmp_path / "removed.ini"
+    ini.write_text(f"[run]\n{setting}\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", str(ini), "--trials", "500", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {setting.split()[0]} was removed")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_the_removed_noise_settings_keep_their_header_lines(tmp_path):
     ini = tmp_path / "defaults.ini"
     ini.write_text("[run]\nnoise_variance = 1\nnormalized = yes\n")
@@ -379,13 +405,20 @@ def test_the_removed_noise_settings_keep_their_header_lines(tmp_path):
     assert "\n# noise_variance=1.0\n" in written and "\n# normalized=True\n" in written
 
 
-@pytest.mark.parametrize("setting", ["detector_p = 3"])
+_VALIDATE_REFUSALS = {
+    "detector_p = 3": "validate checks only the normalized p=2 detector",
+    # the unnormalized statistic left the engine with the noise scale
+    "normalized = no": "normalized was removed, as it changes no rate",
+}
+
+
+@pytest.mark.parametrize("setting", list(_VALIDATE_REFUSALS))
 def test_validate_refuses_a_detector_it_does_not_check(tmp_path, capsys, setting):
     ini = tmp_path / "detector.ini"
     ini.write_text(f"[run]\n{setting}\n")
     assert run("validate", "--trials", "1000", "--config", str(ini)) == 2
     captured = capsys.readouterr()
-    assert "validate checks only the normalized p=2 detector" in captured.err
+    assert _VALIDATE_REFUSALS[setting] in captured.err
     assert captured.out == ""
 
 
@@ -581,6 +614,32 @@ def test_roc_overlays_the_closed_form_wherever_a_law_applies(tmp_path, ini, flag
     svgs = sorted(out.glob("*.svg"))
     assert len(svgs) == 2
     assert [">analytic<" in path.read_text() for path in svgs] == [overlaid] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare"],
+    ["pmd-table", "--detector-p", "3", "--channel", "rayleigh"],
+    ["roc", "--channel", "rayleigh"],
+], ids=["compare", "pmd-table-p3-rayleigh", "roc-rayleigh"])
+def test_the_noise_scale_changes_no_rate(tmp_path, capsys, argv):
+    # the engine draws unit noise (test_montecarlo pins why a scale would
+    # move no rate): the unit scale, stated, changes no byte, and any
+    # other scale is refused before a file is written
+    argv = [*argv, "--trials", "4000"]
+    assert run(*argv, "--out", str(tmp_path / "unset")) == 0
+    written = {path.name: path.read_bytes() for path in (tmp_path / "unset").iterdir()}
+    assert written
+    for variance in ("1.0", "4.0", "0.25"):
+        config = tmp_path / f"{variance}.ini"
+        config.write_text(f"[run]\nnoise_variance = {variance}\n")
+        out = tmp_path / variance
+        code = run(*argv, "--config", str(config), "--out", str(out))
+        if variance == "1.0":
+            assert code == 0
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+        else:
+            assert code == 2 and not out.exists()
+            assert "noise_variance was removed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -295,6 +295,29 @@ def test_engine_matches_naive_loop_other_signals():
         assert np.array_equal(trial_statistics(sc, P2, 0.0), _naive_statistics(sc, P2, 0.0))
 
 
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("channel", [CH_AWGN, CH_RAY], ids=["awgn", "rayleigh"])
+def test_a_noise_scale_moves_no_empirically_calibrated_rate(monkeypatch, channel, p):
+    # why the engine draws unit noise: a scale sigma on every received
+    # sample multiplies each statistic and each empirical threshold by
+    # sigma^p, exactly for a power of two, so no P_MD bit moves
+    spec, sc = DetectorSpec(p=p), _sc(channel=channel, trials=2000)
+
+    def measured():
+        grid = grid_from_pfa_targets([0.01, 0.1, 0.5], spec, sc.n_samples, seed=sc.seed)
+        return grid.values, pmd_table(sc, [-3.0, 3.0], spec, grid)
+
+    values, (pmd, stderr) = measured()
+    assert 0.0 < pmd.min() and pmd.max() < 1.0
+    score = montecarlo.statistic_rows
+    for sigma in (2.0, 0.5):
+        monkeypatch.setattr(montecarlo, "statistic_rows",
+                            lambda y, spec, _sigma=sigma: score(_sigma * y, spec))
+        scaled_values, (scaled_pmd, scaled_stderr) = measured()
+        assert scaled_values == tuple(v * sigma**p for v in values)
+        assert np.array_equal(scaled_pmd, pmd) and np.array_equal(scaled_stderr, stderr)
+
+
 def test_worker_count_never_changes_values():
     # frame long enough to split the run into several blocks
     sc = _sc(trials=3000, n=2000, seed=23)

@@ -209,6 +209,16 @@ def test_transmit_noise_only_sentinel_matches_noise_frame():
     assert np.array_equal(y, w)
 
 
+def test_transmit_vanishing_noise_recovers_scaled_signal():
+    # at 120 dB the unit noise is a millionth of the signal's amplitude
+    ch = ChannelModel(AWGN)
+    x = frame(Bpsk(power=1.0), 16, _trial(1, 0))
+    y, h = received_frame(Bpsk(power=1.0), ch, 120.0, 16, _trial(1, 0))
+    amp = h * math.sqrt(snr_to_linear(120.0))
+    assert h == 1.0
+    assert np.allclose(y / amp, x, atol=1e-5)
+
+
 def test_transmit_awgn_mean_power():
     # E|y|^2 = gamma + 1 = 2 at 0 dB with unit noise
     ch = ChannelModel(AWGN)
