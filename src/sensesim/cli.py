@@ -145,7 +145,9 @@ def _load_config_file(path: str) -> dict:
     # launch pays for the parser.
     import configparser
 
-    parser = configparser.ConfigParser()
+    # Values are taken as written: no % interpolation, and no [DEFAULT]
+    # section, so that header is one more unknown section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as handle:
             parser.read_file(handle)
@@ -167,19 +169,16 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     cfg = {s.name: s.default for s in _SETTINGS}
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        try:
-            cfg["seed"] = int(env_seed, 0)
-        except ValueError as exc:
-            raise ConfigError(f"bad {ENV_SEED} value {env_seed!r}") from exc
+    if ENV_SEED in os.environ:  # read as --seed is, by the seed row's parser
+        cfg["seed"] = _parse(_BY_KEY["run", "seed"], ENV_SEED, os.environ[ENV_SEED])
     if args.config is not None:
         cfg.update(_load_config_file(args.config))
     for setting in _SETTINGS:
         raw = getattr(args, setting.name, None)
         if raw is not None:
             cfg[setting.name] = _parse(setting, setting.name, raw)
-    cfg["snr_db"] = tuple(dict.fromkeys(cfg["snr_db"]))  # each SNR runs once
+    # each SNR runs once; + 0.0 spells -0.0 as 0.0 and leaves every other value
+    cfg["snr_db"] = tuple(dict.fromkeys(s + 0.0 for s in cfg["snr_db"]))
     if cfg["pfa_targets"] is None:
         cfg["pfa_targets"] = _COMMANDS[args.command].targets
     _validate_config(cfg)

@@ -102,6 +102,29 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert (c / "roc_awgn_0dB.csv").read_bytes() == (a / "roc_awgn_0dB.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["roc", "compare", "pmd-table"])
+def test_an_snr_of_minus_zero_is_written_as_zero(tmp_path, command):
+    # -0.0 == 0.0: one SNR, so one file name, one header and one set of bytes
+    outs = {snr: tmp_path / snr.replace(",", "_") for snr in ("0", "-0", "-0,0")}
+    for snr, out in outs.items():
+        assert run(command, "--trials", "1000", f"--snr-db={snr}", "--pfa-targets", "0.1",
+                   "--out", str(out)) == 0
+    written = [{f.name: f.read_bytes() for f in out.iterdir()} for out in outs.values()]
+    assert written[0] and all(files == written[0] for files in written)
+
+
+def test_config_values_are_read_as_written(tmp_path):
+    # no % interpolation: a % is a character of the value
+    ini = tmp_path / "literal.ini"
+    common = ("roc", "--config", str(ini), "--trials", "1000", "--snr-db=0",
+              "--pfa-targets", "0.1")
+    for out in ("100%", "%(seed)s"):
+        ini.write_text(f"[run]\nout = {tmp_path / out}\n")
+        assert run(*common) == 0
+        assert (tmp_path / out / "roc_awgn_0dB.csv").is_file()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["%(seed)s", "100%", "literal.ini"]
+
+
 def test_worker_count_is_invisible_in_output(tmp_path):
     a, b = tmp_path / "w1", tmp_path / "w4"
     args = ("roc", "--trials", "3000", "--samples", "2000", "--snr-db=0", "--seed", "1")
@@ -236,6 +259,22 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SENSESIM_SEED")
     err = capsys.readouterr().err
     assert "error:" in err
+    # the environment seed goes through the seed row's parser, as --seed does
+    monkeypatch.setenv("SENSESIM_SEED", "0x10")
+    assert run("calibrate") == 2
+    assert "bad value for SENSESIM_SEED: '0x10'" in capsys.readouterr().err
+    monkeypatch.delenv("SENSESIM_SEED")
+    assert run("calibrate", "--seed", "0x10") == 2
+    assert "bad value for seed: '0x10'" in capsys.readouterr().err
+    for text in ("seed = 5\n", "[run]\nseed = 5\nseed = 6\n"):  # no header; a repeated key
+        ini.write_text(text)
+        assert run("calibrate", "--config", str(ini)) == 2
+        assert "cannot parse config file" in capsys.readouterr().err
+    # [DEFAULT] is one more unknown section: its keys neither vanish nor spread
+    for text in ("", "[run]\ntrials = 1000\n", "[signal]\nkind = bpsk\n"):
+        ini.write_text("[DEFAULT]\nseed = 5\n" + text)
+        assert run("calibrate", "--config", str(ini)) == 2
+        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
     assert exc.value.code == 2
