@@ -22,7 +22,7 @@ recovers the in-memory values bit for bit.  Worker count is deliberately
 not echoed: it cannot affect values, and byte-identical output across
 parallelism levels is part of the determinism contract.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure, 2 usage, config or output error.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def _load_config_file(path: str) -> dict:
     # section, so that header is one more unknown section.
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
@@ -213,10 +213,6 @@ def _build_signal(cfg: dict):
     return model(**{f.name: cfg[_BY_KEY["signal", f.name].name] for f in fields(model)})
 
 
-def _build_spec(cfg: dict) -> DetectorSpec:
-    return DetectorSpec(p=cfg["detector_p"])
-
-
 def _scenario(cfg: dict, kind: str | None = None) -> Scenario:
     """The configured draw, on channel ``kind`` when given, from which
     every SNR is formed."""
@@ -255,9 +251,8 @@ def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None)
     lines, then ``header`` and ``rows``.  Under ``--svg`` also write
     ``stem.svg`` from ``plot()``, which returns the series and the
     labels of :func:`line_plot`; no other run pays for the plot."""
-    os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], stem)
-    with open(path + ".csv", "w", newline="") as handle:
+    with _create(path + ".csv", newline="") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
         writer = csv.writer(handle)
@@ -267,26 +262,32 @@ def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None)
     if cfg["svg"] and plot is not None:
         series, labels = plot()
         svg = line_plot(series, **labels)  # rendered first: a failed plot leaves no file
-        with open(path + ".svg", "w") as handle:
+        with _create(path + ".svg") as handle:
             handle.write(svg)
         print(f"wrote {path}.svg")
+
+
+def _create(path: str, **kwargs):
+    """``open(path, "w", **kwargs)``, making its directory if missing."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write results to {path}: {exc}") from exc
 
 
 def read_result_csv(path: str) -> tuple[dict, list[dict]]:
     """Parse a results CSV back into (meta, rows); values stay strings."""
     meta: dict = {}
-    rows: list[dict] = []
+    data_lines = []
     with open(path, newline="") as handle:
-        data_lines = []
         for line in handle:
             if line.startswith("# "):
                 key, _, value = line[2:].rstrip("\n").partition("=")
                 meta[key] = value
             else:
                 data_lines.append(line)
-        reader = csv.DictReader(data_lines)
-        rows.extend(reader)
-    return meta, rows
+    return meta, list(csv.DictReader(data_lines))
 
 
 def _grid_for(cfg: dict, spec: DetectorSpec) -> ThresholdGrid:
@@ -300,7 +301,7 @@ def _snr_tag(snr: float) -> str:
 
 
 def cmd_roc(cfg: dict) -> int:
-    spec = _build_spec(cfg)
+    spec = DetectorSpec(cfg["detector_p"])
     grid = _grid_for(cfg, spec)
     sc = _scenario(cfg)
     # Python floats, which _fmt_value writes with repr
@@ -327,7 +328,7 @@ def cmd_roc(cfg: dict) -> int:
 
 
 def cmd_pmd_table(cfg: dict) -> int:
-    spec = _build_spec(cfg)
+    spec = DetectorSpec(cfg["detector_p"])
     grid = _grid_for(cfg, spec)
     snrs = tuple(sorted(cfg["snr_db"]))
     pmd, stderr = (a.tolist() for a in pmd_table(_scenario(cfg), snrs, spec, grid,
@@ -393,7 +394,7 @@ def cmd_compare(cfg: dict) -> int:
 
 
 def cmd_calibrate(cfg: dict) -> int:
-    spec = _build_spec(cfg)
+    spec = DetectorSpec(cfg["detector_p"])
     cals = calibrate_threshold(spec, cfg["samples"], cfg["pfa_targets"],
                                trials=cfg["cal_trials"], seed=cfg["seed"],
                                workers=cfg["workers"])
@@ -421,7 +422,7 @@ def _sigma_bound(cells: int) -> float:
 
 def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
-    spec = _build_spec(cfg)
+    spec = DetectorSpec(cfg["detector_p"])
     if h0_law(spec.p, cfg["samples"]) is None:
         raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
     grid = _grid_for(cfg, spec)  # refuses bad targets before any check

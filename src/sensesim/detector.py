@@ -53,28 +53,27 @@ def statistic_rows(y: np.ndarray, spec: DetectorSpec) -> np.ndarray:
     Monte Carlo engine relies on that equivalence.  ``y`` (writable
     float64) becomes |y|^p and may then be the accumulator: score a copy
     to keep it.  If ``y`` is sample-major (a transposed C-ordered (n,
-    trials) array, as the engine stores short frames) the sums run in
-    numpy's pairwise order as additions of long contiguous rows;
-    otherwise ``np.sum`` runs along each frame.
+    trials) array, as the engine stores short frames) and n <= 128, the
+    sums run in numpy's pairwise order as additions of long contiguous
+    rows; longer sample-major frames go to ``np.sum`` as a C-ordered copy,
+    and any other layout goes to ``np.sum`` as it is.
     """
     if spec.p != 2:  # y**2 equals |y|**2 bit for bit
         np.abs(y, out=y)
     y **= spec.p
-    return _pairwise_sum(y.T).copy() if y.strides[0] < y.strides[1] else np.sum(y, axis=1)
+    if y.strides[0] >= y.strides[1]:
+        return np.sum(y, axis=1)
+    if y.shape[1] > 128:  # numpy's pairwise block: it halves longer sums
+        return np.sum(np.ascontiguousarray(y), axis=1)
+    return _pairwise_sum(y.T).copy()
 
 
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
-    """Sum a (m, trials) array down axis 0 into ``a[0]``, equal to
-    ``np.sum(a[:, t])`` bit for bit: numpy's pairwise order is a running
-    sum below 8 terms, eight partial sums up to 128 combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail, and two halves
-    split at a multiple of 8 above."""
+    """Sum an (m, trials) array, m <= 128, down axis 0 into ``a[0]``,
+    equal to ``np.sum(a[:, t])`` bit for bit: numpy's pairwise order is a
+    running sum below 8 terms, and up to 128 eight partial sums combined
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail."""
     m = a.shape[0]
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        _pairwise_sum(a[:half])
-        a[0] += _pairwise_sum(a[half:])
-        return a[0]
     tail = 1
     if m >= 8:
         tail = m - m % 8

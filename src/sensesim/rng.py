@@ -29,8 +29,8 @@ Key derivation (``mix64``, ``fold``, ``Stream``) runs on Python integers
 (numpy warns on scalar uint64 overflow); draws run on uint64 arrays,
 which wrap silently.  The scalar and array paths are bit-identical, and
 the tests compare them: ``fold`` against ``fold_range``, and single
-uniforms mixed on Python integers (``tests/oracle_scalar.py``) against
-``uniform_block``.
+uniforms mixed on Python integers (``tests/oracle_scalar.py``) and their
+Box-Muller pairs against ``uniform_block`` and ``normal_block``.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ signal, ``child(FADING_ROLE)`` for the envelope gain and
 
 reproduces ``sensesim.montecarlo``'s statistics and counts at ``snr_db``
 bit for bit (``snr_db=None`` is the noise-only frame), and ``frame(model, n,
-Stream(key))`` is row ``key`` of ``model.block(keys, n)``.
+Stream(key))`` is row ``key`` of ``model.block(keys, n)``.  The draws are
+built here as well, not taken from the engine's block functions: each
+uniform is mixed on Python ints, and the normals pair them by Box-Muller.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 
 import numpy as np
 
-from sensesim.rng import GOLDEN, MASK64, bits_to_uniform, mix64, normal_block, uniform_block
+from sensesim.rng import GOLDEN, MASK64, mix64
 from sensesim.signal_channel import (
     AWGN,
     FADING_ROLE,
@@ -39,19 +41,29 @@ from sensesim.signal_channel import (
 
 
 def uniform(stream, index: int) -> float:
-    """The ``index``-th uniform of ``stream``, mixed on Python ints."""
+    """The ``index``-th uniform of ``stream``, mixed on Python ints: the
+    top 53 bits plus 0.5, times 2^-53, in (0, 1]."""
     z = mix64((stream.key + index * GOLDEN) & MASK64)
-    return float(bits_to_uniform(np.array([z], dtype=np.uint64))[0])
+    return ((z >> 11) + 0.5) * 2.0**-53
 
 
 def uniforms(stream, count: int, start: int = 0) -> np.ndarray:
     """Uniform draws ``start .. start+count-1`` of ``stream``."""
-    return uniform_block(np.array([stream.key], dtype=np.uint64), count, start)[0]
+    return np.array([uniform(stream, i) for i in range(start, start + count)])
 
 
 def normals(stream, count: int) -> np.ndarray:
-    """The first ``count`` standard normals of ``stream``."""
-    return normal_block(np.array([stream.key], dtype=np.uint64), count)[0]
+    """The first ``count`` standard normals of ``stream``: Box-Muller on
+    uniform pairs (u[2j], u[2j+1]) gives (z[2j], z[2j+1]), and an odd
+    count drops the last normal of its pair."""
+    u = uniforms(stream, count + count % 2)
+    # numpy transforms, not math.*, as in fading_gain
+    radius = np.sqrt(np.log(u[0::2]) * -2.0)
+    angle = u[1::2] * (2.0 * np.pi)
+    z = np.empty(u.size)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z[:count]
 
 
 def frame(model, n: int, trial) -> np.ndarray:

@@ -286,6 +286,17 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("validate", "--config", str(ini)) == 2
     captured = capsys.readouterr()
     assert channel_error in captured.err and captured.out == ""  # refused before any check
+    ini.write_bytes(b"\xff\xfe[run]\n")  # not UTF-8
+    assert run("calibrate", "--config", str(ini)) == 2
+    assert f"cannot read config file {ini}: 'utf-8' codec" in capsys.readouterr().err
+    # an output directory that cannot be made, or a result name taken by a directory
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    (tmp_path / "taken" / "roc_awgn_0dB.csv").mkdir(parents=True)
+    for out in (blocker, blocker / "sub", tmp_path / "taken"):
+        assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(out)) == 2
+        assert f"cannot write results to {out / 'roc_awgn_0dB.csv'}: [Errno" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, message", [

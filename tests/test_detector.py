@@ -36,7 +36,9 @@ def _layouts(y):
 def test_statistic_rows_matches_scalar_bitwise():
     # The sizes cover every branch of numpy's pairwise summation (running
     # sum below 8, eight partial sums up to 128, halving above), in the
-    # C-ordered layout, with padded rows, and in the sample-major one.
+    # C-ordered layout, with padded rows, and in the sample-major one,
+    # whose replica of that order runs up to 128 and whose longer frames
+    # go to np.sum as a C-ordered copy.
     keys = np.array([Stream.from_seed(t).key for t in range(20)], dtype=np.uint64)
     for n in [*range(1, 301), 511, 8191, 8192, 8193, 65537]:
         y = normal_block(keys, n)

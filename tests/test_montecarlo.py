@@ -562,16 +562,19 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers' writes as finely as possible
     try:
-        # n=200 is sample-major in 2^16-sample blocks, trial-major in 2^15-sample ones
-        for n in (10, 200):
-            sc, snrs = _sc(channel=channel, n=n, trials=500, seed=31), (-3.0, 4.0)
+        # n=200 is sample-major in 2^16-sample blocks, trial-major in 2^15-sample ones;
+        # n=129 is trial-major in 1- and 7-trial blocks and sample-major in larger
+        # ones (254 + 46 trials, then 300), where its padded frames, over 128
+        # samples, go to np.sum as a copy
+        for n, trials in ((10, 500), (129, 300), (200, 500)):
+            sc, snrs = _sc(channel=channel, n=n, trials=trials, seed=31), (-3.0, 4.0)
             grid = grid_from_pfa_targets([0.01, 0.1, 0.5], P2, n)
             results = []
             for samples in (n, 7 * n, 1 << 15, 1 << 16):  # 1-trial, 7-trial, larger blocks
                 monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", samples)
                 for workers in (1, 2, 3):
                     pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
-                    h0 = calibration_h0_statistics(P3, n, 500, seed=31, workers=workers)
+                    h0 = calibration_h0_statistics(P3, n, trials, seed=31, workers=workers)
                     roc = roc_sweep(sc, snrs, P2, grid, workers=workers)
                     results.append(([a.tobytes() for a in roc],
                                     pmd.tolist(), stderr.tolist(), h0.tolist()))

@@ -1,6 +1,8 @@
 """Stream kernel tests: published pins, scalar/vector agreement, moments.
 
-Single-stream draws come from the test-side reference ``oracle_scalar``.
+Single-stream draws come from the test-side reference ``oracle_scalar``,
+which mixes on Python ints and builds its own Box-Muller pairs; the
+engine's block draws must match it bit for bit.
 """
 
 import numpy as np
@@ -34,6 +36,11 @@ _SEQ_FROM_0 = (
     0xF88BB8A8724C81EC,
     0x1B39896A51A8749B,
 )
+
+
+def _one(block, stream, count, **kwargs):
+    """Row 0 of an engine block draw for the single stream ``stream``."""
+    return block(np.array([stream.key], dtype=np.uint64), count, **kwargs)[0]
 
 
 def test_mix64_reproduces_published_sequence():
@@ -105,7 +112,7 @@ def test_uniform_block_start_offset():
 
 def test_stream_scalar_uniform_matches_vector():
     s = Stream.from_seed(424242)
-    vec = uniforms(s, 64)
+    vec = _one(uniform_block, s, 64)
     for i in range(64):
         assert uniform(s, i) == vec[i]
 
@@ -127,24 +134,27 @@ def test_distinct_children_give_distinct_draws():
 
 
 def test_same_seed_reproduces_different_seed_differs():
-    a = normals(Stream.from_seed(5), 100)
-    b = normals(Stream.from_seed(5), 100)
-    c = normals(Stream.from_seed(6), 100)
+    a = _one(normal_block, Stream.from_seed(5), 100)
+    b = _one(normal_block, Stream.from_seed(5), 100)
+    c = _one(normal_block, Stream.from_seed(6), 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_normals_odd_count_is_prefix_of_even():
     s = Stream.from_seed(11)
-    assert np.array_equal(normals(s, 7), normals(s, 8)[:7])
-    assert normals(s, 1).shape == (1,)
+    assert np.array_equal(_one(normal_block, s, 7), _one(normal_block, s, 8)[:7])
+    assert _one(normal_block, s, 1).shape == (1,)
 
 
 def test_normal_block_matches_stream_normals():
-    keys = np.array([Stream.from_seed(3).key, Stream.from_seed(4).key], dtype=np.uint64)
-    block = normal_block(keys, 9)
-    assert np.array_equal(block[0], normals(Stream.from_seed(3), 9))
-    assert np.array_equal(block[1], normals(Stream.from_seed(4), 9))
+    streams = [Stream.from_seed(3).child(1, t) for t in range(300)]
+    for count in (1, 2, 9, 11):  # odd counts drop the last normal of a pair
+        block = normal_block(np.array([s.key for s in streams], dtype=np.uint64), count)
+        assert np.array_equal(block, [normals(s, count) for s in streams]), count
+    for count in (1, 2, 9, 11):  # uniforms at any start, too
+        block = uniform_block(np.array([s.key for s in streams], dtype=np.uint64), count, 5)
+        assert np.array_equal(block, [uniforms(s, count, 5) for s in streams]), count
 
 
 def _buffer_layouts(streams, cols):
@@ -179,14 +189,14 @@ def test_draws_into_buffers_equal_fresh_draws():
 
 
 def test_uniform_moments():
-    u = uniforms(Stream.from_seed(99), 200_000)
+    u = _one(uniform_block, Stream.from_seed(99), 200_000)
     n = u.size
     assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12.0 * n)
     assert abs(u.var() - 1.0 / 12.0) < 4.0 * (1.0 / 12.0) / np.sqrt(n) * 3.0
 
 
 def test_normal_moments():
-    z = normals(Stream.from_seed(123), 200_000)
+    z = _one(normal_block, Stream.from_seed(123), 200_000)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -221,7 +231,7 @@ def test_validation_errors():
 @settings(deadline=None)
 def test_scalar_vector_uniform_agree_everywhere(key, index):
     s = Stream(key)
-    assert uniform(s, index) == uniforms(s, 1, start=index)[0]
+    assert uniform(s, index) == _one(uniform_block, s, 1, start=index)[0]
 
 
 @given(
