@@ -182,6 +182,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if cfg["pfa_targets"] is None:
         cfg["pfa_targets"] = _COMMANDS[args.command].targets
     _validate_config(cfg)
+    if _COMMANDS[args.command].writes:
+        _check_out(cfg["out"])
     return cfg
 
 
@@ -206,6 +208,16 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"snr_db values {tagged[tag]!r} and {snr!r} share "
                               f"the file and column tag {tag!r}")
         tagged[tag] = snr
+
+
+def _check_out(out: str) -> None:
+    """Refuse, before any draw, an output directory that cannot be made:
+    ``out`` or its nearest existing ancestor must be a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot write results to {out}: {path} is not a directory")
 
 
 def _build_signal(cfg: dict):
@@ -482,17 +494,21 @@ def cmd_validate(cfg: dict) -> int:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its handler, help text and default P_FA targets."""
+    """One subcommand: its handler, help text, default P_FA targets and
+    whether it writes result files."""
 
     run: Callable[[dict], int]
     help: str
     targets: tuple[float, ...]
+    writes: bool = False
 
 
 _COMMANDS = {
-    "roc": _Command(cmd_roc, "ROC sweep per SNR", DEFAULT_PFA_TARGETS),
-    "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS),
-    "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1)),
+    "roc": _Command(cmd_roc, "ROC sweep per SNR", DEFAULT_PFA_TARGETS, writes=True),
+    "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS,
+                          writes=True),
+    "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1),
+                        writes=True),
     "calibrate": _Command(cmd_calibrate, "print calibrated thresholds", (0.1,)),
     "validate": _Command(cmd_validate, "run the oracle validation suite", (0.01, 0.1, 0.5)),
 }

@@ -49,6 +49,7 @@ P_FA target's quantile.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -213,6 +214,14 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     return out if reduce is None else reduce(out)
 
 
+def _place(*cpus: int) -> None:
+    """Keep the calling thread on ``cpus``; a refused call leaves it as it was."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
 def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     """Run :func:`_stats_block` over all trial blocks of ``sc``.
 
@@ -230,6 +239,15 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     block count and no block allocates a block.  Worker 0 runs on the
     calling thread, the others on their own threads; once all are
     joined, the first failed worker's exception is raised here.
+
+    With two or more workers and two or more CPUs in the calling
+    thread's affinity mask, worker w keeps its thread on CPU
+    ``cpus[w % len(cpus)]`` of that mask for the whole run, and the
+    calling thread gets its mask back on return and on raise.  Left to
+    the scheduler, the threads share one CPU, and a mask lifted after
+    the start is undone by the wakeup at each GIL handoff.  A platform
+    without ``os.sched_setaffinity``, or a placement call that raises
+    ``OSError``, leaves the threads unplaced.
     """
     snrs = tuple(snrs)
     if workers < 1:
@@ -271,9 +289,15 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
         return counts
 
     parts, errors = [0] * workers, [None] * workers
+    placed = workers > 1 and hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if placed else []
+    if len(cpus) < 2:
+        cpus = []
 
     def work(w):
         try:
+            if cpus:
+                _place(cpus[w % len(cpus)])
             parts[w] = run(w)
         except BaseException as exc:  # raised by the caller once every worker is joined
             errors[w] = exc
@@ -284,8 +308,12 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
             thread = threading.Thread(target=work, args=(w,))
             thread.start()
             threads.append(thread)
+        if cpus:
+            _place(cpus[0])
         parts[0] = run(0)
     finally:
+        if cpus:
+            _place(*cpus)
         for thread in threads:
             thread.join()
     for exc in errors:

@@ -289,14 +289,31 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     ini.write_bytes(b"\xff\xfe[run]\n")  # not UTF-8
     assert run("calibrate", "--config", str(ini)) == 2
     assert f"cannot read config file {ini}: 'utf-8' codec" in capsys.readouterr().err
-    # an output directory that cannot be made, or a result name taken by a directory
+    # a result name taken by a directory, refused when the file is opened
+    # (test_an_unusable_out_is_refused_before_any_draw: an --out that cannot be made)
+    out = tmp_path / "taken"
+    (out / "roc_awgn_0dB.csv").mkdir(parents=True)
+    assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(out)) == 2
+    assert f"cannot write results to {out / 'roc_awgn_0dB.csv'}: [Errno" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["roc", "pmd-table", "compare"])
+def test_an_unusable_out_is_refused_before_any_draw(tmp_path, monkeypatch, capsys, command):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
-    (tmp_path / "taken" / "roc_awgn_0dB.csv").mkdir(parents=True)
-    for out in (blocker, blocker / "sub", tmp_path / "taken"):
-        assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(out)) == 2
-        assert f"cannot write results to {out / 'roc_awgn_0dB.csv'}: [Errno" \
-            in capsys.readouterr().err
+    entered = []
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: entered.append(args))
+    for out in (blocker, blocker / "sub" / "dir"):
+        assert run(command, "--detector-p", "3", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write results to {out}: " \
+                               f"{blocker} is not a directory\n"
+        assert captured.out == ""
+    assert entered == []
+    assert blocker.read_text() == ""
+    # commands that write nothing do not look at --out
+    assert run("calibrate", "--pfa-targets", "0.1", "--out", str(blocker)) == 0
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -1,5 +1,6 @@
 """Engine tests: exact scalar equivalence, determinism, CRN structure."""
 
+import os
 import sys
 import threading
 import tracemalloc
@@ -583,8 +584,29 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def caller_cpus():
+    """The widest CPU mask the test's thread may have, set on it for the
+    test, so that no mask an earlier test left behind hides a leak; None
+    without CPU masks.  The thread's own mask is put back afterwards."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield None
+        return
+    set_affinity, own = os.sched_setaffinity, os.sched_getaffinity(0)
+    set_affinity(0, range(os.cpu_count()))  # the kernel keeps the allowed ones
+    try:
+        yield os.sched_getaffinity(0)
+    finally:
+        set_affinity(0, own)
+
+
+def _affinity():
+    """The calling thread's CPU mask, or None where it cannot be read."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
 @pytest.mark.parametrize("workers", [2, 3])
-def test_worker_errors_reach_the_caller(monkeypatch, workers):
+def test_worker_errors_reach_the_caller(monkeypatch, caller_cpus, workers):
     # 8-trial blocks; the block at trial 24 (worker 0 of 3, worker 1 of 2) fails.
     monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)
     stats_block = montecarlo._stats_block
@@ -600,6 +622,74 @@ def test_worker_errors_reach_the_caller(monkeypatch, workers):
     with pytest.raises(ZeroDivisionError, match="block at 24"):
         roc_sweep(_sc(trials=80, seed=5), [0.0], P2, grid, workers=workers)
     assert threading.active_count() == baseline
+    # the calling thread gets its mask back on raise and on return
+    assert _affinity() == caller_cpus
+    monkeypatch.setattr(montecarlo, "_stats_block", stats_block)
+    roc_sweep(_sc(trials=80, seed=5), [0.0], P2, grid, workers=workers)
+    assert _affinity() == caller_cpus
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_worker_keeps_one_cpu_of_the_callers_mask(monkeypatch, caller_cpus, workers):
+    cpus = sorted(caller_cpus or ())
+    if len(cpus) < 2:
+        pytest.skip("placement needs two CPUs in the caller's mask")
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)  # 8-trial blocks
+    stats_block, seen = montecarlo._stats_block, {}
+
+    def recorded(sc, snrs, specs, lo, *args):
+        # worker w runs blocks w, w + W, ...
+        seen.setdefault(lo // 8 % workers, set()).add(
+            (threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        return stats_block(sc, snrs, specs, lo, *args)
+
+    monkeypatch.setattr(montecarlo, "_stats_block", recorded)
+    roc_sweep(_sc(trials=160, seed=5), [0.0], P2, ThresholdGrid((10.0,)), workers=workers)
+    assert _affinity() == caller_cpus
+    assert sorted(seen) == list(range(workers))
+    placed = []
+    for w, runs in sorted(seen.items()):
+        (ident, cpu_set), = runs  # one thread, one mask, for all the worker's blocks
+        assert (ident == threading.get_ident()) == (w == 0)  # worker 0: the caller
+        assert cpu_set == {cpus[w % len(cpus)]}
+        placed.append(cpu_set)
+    if workers <= len(cpus):
+        assert len(set(placed)) == workers
+
+
+def test_a_one_cpu_caller_runs_unplaced_with_the_same_counts(monkeypatch, caller_cpus):
+    if caller_cpus is None:
+        pytest.skip("no CPU masks on this platform")
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)
+    one, calls = {min(caller_cpus)}, []
+    sc, grid = _sc(channel=CH_RAY, trials=200, seed=9), ThresholdGrid((20.0, 10.0, 3.0))
+    os.sched_setaffinity(0, one)  # the fixture widens it again
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args))
+    runs = [pmd_table(sc, [0.0, 5.0], P3, grid, workers=w) for w in (1, 3)]
+    assert _affinity() == one
+    assert calls == []  # one CPU to share: nothing is placed
+    assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+@pytest.mark.parametrize("how", ["refused", "missing"])
+def test_workers_run_unplaced_where_placement_fails(monkeypatch, caller_cpus, how):
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)
+    sc, grid = _sc(trials=200, seed=9), ThresholdGrid((20.0, 10.0, 3.0))
+    expected, calls = pmd_table(sc, [0.0], P3, grid), []
+    if how == "refused":
+
+        def refused(*args):
+            calls.append(args)
+            raise PermissionError("placement refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    got = pmd_table(sc, [0.0], P3, grid, workers=3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    assert _affinity() == caller_cpus
+    if how == "refused" and len(caller_cpus or ()) >= 2:
+        assert len(calls) == 4  # three workers tried, then the caller's mask
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,7 +1,9 @@
 """Signal, channel, and fading models: exact pins and moment checks.
 
 The per-trial frames come from the test-side scalar reference,
-``oracle_scalar``, which the model blocks must match bit for bit.
+``oracle_scalar``, which the model blocks must match bit for bit.  The
+moment checks on 1e6-sample frames draw them as one-row engine blocks,
+whose bits those pins tie to the reference, at a fraction of its cost.
 """
 
 import math
@@ -31,6 +33,11 @@ def _trial(seed: int, t: int) -> Stream:
 
 def _mean_power(y):
     return float(np.mean(y**2))
+
+
+def _key(trial: Stream) -> np.ndarray:
+    """``trial``'s key as the one-row key array of a model or channel block."""
+    return np.array([trial.key], dtype=np.uint64)
 
 
 def test_snr_to_linear():
@@ -92,7 +99,7 @@ def test_sinusoid_exact_formula_and_power():
 
 
 def test_gaussian_signal_power_and_scaling():
-    big = frame(GaussianIid(power=1.0), 1_000_000, _trial(2, 0))
+    big = GaussianIid(power=1.0).block(_key(_trial(2, 0)), 1_000_000)[0]
     # mean square of 1e6 unit normals: sd sqrt(2/n) ~ 0.0014, 4-sigma band
     assert 0.9943 <= _mean_power(big) <= 1.0057
     unit = frame(GaussianIid(power=1.0), 50, _trial(2, 1))
@@ -193,7 +200,7 @@ def test_rayleigh_fading_moments():
 
 def test_noise_frame_variance_and_role():
     ch = ChannelModel(AWGN)
-    w = _noise(ch, 1_000_000, _trial(3, 0))
+    w = ch.noise(_key(_trial(3, 0)), 1_000_000)[0]
     assert abs(_mean_power(w) - 1.0) < 0.01
     # the noise role is distinct from the signal role on the same stream
     x = frame(GaussianIid(), 100, _trial(3, 1))
@@ -220,9 +227,10 @@ def test_transmit_vanishing_noise_recovers_scaled_signal():
 
 
 def test_transmit_awgn_mean_power():
-    # E|y|^2 = gamma + 1 = 2 at 0 dB with unit noise
-    ch = ChannelModel(AWGN)
-    y, _ = received_frame(Bpsk(), ch, 0.0, 1_000_000, _trial(4, 0))
+    # E|y|^2 = gamma + 1 = 2 at 0 dB with unit noise; the engine's sum, at unit gain
+    ch, keys, n = ChannelModel(AWGN), _key(_trial(4, 0)), 1_000_000
+    assert ch.gains(keys) is None
+    y = (math.sqrt(snr_to_linear(0.0)) * Bpsk().block(keys, n) + ch.noise(keys, n))[0]
     assert 1.994 <= _mean_power(y) <= 2.006
 
 
