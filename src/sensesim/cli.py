@@ -8,9 +8,9 @@ header echo and, for a setting with a flag, the flag's help text.
 ``sensesim --help`` lists what the rows declare.  Every simulating
 command builds its run once (the threshold grid and one draw per
 channel) and scores H0 and all its SNRs from that draw, in one engine
-pass.  Every result file goes through one writer, :func:`_write`: a
-handler hands it the header lines, the rows and a plot callable, which
-runs only under ``--svg``.
+pass.  A writing handler names its files to :func:`_check_out` before
+its first draw; each goes through one writer, :func:`_write`, which
+takes the header lines, the rows and a plot run only under ``--svg``.
 
 Configuration comes from an INI file plus flag overrides (flags win over
 the file; the SENSESIM_SEED environment variable sits below both; built-in
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import math
 import os
@@ -182,8 +183,6 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if cfg["pfa_targets"] is None:
         cfg["pfa_targets"] = _COMMANDS[args.command].targets
     _validate_config(cfg)
-    if _COMMANDS[args.command].writes:
-        _check_out(cfg["out"])
     return cfg
 
 
@@ -210,14 +209,23 @@ def _validate_config(cfg: dict) -> None:
         tagged[tag] = snr
 
 
-def _check_out(out: str) -> None:
-    """Refuse, before any draw, an output directory that cannot be made:
-    ``out`` or its nearest existing ancestor must be a directory."""
+def _check_out(cfg: dict, stems) -> None:
+    """Refuse, before any draw, an output directory that cannot be made
+    and a result name a directory holds: ``out`` or its nearest existing
+    ancestor must be a directory, and no ``stem.csv`` (nor, under
+    ``--svg``, ``stem.svg``) of :func:`_write` may be one."""
+    out = cfg["out"]
     path = os.path.abspath(out)
     while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"cannot write results to {out}: {path} is not a directory")
+    for stem in stems:
+        for ext in (".csv", ".svg") if cfg["svg"] else (".csv",):
+            name = os.path.join(out, stem + ext)
+            if os.path.isdir(name):  # as open() would refuse it
+                exc = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), name)
+                raise ConfigError(f"cannot write results to {name}: {exc}")
 
 
 def _build_signal(cfg: dict):
@@ -314,12 +322,14 @@ def _snr_tag(snr: float) -> str:
 
 def cmd_roc(cfg: dict) -> int:
     spec = DetectorSpec(cfg["detector_p"])
+    stems = [f"roc_{cfg['channel']}_{_snr_tag(snr)}" for snr in cfg["snr_db"]]
+    _check_out(cfg, stems)
     grid = _grid_for(cfg, spec)
     sc = _scenario(cfg)
     # Python floats, which _fmt_value writes with repr
     pfa, stderr_pfa, pd, stderr_pd = (a.tolist() for a in roc_sweep(
         sc, cfg["snr_db"], spec, grid, workers=cfg["workers"]))
-    for snr, pd_snr, stderr_snr in zip(cfg["snr_db"], pd, stderr_pd):
+    for stem, snr, pd_snr, stderr_snr in zip(stems, cfg["snr_db"], pd, stderr_pd):
 
         def plot():
             series = [Series(pfa, pd_snr, label="simulated")]
@@ -334,13 +344,15 @@ def cmd_roc(cfg: dict) -> int:
                                 xlabel="P_FA", ylabel="P_D", logx=min(pfa) > 0.0)
 
         rows = zip(grid.values, pfa, stderr_pfa, pd_snr, stderr_snr)
-        _write(cfg, f"roc_{cfg['channel']}_{_snr_tag(snr)}", _meta(cfg, "roc", snr),
+        _write(cfg, stem, _meta(cfg, "roc", snr),
                ["lambda", "pfa", "stderr_pfa", "pd", "stderr_pd"], rows, plot)
     return 0
 
 
 def cmd_pmd_table(cfg: dict) -> int:
     spec = DetectorSpec(cfg["detector_p"])
+    stem = f"pmd_table_p{spec.p}_{cfg['channel']}"
+    _check_out(cfg, [stem])
     grid = _grid_for(cfg, spec)
     snrs = tuple(sorted(cfg["snr_db"]))
     pmd, stderr = (a.tolist() for a in pmd_table(_scenario(cfg), snrs, spec, grid,
@@ -365,7 +377,7 @@ def cmd_pmd_table(cfg: dict) -> int:
         return series, dict(title=f"P_MD table, p={spec.p}, {cfg['channel']}",
                             xlabel="threshold index", ylabel="P_MD")
 
-    _write(cfg, f"pmd_table_p{spec.p}_{cfg['channel']}", meta, header, zip(*columns), plot)
+    _write(cfg, stem, meta, header, zip(*columns), plot)
     return 0
 
 
@@ -383,13 +395,16 @@ def _sign_summary(spec_a: DetectorSpec, spec_b: DetectorSpec, targets, delta, st
 
 def cmd_compare(cfg: dict) -> int:
     spec_a, spec_b = _COMPARE_SPECS
+    stems = [f"compare_{cfg['channel']}_{_snr_tag(snr)}" for snr in cfg["snr_db"]]
+    _check_out(cfg, stems)
     grid_a, grid_b = _grid_for(cfg, spec_a), _grid_for(cfg, spec_b)
     measured = compare_detectors(_scenario(cfg), cfg["snr_db"], grid_a, grid_b,
                                  spec_a, spec_b, workers=cfg["workers"])
     targets = grid_a.pfa_targets
     header = ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
               "delta", "stderr_delta"]
-    for snr, pmd_a, pmd_b, delta, stderr in zip(cfg["snr_db"], *(m.tolist() for m in measured)):
+    for stem, snr, pmd_a, pmd_b, delta, stderr in zip(stems, cfg["snr_db"],
+                                                      *(m.tolist() for m in measured)):
         meta = _meta(cfg, "compare", snr)
         del meta["detector_p"], meta["normalized"]  # always p=2 vs p=3
         rows = zip(targets, grid_a.values, grid_b.values, pmd_a, pmd_b, delta, stderr)
@@ -399,7 +414,7 @@ def cmd_compare(cfg: dict) -> int:
             return series, dict(title=f"P_MD at matched P_FA, {cfg['channel']}, {snr:g} dB",
                                 xlabel="target P_FA", ylabel="P_MD", logx=True)
 
-        _write(cfg, f"compare_{cfg['channel']}_{_snr_tag(snr)}", meta, header, rows, plot)
+        _write(cfg, stem, meta, header, rows, plot)
         print(f"snr {snr:g} dB:")
         print(_sign_summary(spec_a, spec_b, targets, delta, stderr))
     return 0
@@ -494,21 +509,17 @@ def cmd_validate(cfg: dict) -> int:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its handler, help text, default P_FA targets and
-    whether it writes result files."""
+    """One subcommand: its handler, help text and default P_FA targets."""
 
     run: Callable[[dict], int]
     help: str
     targets: tuple[float, ...]
-    writes: bool = False
 
 
 _COMMANDS = {
-    "roc": _Command(cmd_roc, "ROC sweep per SNR", DEFAULT_PFA_TARGETS, writes=True),
-    "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS,
-                          writes=True),
-    "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1),
-                        writes=True),
+    "roc": _Command(cmd_roc, "ROC sweep per SNR", DEFAULT_PFA_TARGETS),
+    "pmd-table": _Command(cmd_pmd_table, "threshold-by-SNR P_MD table", DEFAULT_PFA_TARGETS),
+    "compare": _Command(cmd_compare, "squaring vs cubing at matched P_FA", (0.01, 0.1)),
     "calibrate": _Command(cmd_calibrate, "print calibrated thresholds", (0.1,)),
     "validate": _Command(cmd_validate, "run the oracle validation suite", (0.01, 0.1, 0.5)),
 }

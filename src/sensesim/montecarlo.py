@@ -12,11 +12,11 @@ sub-streams (:mod:`sensesim.signal_channel`).  Any one trial can thus be
 redrawn on its own: the per-trial loop of ``tests/oracle_scalar.py``
 reproduces the engine's statistics and counts bit for bit, H0 frames
 included.  The engine vectorizes that loop in fixed-size trial blocks;
-block boundaries and worker counts cannot change any value, only
-wall-clock time.  Noise has unit variance, so every statistic is the
-normalized one.  Before any draw, a call refuses a statistic that can
-overflow, a bad SNR and fewer than one worker, each with
-``ValueError``.
+block boundaries, worker counts and the CPU each worker thread is held
+on cannot change any value, only wall-clock time.  Noise has unit
+variance, so every statistic is the normalized one.  Before any draw, a
+call refuses a statistic that can overflow, a bad SNR and fewer than
+one worker, each with ``ValueError``.
 
 Empirical-quantile threshold calibration draws from
 ``child(CALIBRATION_DOMAIN, t)`` instead, so calibration noise is
@@ -214,14 +214,6 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     return out if reduce is None else reduce(out)
 
 
-def _place(*cpus: int) -> None:
-    """Keep the calling thread on ``cpus``; a refused call leaves it as it was."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
 def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     """Run :func:`_stats_block` over all trial blocks of ``sc``.
 
@@ -240,14 +232,13 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     calling thread, the others on their own threads; once all are
     joined, the first failed worker's exception is raised here.
 
-    With two or more workers and two or more CPUs in the calling
-    thread's affinity mask, worker w keeps its thread on CPU
-    ``cpus[w % len(cpus)]`` of that mask for the whole run, and the
-    calling thread gets its mask back on return and on raise.  Left to
-    the scheduler, the threads share one CPU, and a mask lifted after
-    the start is undone by the wakeup at each GIL handoff.  A platform
-    without ``os.sched_setaffinity``, or a placement call that raises
-    ``OSError``, leaves the threads unplaced.
+    With two or more CPUs in the calling thread's affinity mask, each
+    thread the engine starts holds itself on CPU ``cpus[w % len(cpus)]``
+    of that mask; left to the scheduler, the threads share one CPU.  The
+    calling thread's mask is never set, so nothing needs restoring: with
+    worker 1 held, the scheduler no longer pulls the caller onto its CPU
+    (measured).  Without ``os.sched_setaffinity``, or where it raises
+    ``OSError``, a thread runs unplaced.
     """
     snrs = tuple(snrs)
     if workers < 1:
@@ -288,19 +279,20 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
                     out[lo:hi] = block_stats
         return counts
 
-    parts, errors = [0] * workers, [None] * workers
+    parts = [0] * workers  # each worker's counts, or its exception
     placed = workers > 1 and hasattr(os, "sched_setaffinity")
     cpus = sorted(os.sched_getaffinity(0)) if placed else []
-    if len(cpus) < 2:
-        cpus = []
 
     def work(w):
         try:
-            if cpus:
-                _place(cpus[w % len(cpus)])
+            if len(cpus) > 1:
+                try:
+                    os.sched_setaffinity(0, (cpus[w % len(cpus)],))
+                except OSError:
+                    pass
             parts[w] = run(w)
         except BaseException as exc:  # raised by the caller once every worker is joined
-            errors[w] = exc
+            parts[w] = exc
 
     threads = []
     try:
@@ -308,17 +300,13 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
             thread = threading.Thread(target=work, args=(w,))
             thread.start()
             threads.append(thread)
-        if cpus:
-            _place(cpus[0])
         parts[0] = run(0)
     finally:
-        if cpus:
-            _place(*cpus)
         for thread in threads:
             thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
     return outs if outs is not None else sum(parts)
 
 

@@ -289,8 +289,8 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     ini.write_bytes(b"\xff\xfe[run]\n")  # not UTF-8
     assert run("calibrate", "--config", str(ini)) == 2
     assert f"cannot read config file {ini}: 'utf-8' codec" in capsys.readouterr().err
-    # a result name taken by a directory, refused when the file is opened
-    # (test_an_unusable_out_is_refused_before_any_draw: an --out that cannot be made)
+    # a result name taken by a directory, refused as opening the file would
+    # (test_a_taken_result_name_is_refused_before_any_draw covers every command)
     out = tmp_path / "taken"
     (out / "roc_awgn_0dB.csv").mkdir(parents=True)
     assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(out)) == 2
@@ -314,6 +314,32 @@ def test_an_unusable_out_is_refused_before_any_draw(tmp_path, monkeypatch, capsy
     assert blocker.read_text() == ""
     # commands that write nothing do not look at --out
     assert run("calibrate", "--pfa-targets", "0.1", "--out", str(blocker)) == 0
+
+
+@pytest.mark.parametrize("ext", ["csv", "svg"])
+@pytest.mark.parametrize("command, stem", [
+    ("roc", "roc_awgn_10dB"), ("pmd-table", "pmd_table_p3_awgn"), ("compare", "compare_awgn_10dB"),
+], ids=["roc", "pmd-table", "compare"])
+def test_a_taken_result_name_is_refused_before_any_draw(tmp_path, monkeypatch, capsys,
+                                                        command, stem, ext):
+    taken = tmp_path / f"{stem}.{ext}"  # the last file of a three-SNR run
+    taken.mkdir()
+    entered = []
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: entered.append(args))
+    assert run(command, "--detector-p", "3", "--svg", "--snr-db=-10,0,10",
+               "--out", str(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write results to {taken}: [Errno ")
+    assert captured.out == ""
+    assert entered == []  # not even the p=3 calibration ran
+    assert list(tmp_path.iterdir()) == [taken]  # no earlier file was written
+    assert list(taken.iterdir()) == []
+
+
+def test_a_taken_svg_name_is_left_alone_without_svg(tmp_path):
+    (tmp_path / "roc_awgn_0dB.svg").mkdir()
+    assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(tmp_path)) == 0
+    assert (tmp_path / "roc_awgn_0dB.csv").is_file()
 
 
 @pytest.mark.parametrize("flag, message", [

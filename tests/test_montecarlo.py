@@ -622,7 +622,7 @@ def test_worker_errors_reach_the_caller(monkeypatch, caller_cpus, workers):
     with pytest.raises(ZeroDivisionError, match="block at 24"):
         roc_sweep(_sc(trials=80, seed=5), [0.0], P2, grid, workers=workers)
     assert threading.active_count() == baseline
-    # the calling thread gets its mask back on raise and on return
+    # the calling thread keeps its mask on raise and on return
     assert _affinity() == caller_cpus
     monkeypatch.setattr(montecarlo, "_stats_block", stats_block)
     roc_sweep(_sc(trials=80, seed=5), [0.0], P2, grid, workers=workers)
@@ -651,10 +651,41 @@ def test_each_worker_keeps_one_cpu_of_the_callers_mask(monkeypatch, caller_cpus,
     for w, runs in sorted(seen.items()):
         (ident, cpu_set), = runs  # one thread, one mask, for all the worker's blocks
         assert (ident == threading.get_ident()) == (w == 0)  # worker 0: the caller
-        assert cpu_set == {cpus[w % len(cpus)]}
-        placed.append(cpu_set)
+        if w == 0:
+            assert cpu_set == caller_cpus  # never placed
+        else:
+            assert cpu_set == {cpus[w % len(cpus)]}
+            placed.append(cpu_set)
     if workers <= len(cpus):
-        assert len(set(placed)) == workers
+        assert len(set(placed)) == workers - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_calling_threads_mask_is_never_set(monkeypatch, caller_cpus, workers):
+    if caller_cpus is None:
+        pytest.skip("no CPU masks on this platform")
+    monkeypatch.setattr(montecarlo, "_BLOCK_SAMPLES", 8 * 10)  # 8-trial blocks
+    set_affinity, stats_block, setters = os.sched_setaffinity, montecarlo._stats_block, []
+
+    def spy(pid, cpus):
+        setters.append(threading.get_ident())
+        set_affinity(pid, cpus)
+
+    def failing(sc, snrs, specs, lo, *args):
+        if lo == 24:  # the last of four blocks: worker 0 of 1 or 3, worker 1 of 2
+            raise ZeroDivisionError(f"block at {lo}")
+        return stats_block(sc, snrs, specs, lo, *args)
+
+    monkeypatch.setattr(os, "sched_setaffinity", spy)
+    sc, grid = _sc(trials=32, seed=5), ThresholdGrid((10.0,))
+    roc_sweep(sc, [0.0], P2, grid, workers=workers)
+    monkeypatch.setattr(montecarlo, "_stats_block", failing)
+    with pytest.raises(ZeroDivisionError, match="block at 24"):
+        roc_sweep(sc, [0.0], P2, grid, workers=workers)
+    assert threading.get_ident() not in setters  # neither on return nor on raise
+    # one call per started thread, per run; none at one worker
+    assert len(setters) == (2 * (workers - 1) if len(caller_cpus) > 1 else 0)
+    assert _affinity() == caller_cpus
 
 
 def test_a_one_cpu_caller_runs_unplaced_with_the_same_counts(monkeypatch, caller_cpus):
@@ -689,7 +720,7 @@ def test_workers_run_unplaced_where_placement_fails(monkeypatch, caller_cpus, ho
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     assert _affinity() == caller_cpus
     if how == "refused" and len(caller_cpus or ()) >= 2:
-        assert len(calls) == 4  # three workers tried, then the caller's mask
+        assert len(calls) == 2  # the two started threads tried; the caller is never placed
 
 
 @pytest.mark.parametrize("workers", [1, 2])
