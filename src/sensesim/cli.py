@@ -46,6 +46,7 @@ from .montecarlo import (
     DEFAULT_PFA_TARGETS,
     Scenario,
     ThresholdGrid,
+    check_overflow,
     compare_detectors,
     grid_from_pfa_targets,
     pmd_table,
@@ -266,7 +267,7 @@ def _meta(cfg: dict, command: str, snr: float | None = None) -> dict:
     return meta
 
 
-def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None) -> None:
+def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot) -> None:
     """Write ``stem.csv`` into the output directory: ``meta`` as ``# key=value``
     lines, then ``header`` and ``rows``.  Under ``--svg`` also write
     ``stem.svg`` from ``plot()``, which returns the series and the
@@ -279,7 +280,7 @@ def _write(cfg: dict, stem: str, meta: dict, header: list[str], rows, plot=None)
         writer.writerow(header)
         writer.writerows([_fmt_value(v) for v in row] for row in rows)
     print(f"wrote {path}.csv")
-    if cfg["svg"] and plot is not None:
+    if cfg["svg"]:
         series, labels = plot()
         svg = line_plot(series, **labels)  # rendered first: a failed plot leaves no file
         with _create(path + ".svg") as handle:
@@ -296,21 +297,8 @@ def _create(path: str, **kwargs):
         raise ConfigError(f"cannot write results to {path}: {exc}") from exc
 
 
-def read_result_csv(path: str) -> tuple[dict, list[dict]]:
-    """Parse a results CSV back into (meta, rows); values stay strings."""
-    meta: dict = {}
-    data_lines = []
-    with open(path, newline="") as handle:
-        for line in handle:
-            if line.startswith("# "):
-                key, _, value = line[2:].rstrip("\n").partition("=")
-                meta[key] = value
-            else:
-                data_lines.append(line)
-    return meta, list(csv.DictReader(data_lines))
-
-
 def _grid_for(cfg: dict, spec: DetectorSpec) -> ThresholdGrid:
+    check_overflow(_scenario(cfg), cfg["snr_db"], (spec,))  # before calibration draws
     return grid_from_pfa_targets(cfg["pfa_targets"], spec, cfg["samples"],
                                  cal_trials=cfg["cal_trials"], seed=cfg["seed"],
                                  workers=cfg["workers"])

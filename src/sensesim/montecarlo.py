@@ -214,13 +214,33 @@ def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce
     return out if reduce is None else reduce(out)
 
 
+def check_overflow(sc: Scenario, snrs, specs) -> None:
+    """Refuse, with ``ValueError``, a bad SNR, an SNR without a signal
+    model, and a spec whose statistic of ``sc`` at ``snrs`` (``None``:
+    H0) can overflow.  No |y| exceeds the channel's peak at the largest
+    SNR, so no statistic exceeds n peak^p; the noise alone is checked
+    first, so a refusal names the term that overflows on its own."""
+    channel, n = sc.channel, sc.n_samples
+    terms = [(channel.peak(), "unit noise")]
+    signal_snrs = [snr for snr in snrs if snr is not None]
+    if signal_snrs:
+        gamma = max(snr_to_linear(snr) for snr in signal_snrs)
+        if sc.signal is None:
+            raise ValueError("an SNR needs a signal model; the scenario has none")
+        terms.append((channel.peak(sc.signal, gamma),
+                      f"signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"))
+    for peak, what in terms:
+        for spec in specs:
+            if not peak < (sys.float_info.max / n) ** (1.0 / spec.p):
+                raise ValueError(f"{what} can overflow the p={spec.p} statistic of {n} samples")
+
+
 def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     """Run :func:`_stats_block` over all trial blocks of ``sc``.
 
     ``snrs`` are the columns formed from the scenario's one draw, in dB;
     ``None`` is the noise-only (H0) column.  Before any draw, the call is
-    refused for fewer than one worker, a bad SNR, or a spec whose
-    statistic can overflow.
+    refused for fewer than one worker and by :func:`check_overflow`.
 
     Without ``reduce``: one per-trial statistic array per (SNR, spec),
     in trial order.  With ``reduce``: the sum over all blocks of
@@ -243,21 +263,9 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
     snrs = tuple(snrs)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
-    channel, n = sc.channel, sc.n_samples
-    # No |y| exceeds the channel's peak at the largest SNR, so no
-    # statistic exceeds n peak^p.
-    peak, what = channel.peak(), "unit noise"
-    signal_snrs = [snr for snr in snrs if snr is not None]
-    if signal_snrs:
-        gamma = max(snr_to_linear(snr) for snr in signal_snrs)
-        if sc.signal is None:
-            raise ValueError("an SNR needs a signal model; the scenario has none")
-        peak = channel.peak(sc.signal, gamma)
-        what = f"signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"
-    for spec in specs:
-        if not peak < (sys.float_info.max / n) ** (1.0 / spec.p):
-            raise ValueError(f"{what} can overflow the p={spec.p} statistic of {n} samples")
-    trials, size = sc.trials, min(sc.trials, max(1, _BLOCK_SAMPLES // n))
+    check_overflow(sc, snrs, specs)
+    n, trials = sc.n_samples, sc.trials
+    size = min(trials, max(1, _BLOCK_SAMPLES // n))
     starts = range(0, trials, size)
     workers = min(workers, len(starts))
     outs = None if reduce else [np.empty(trials) for _ in range(len(snrs) * len(specs))]

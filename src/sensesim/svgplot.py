@@ -1,7 +1,8 @@
 """Minimal SVG line plots, no plotting dependency.
 
-Good enough for eyeballing sweep results next to their CSVs: linear or
-log-x axes, tick labels, a legend, and any number of overlaid series.
+Good enough for eyeballing sweep results next to their CSVs: a fixed
+640x480 figure with a title, axis labels, linear or log-x axes, tick
+labels, and any number of overlaid series, each named in the legend.
 Output is a plain SVG string; writing it to disk is the caller's job.
 """
 
@@ -13,23 +14,22 @@ from typing import Sequence
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 36, 48
+_WIDTH, _HEIGHT = 640, 480
 
 
 @dataclass(frozen=True)
 class Series:
     x: Sequence[float]
     y: Sequence[float]
-    label: str = ""
+    label: str
 
     def __post_init__(self):
         if len(self.x) != len(self.y) or not len(self.x):
             raise ValueError("series needs equal-length, non-empty x and y")
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / 4 for i in range(5)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
@@ -46,12 +46,10 @@ def _fmt(v: float) -> str:
 def line_plot(
     series: Sequence[Series],
     *,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
     logx: bool = False,
-    width: int = 640,
-    height: int = 480,
 ) -> str:
     """Render overlaid line series to an SVG document string."""
     if not series:
@@ -69,8 +67,8 @@ def line_plot(
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         if logx:
@@ -83,17 +81,14 @@ def line_plot(
         return _MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#333"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{_escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{_escape(title)}</text>'
-        )
 
     x_ticks = _log_ticks(x_lo, x_hi) if logx else _ticks(x_lo, x_hi)
     for t in x_ticks:
@@ -115,17 +110,13 @@ def line_plot(
         parts.append(
             f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>'
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle">{_escape(xlabel)}</text>'
-        )
-    if ylabel:
-        cx, cy = 16, _MARGIN_T + plot_h / 2
-        parts.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>'
-        )
+    cx, cy = 16, _MARGIN_T + plot_h / 2
+    parts += [
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+        f'text-anchor="middle">{_escape(xlabel)}</text>',
+        f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 {cx} {cy:.1f})">{_escape(ylabel)}</text>',
+    ]
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -133,14 +124,13 @@ def line_plot(
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        if s.label:
-            ly = _MARGIN_T + 14 + 16 * i
-            lx = _MARGIN_L + 10
-            parts.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            parts.append(f'<text x="{lx + 24}" y="{ly}">{_escape(s.label)}</text>')
+        ly = _MARGIN_T + 14 + 16 * i
+        lx = _MARGIN_L + 10
+        parts.append(
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(f'<text x="{lx + 24}" y="{ly}">{_escape(s.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts)

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 from oracle_scalar import received_frame
+from result_csv import read_result_csv
 
 from sensesim import reference
 from sensesim.analytic import (
@@ -22,7 +23,7 @@ from sensesim.analytic import (
     pd_rayleigh_analytic,
     pfa_analytic,
 )
-from sensesim.cli import _sign_summary, read_result_csv
+from sensesim.cli import _sign_summary
 from sensesim.cli import main as cli_main
 from sensesim.detector import DetectorSpec, statistic
 from sensesim.metrics import rates_from_counts

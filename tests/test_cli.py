@@ -1,6 +1,7 @@
 """End-to-end CLI tests: precedence, exit codes, CSV round-trips, SVG."""
 
 import argparse
+import errno
 import math
 import os
 import subprocess
@@ -10,10 +11,11 @@ import xml.etree.ElementTree
 
 import numpy as np
 import pytest
+from result_csv import read_result_csv
 
 import sensesim
 from sensesim import analytic, cli, montecarlo, reference, signal_channel
-from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main, read_result_csv
+from sensesim.cli import _SETTINGS, _resolve_config, build_parser, main
 from sensesim.detector import DetectorSpec
 from sensesim.montecarlo import grid_from_pfa_targets
 
@@ -358,6 +360,35 @@ def test_no_trials_or_samples_exit_two_before_any_output(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, argv", [
+    ("workers", ["--workers", "0"]), ("cal_trials", ["--config", "zero.ini"]),
+])
+def test_no_workers_or_calibration_trials_exit_two_before_any_output(tmp_path, monkeypatch,
+                                                                     capsys, setting, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.ini").write_text("[run]\ncal_trials = 0\n")
+    assert run("roc", *argv, "--out", "out") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {setting} must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_result_file_that_cannot_be_made_exits_two(tmp_path, monkeypatch, capsys):
+    # file modes refuse nothing to root, so the refusal is made where the directory is
+    def refuse(path, exist_ok=False):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
+    out = tmp_path / "out"
+    assert run("roc", "--trials", "100", "--snr-db=0", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: cannot write results to {out / 'roc_awgn_0dB.csv'}: "
+                            f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{out}'\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 _FLAGS = {"--config", "--seed", "--trials", "--samples", "--snr-db", "--channel",
           "--detector-p", "--pfa-targets", "--out", "--svg", "--workers"}
 
@@ -412,24 +443,24 @@ def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, var
 _NOISE_OVERFLOWS = "unit noise can overflow the p=400 statistic of 10 samples"
 
 
-@pytest.mark.parametrize("argv, message, calibration_draws", [
-    # the p=400 calibration draw is refused on the noise alone
-    (["roc", "--detector-p", "400", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS, False),
+@pytest.mark.parametrize("argv, message", [
+    # the noise alone overflows p=400, so its term is named first
+    (["roc", "--detector-p", "400", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS),
     (["compare", "--channel", "rayleigh", "--snr-db=3000"],  # its p=3 signal term
-     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples", True),
-    (["pmd-table", "--detector-p", "400", "--channel", "rayleigh"], _NOISE_OVERFLOWS, False),
+     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
+    (["pmd-table", "--detector-p", "400", "--channel", "rayleigh"], _NOISE_OVERFLOWS),
     (["roc", "--detector-p", "3", "--snr-db=3000"],  # the signal term alone
-     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples", True),
+     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
     (["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
-     "signal_power 1.0 at snr_db 3070.0 can overflow the p=2 statistic of 10 samples", False),
+     "signal_power 1.0 at snr_db 3070.0 can overflow the p=2 statistic of 10 samples"),
 ], ids=["roc", "compare", "pmd-table", "snr", "validate"])
 def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, argv,
-                                                 message, calibration_draws):
+                                                 message):
     # No |y| exceeds 8.6522 plus the peak gain times the signal's peak
     # amplitude, so n |y|^p bounds the statistic before any draw; in each
     # of these configs that bound, and |y|^p in a draw, can overflow.  The
-    # engine refuses the first draw whose bound overflows, so only a p=3
-    # run whose signal alone overflows draws (its calibration) first.
+    # run's evaluation bound is checked before its calibration draws, so
+    # none of them draws at all.
     draws = []
     normal_block = signal_channel.normal_block
 
@@ -443,7 +474,7 @@ def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, 
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
-    assert bool(draws) == calibration_draws
+    assert draws == []
     assert not out.exists()
 
 
@@ -803,6 +834,15 @@ def test_validate_command_passes(capsys):
     # 3 targets for H0; 3 targets x 3 SNRs for each P_D oracle
     assert out.count("(bound 3.32 over 3 cells)") == 1
     assert out.count("(bound 3.62 over 9 cells)") == 2
+
+
+def test_validate_fails_and_names_a_check_whose_oracle_disagrees(monkeypatch, capsys):
+    monkeypatch.setattr(analytic, "pd_awgn_analytic", lambda n, gamma, lam: 0.0)
+    assert run("validate", "--trials", "20000") == 1
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 3
+    assert out.count("FAIL awgn-pd-oracle: worst |pd - analytic| = ") == 1
+    assert out.endswith("FAILED checks: awgn-pd-oracle\n")
 
 
 def test_validate_returns_at_huge_snr():
