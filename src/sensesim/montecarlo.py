@@ -5,7 +5,7 @@ Reproducibility contract
 Every estimator here is a pure function of (scenario, detector spec,
 thresholds, seed).  Trial t of a run draws from the per-trial key
 
-    Stream.from_seed(scenario.seed).child(TRIAL_DOMAIN, t)
+    fold(mix64(scenario.seed), TRIAL_DOMAIN, t)     # TRIAL_DOMAIN = 1
 
 and reads its noise, fading gain and signal from that key's fixed role
 sub-streams (:mod:`sensesim.signal_channel`).  Any one trial can thus be
@@ -19,8 +19,8 @@ call refuses a statistic that can overflow, a bad SNR and fewer than
 one worker, each with ``ValueError``.
 
 Empirical-quantile threshold calibration draws from
-``child(CALIBRATION_DOMAIN, t)`` instead, so calibration noise is
-disjoint from every evaluation trial of the same seed.
+``fold(mix64(seed), CALIBRATION_DOMAIN, t)`` instead, so calibration
+noise is disjoint from every evaluation trial of the same seed.
 
 Common random numbers
 ---------------------
@@ -60,7 +60,7 @@ import numpy as np
 from .analytic import calibrate_threshold
 from .detector import DetectorSpec, statistic_rows
 from .metrics import rates_from_counts, roc_assemble
-from .rng import MASK64, Stream, fold_range
+from .rng import MASK64, fold, fold_range, mix64
 from .signal_channel import ChannelModel, SignalModel, snr_to_linear
 
 TRIAL_DOMAIN = 1
@@ -178,35 +178,34 @@ def _paired_counts(lams_a, lams_b):
     return reduce
 
 
-def _stats_block(sc, snrs, specs, lo: int, hi: int, domain: int, buffers, reduce=None):
-    """Statistics of trials [lo, hi), one vector per (SNR, spec) pair.
+def _stats_block(sc, amps, specs, lo: int, hi: int, dom_key: int, buffers, reduce=None):
+    """Statistics of trials [lo, hi), one vector per (SNR column, spec) pair.
 
-    The block's keys are folded once; ``sc.channel`` draws its noise and
-    gains and ``sc.signal`` its signal into the worker's ``buffers``;
-    each (SNR, spec) pair is formed, as a copy of the noise for an SNR
-    of ``None`` (H0) and ``amp * x + w`` otherwise, and scored in the
-    draw scratch, reused as float64.  With ``reduce`` the block returns
-    ``reduce(vectors)``, an int64 count array, in place of the
-    statistic vectors.
+    ``amps`` holds each SNR column's signal amplitude sqrt(gamma), or
+    ``None`` for H0, and ``dom_key`` the run's domain key: trial t draws
+    from ``fold(dom_key, t)``.  The block's keys are folded once;
+    ``sc.channel`` draws its noise and gains and ``sc.signal`` its signal
+    into the worker's ``buffers``; each (column, spec) pair is formed, as
+    a copy of the noise for H0 and ``h * amp * x + w`` otherwise, and
+    scored in the draw scratch, reused as float64.  With ``reduce`` the
+    block returns ``reduce(vectors)``, an int64 count array, in place of
+    the statistic vectors.
     """
     n = sc.n_samples
     channel = sc.channel
     w_buf, x_buf, work, gains = (b[: hi - lo] for b in buffers)
-    dom_key = Stream.from_seed(sc.seed).child(domain).key
     keys = fold_range(dom_key, np.arange(lo, hi, dtype=np.uint64))
     w = channel.noise(keys, n, out=w_buf, work=work)
-    if any(snr is not None for snr in snrs):
+    if any(amp is not None for amp in amps):
         x = sc.signal.block(keys, n, out=x_buf, work=work)
         h = channel.gains(keys, out=gains, work=work)
     y = work.view(np.float64)[:, :n]
     out = []
-    for snr in snrs:
-        if snr is not None:
-            amp = math.sqrt(snr_to_linear(snr))
-            if h is not None:
-                amp = np.multiply(h, amp, out=gains[:, 1])[:, None]
+    for amp in amps:
+        if amp is not None and h is not None:
+            amp = np.multiply(h, amp, out=gains[:, 1])[:, None]
         for spec in specs:
-            if snr is None:
+            if amp is None:
                 np.copyto(y, w)
             else:
                 np.add(np.multiply(amp, x, out=y), w, out=y)
@@ -240,7 +239,8 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
 
     ``snrs`` are the columns formed from the scenario's one draw, in dB;
     ``None`` is the noise-only (H0) column.  Before any draw, the call is
-    refused for fewer than one worker and by :func:`check_overflow`.
+    refused for fewer than one worker and by :func:`check_overflow`; then
+    the run's domain key and each column's amplitude are derived once.
 
     Without ``reduce``: one per-trial statistic array per (SNR, spec),
     in trial order.  With ``reduce``: the sum over all blocks of
@@ -265,6 +265,8 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     check_overflow(sc, snrs, specs)
     n, trials = sc.n_samples, sc.trials
+    dom_key = fold(mix64(sc.seed), domain)
+    amps = [None if snr is None else math.sqrt(snr_to_linear(snr)) for snr in snrs]
     size = min(trials, max(1, _BLOCK_SAMPLES // n))
     starts = range(0, trials, size)
     workers = min(workers, len(starts))
@@ -279,7 +281,7 @@ def _run_blocks(sc, snrs, specs, domain: int, workers: int, reduce=None):
                    for dt in (np.float64, np.float64, np.uint64)] + [np.empty((2, size)).T]
         for lo in starts[first::workers]:
             hi = min(lo + size, trials)
-            stats = _stats_block(sc, snrs, specs, lo, hi, domain, buffers, reduce)
+            stats = _stats_block(sc, amps, specs, lo, hi, dom_key, buffers, reduce)
             if outs is None:
                 counts += stats
             else:

@@ -11,13 +11,16 @@ The mixing function is the SplitMix64 finalizer (Steele, Lea and Flood,
 ratio increment folded in so that ``mix64(k + i*GOLDEN)`` for i = 0, 1,
 2, ... reproduces the SplitMix64 output sequence started at state k.
 
-Stream layout
--------------
-* ``Stream.from_seed(seed)`` derives the root stream of a run.
-* ``stream.child(c0, c1, ...)`` derives a sub-stream by folding the
-  integer path components into the key, one ``mix64`` round per
-  component.  Distinct paths give statistically independent streams.
-* The i-th uniform of a stream is ``tofloat(mix64(key + i*GOLDEN))``;
+Key layout
+----------
+Keys are plain 64-bit Python integers.
+
+* ``mix64(seed)`` is the root key of a run.
+* ``fold(key, c0, c1, ...)`` derives a child key by folding the integer
+  path components into the key in turn, one ``mix64`` round each:
+  trial t of a run draws from ``fold(mix64(seed), 1, t)``.  Distinct
+  paths give statistically independent keys.
+* The i-th uniform of a key is ``tofloat(mix64(key + i*GOLDEN))``;
   uniforms lie in (0, 1]: never 0, so logarithms stay finite, and a
   uniform of 1.0 gives a Box-Muller radius of -0.0, never NaN.
 * Normal variates come from Box-Muller pairs: uniforms (u[2j], u[2j+1])
@@ -25,17 +28,16 @@ Stream layout
   the full last pair and discards the trailing normal, so the mapping
   from counter positions to values never depends on the request size.
 
-Key derivation (``mix64``, ``fold``, ``Stream``) runs on Python integers
-(numpy warns on scalar uint64 overflow); draws run on uint64 arrays,
-which wrap silently.  The scalar and array paths are bit-identical, and
-the tests compare them: ``fold`` against ``fold_range``, and single
-uniforms mixed on Python integers (``tests/oracle_scalar.py``) and their
-Box-Muller pairs against ``uniform_block`` and ``normal_block``.
+Key derivation (``mix64``, ``fold``) runs on Python integers (numpy
+warns on scalar uint64 overflow); draws run on uint64 arrays, which
+wrap silently.  The scalar and array paths are bit-identical, and the
+tests compare them: ``fold`` against ``fold_range`` and ``fold_in``, and
+single uniforms mixed on Python integers (``tests/oracle_scalar.py``)
+and their Box-Muller pairs against ``uniform_block`` and
+``normal_block``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,9 +86,12 @@ def bits_to_uniform(z: np.ndarray, *, out=None) -> np.ndarray:
     return np.multiply(np.add(z, 0.5, out=out), 2.0**-53, out=out)
 
 
-def fold(key: int, component: int) -> int:
-    """Derive a child key from ``key`` and one integer path component."""
-    return mix64(key ^ mix64(component & MASK64))
+def fold(key: int, *path: int) -> int:
+    """Child key of ``key`` at the integer ``path``, one component folded
+    in at a time; an empty path gives ``key`` itself."""
+    for component in path:
+        key = mix64(key ^ mix64(component & MASK64))
+    return key
 
 
 def fold_range(key: int, indices: np.ndarray) -> np.ndarray:
@@ -140,31 +145,3 @@ def normal_block(keys: np.ndarray, count: int, *, out=None, work=None) -> np.nda
     r *= cos
     return u[:, :count]
 
-
-@dataclass(frozen=True)
-class Stream:
-    """A keyed random stream; cheap to derive, free of mutable state."""
-
-    key: int
-
-    def __post_init__(self):
-        if not isinstance(self.key, int) or not 0 <= self.key <= MASK64:
-            raise ValueError(f"stream key must be a 64-bit integer, got {self.key!r}")
-
-    @classmethod
-    def from_seed(cls, seed: int) -> "Stream":
-        """Root stream of a run; ``seed`` is reduced to 64 bits."""
-        if not isinstance(seed, int):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        return cls(mix64(seed & MASK64))
-
-    def child(self, *path: int) -> "Stream":
-        """Sub-stream at the given integer path, e.g. ``root.child(DOMAIN, t)``."""
-        if not path:
-            raise ValueError("child() needs at least one path component")
-        key = self.key
-        for component in path:
-            if not isinstance(component, int) or component < 0:
-                raise ValueError(f"path components must be non-negative ints, got {component!r}")
-            key = fold(key, component)
-        return Stream(key)

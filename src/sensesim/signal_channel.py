@@ -12,15 +12,17 @@ each frame and held constant across its samples.  The Rayleigh envelope
 has density ``2h*exp(-h^2)`` for h >= 0, normalized so E[h^2] = 1; an
 AWGN channel has gain 1 always.
 
-Stream discipline: each trial's key has one fixed role sub-stream per
-kind of draw -- ``SIGNAL_ROLE`` for signal symbols, ``FADING_ROLE`` for
-the envelope gain, ``NOISE_ROLE`` for noise.  One trial key therefore
-serves all three roles without interference, and the noise realization
-of a frame is identical whether or not a signal is present (common
-random numbers across hypotheses).  A signal model's ``block`` draws
-its frames and a channel's ``noise`` and ``gains`` draw the rest; no
-other package code draws.  ``tests/oracle_scalar.py`` redraws single
-trials from the same sub-streams as the test-side reference.
+Key discipline: trial t of a run has the key ``fold(mix64(seed), 1,
+t)``, and each kind of draw folds in one fixed role -- ``SIGNAL_ROLE``
+for signal symbols, ``FADING_ROLE`` for the envelope gain,
+``NOISE_ROLE`` for noise -- so trial t's noise is drawn from
+``fold(mix64(seed), 1, t, NOISE_ROLE)``.  One trial key therefore serves
+all three roles without interference, and the noise realization of a
+frame is identical whether or not a signal is present (common random
+numbers across hypotheses).  A signal model's ``block`` draws its
+frames and a channel's ``noise`` and ``gains`` draw the rest; no other
+package code draws.  ``tests/oracle_scalar.py`` redraws single trials
+from the same role keys as the test-side reference.
 """
 
 from __future__ import annotations

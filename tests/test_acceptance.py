@@ -35,7 +35,7 @@ from sensesim.montecarlo import (
     grid_from_pfa_targets,
     trial_statistics,
 )
-from sensesim.rng import Stream
+from sensesim.rng import fold, mix64
 from sensesim.signal_channel import (
     AWGN,
     RAYLEIGH,
@@ -243,10 +243,10 @@ def test_acceptance_10_engine_equals_naive_loop():
         sc = _sc(channel, trials, n=n)
         engine_stats = trial_statistics(sc, P2, snr)
         engine_count = count_detections(sc, P2, lam, snr)
-        root = Stream.from_seed(SEED)
+        root = mix64(SEED)
         naive_count = 0
         for t in range(trials):
-            trial = root.child(TRIAL_DOMAIN, t)
+            trial = fold(root, TRIAL_DOMAIN, t)
             y, _ = received_frame(Bpsk(), channel, snr, n, trial)
             stat = statistic(y, P2)
             assert stat == engine_stats[t], (channel.kind, snr, t)

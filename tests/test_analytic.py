@@ -36,7 +36,7 @@ from sensesim.analytic import (
     pfa_analytic,
 )
 from sensesim.detector import DetectorSpec
-from sensesim.rng import Stream, normal_block
+from sensesim.rng import mix64, normal_block
 from sensesim.signal_channel import (
     AWGN,
     RAYLEIGH,
@@ -159,7 +159,7 @@ def test_noncentral_zero_offset_degenerates_to_central():
 def test_noncentral_against_monte_carlo():
     # brute-force oracle: (z + mu)^2 sums with total offset delta
     nu, delta, trials = 10, 12.5, 400_000
-    z = normal_block(np.array([Stream.from_seed(314).key], dtype=np.uint64), trials * nu)
+    z = normal_block(np.array([mix64(314)], dtype=np.uint64), trials * nu)
     z = z.reshape(trials, nu)
     z[:, 0] += math.sqrt(delta)
     t = np.sum(z**2, axis=1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sensesim.detector import DetectorSpec, decide, statistic, statistic_rows
-from sensesim.rng import Stream, normal_block
+from sensesim.rng import fold, mix64, normal_block
 
 P2 = DetectorSpec(p=2)
 P3 = DetectorSpec(p=3)
@@ -39,7 +39,7 @@ def test_statistic_rows_matches_scalar_bitwise():
     # C-ordered layout, with padded rows, and in the sample-major one,
     # whose replica of that order runs up to 128 and whose longer frames
     # go to np.sum as a C-ordered copy.
-    keys = np.array([Stream.from_seed(t).key for t in range(20)], dtype=np.uint64)
+    keys = np.array([mix64(t) for t in range(20)], dtype=np.uint64)
     for n in [*range(1, 301), 511, 8191, 8192, 8193, 65537]:
         y = normal_block(keys, n)
         for spec in [DetectorSpec(p) for p in (1, 2, 3)]:
@@ -76,9 +76,7 @@ def test_spec_validation():
 def test_chi_square_moments_under_noise():
     # p=2 statistic of n unit Gaussians ~ chi-square with n dof
     n, trials = 10, 100_000
-    keys = np.array(
-        [Stream.from_seed(77).child(1, t).key for t in range(trials)], dtype=np.uint64
-    )
+    keys = np.array([fold(mix64(77), 1, t) for t in range(trials)], dtype=np.uint64)
     stats = statistic_rows(normal_block(keys, n), P2)
     assert abs(stats.mean() - n) < 4.0 * np.sqrt(2.0 * n / trials)
     assert abs(stats.var() - 2.0 * n) < 0.1 * 2.0 * n

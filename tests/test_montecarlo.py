@@ -31,7 +31,7 @@ from sensesim.montecarlo import (
     trial_statistics,
     trial_statistics_pair,
 )
-from sensesim.rng import Stream
+from sensesim.rng import fold, mix64
 from sensesim.signal_channel import (
     AWGN,
     RAYLEIGH,
@@ -65,10 +65,10 @@ def _compare(sc, snr, targets, spec_a=P2, spec_b=P3, workers=1):
 
 def _naive_statistics(sc: Scenario, spec: DetectorSpec, snr_db=None) -> np.ndarray:
     """The per-trial reference loop of ``oracle_scalar``, one trial at a time."""
-    root = Stream.from_seed(sc.seed)
+    root = mix64(sc.seed)
     out = np.empty(sc.trials)
     for t in range(sc.trials):
-        trial = root.child(TRIAL_DOMAIN, t)
+        trial = fold(root, TRIAL_DOMAIN, t)
         y, _ = received_frame(sc.signal, sc.channel, snr_db, sc.n_samples, trial)
         out[t] = statistic(y, spec)
     return out
@@ -330,9 +330,9 @@ def test_worker_count_never_changes_values():
 def test_multi_block_boundaries_match_scalar_recipe():
     sc = _sc(trials=3000, n=2000, seed=23)
     stats = trial_statistics(sc, P2, 0.0)
-    root = Stream.from_seed(sc.seed)
+    root = mix64(sc.seed)
     for t in (0, 2047, 2048, 2999):  # straddle an internal block edge (32-trial blocks)
-        trial = root.child(TRIAL_DOMAIN, t)
+        trial = fold(root, TRIAL_DOMAIN, t)
         y, _ = received_frame(sc.signal, sc.channel, 0.0, sc.n_samples, trial)
         assert stats[t] == statistic(y, P2)
 
@@ -351,11 +351,8 @@ def test_calibration_domain_is_disjoint_from_trials():
     assert cal.shape == trial.shape
     assert not np.array_equal(cal, trial)
     # and the calibration stream is its own naive recipe, domain swapped
-    root = Stream.from_seed(7)
-    t = 137
-    stream = root.child(CALIBRATION_DOMAIN, t)
-    y, _ = received_frame(None, CH_AWGN, None, 10, stream)
-    assert cal[t] == statistic(y, P2)
+    y, _ = received_frame(None, CH_AWGN, None, 10, fold(mix64(7), CALIBRATION_DOMAIN, 137))
+    assert cal[137] == statistic(y, P2)
 
 
 def test_roc_sweep_is_exactly_monotone():
@@ -515,9 +512,9 @@ def test_common_noise_pairs_hypotheses():
     # H0 and H1 of one seed share their noise draws trial for trial:
     # subtracting the known signal part of each H1 frame recovers H0 exactly
     sc = _sc(trials=50, n=8, seed=31)
-    root = Stream.from_seed(sc.seed)
+    root = mix64(sc.seed)
     for t in range(sc.trials):
-        trial = root.child(TRIAL_DOMAIN, t)
+        trial = fold(root, TRIAL_DOMAIN, t)
         x = frame(sc.signal, sc.n_samples, trial)
         y1, h = received_frame(sc.signal, sc.channel, 0.0, sc.n_samples, trial)
         y0, _ = received_frame(sc.signal, sc.channel, None, sc.n_samples, trial)

@@ -1,4 +1,4 @@
-"""Stream kernel tests: published pins, scalar/vector agreement, moments.
+"""Key and draw kernel tests: published pins, scalar/vector agreement, moments.
 
 Single-stream draws come from the test-side reference ``oracle_scalar``,
 which mixes on Python ints and builds its own Box-Muller pairs; the
@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_scalar import normals, uniform, uniforms
+from oracle_scalar import mix64_inverse, normals, uniform, uniforms
 
 from sensesim import rng
 from sensesim.rng import (
     GOLDEN,
     MASK64,
-    Stream,
     bits_to_uniform,
     fold,
     fold_in,
@@ -38,9 +37,9 @@ _SEQ_FROM_0 = (
 )
 
 
-def _one(block, stream, count, **kwargs):
-    """Row 0 of an engine block draw for the single stream ``stream``."""
-    return block(np.array([stream.key], dtype=np.uint64), count, **kwargs)[0]
+def _one(block, key, count, **kwargs):
+    """Row 0 of an engine block draw for the single key ``key``."""
+    return block(np.array([key], dtype=np.uint64), count, **kwargs)[0]
 
 
 def test_mix64_reproduces_published_sequence():
@@ -53,6 +52,12 @@ def test_mix64_stays_in_64_bits():
     for z in (0, 1, MASK64, MASK64 - 1, GOLDEN, 2**63):
         out = mix64(z)
         assert 0 <= out <= MASK64
+
+
+@given(z=st.integers(min_value=0, max_value=MASK64))
+def test_mix64_inverse_round_trips(z):
+    assert mix64_inverse(mix64(z)) == z
+    assert mix64(mix64_inverse(z)) == z
 
 
 def test_mix64_array_matches_scalar():
@@ -111,50 +116,60 @@ def test_uniform_block_start_offset():
 
 
 def test_stream_scalar_uniform_matches_vector():
-    s = Stream.from_seed(424242)
-    vec = _one(uniform_block, s, 64)
+    key = mix64(424242)
+    vec = _one(uniform_block, key, 64)
     for i in range(64):
-        assert uniform(s, i) == vec[i]
+        assert uniform(key, i) == vec[i]
 
 
 def test_stream_child_path_composition():
-    root = Stream.from_seed(7)
-    assert root.child(1, 2).key == root.child(1).child(2).key
-    assert root.child(1, 2).key != root.child(2, 1).key
-    assert root.child(1).key != root.key
+    root = mix64(7)
+    assert fold(root, 1, 2) == fold(fold(root, 1), 2)
+    assert fold(root, 1, 2) != fold(root, 2, 1)
+    assert fold(root, 1) != root
+    assert fold(root) == root
+
+
+def test_fold_range_gives_each_trial_key_of_a_domain():
+    idx = np.array([0, 1, 2, 1000, 2**33], dtype=np.uint64)
+    for seed, domain in ((0, 1), (7, 2), (MASK64, 1)):
+        keys = fold_range(fold(mix64(seed), domain), idx)
+        for i, t in enumerate(idx.tolist()):
+            assert int(keys[i]) == fold(mix64(seed), domain, t)
 
 
 def test_distinct_children_give_distinct_draws():
-    root = Stream.from_seed(0)
-    a = uniforms(root.child(1, 0), 8)
-    b = uniforms(root.child(1, 1), 8)
-    c = uniforms(root.child(2, 0), 8)
+    root = mix64(0)
+    a = uniforms(fold(root, 1, 0), 8)
+    b = uniforms(fold(root, 1, 1), 8)
+    c = uniforms(fold(root, 2, 0), 8)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_same_seed_reproduces_different_seed_differs():
-    a = _one(normal_block, Stream.from_seed(5), 100)
-    b = _one(normal_block, Stream.from_seed(5), 100)
-    c = _one(normal_block, Stream.from_seed(6), 100)
+    a = _one(normal_block, mix64(5), 100)
+    b = _one(normal_block, mix64(5), 100)
+    c = _one(normal_block, mix64(6), 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_normals_odd_count_is_prefix_of_even():
-    s = Stream.from_seed(11)
-    assert np.array_equal(_one(normal_block, s, 7), _one(normal_block, s, 8)[:7])
-    assert _one(normal_block, s, 1).shape == (1,)
+    key = mix64(11)
+    assert np.array_equal(_one(normal_block, key, 7), _one(normal_block, key, 8)[:7])
+    assert _one(normal_block, key, 1).shape == (1,)
 
 
 def test_normal_block_matches_stream_normals():
-    streams = [Stream.from_seed(3).child(1, t) for t in range(300)]
+    trials = [fold(mix64(3), 1, t) for t in range(300)]
+    keys = np.array(trials, dtype=np.uint64)
     for count in (1, 2, 9, 11):  # odd counts drop the last normal of a pair
-        block = normal_block(np.array([s.key for s in streams], dtype=np.uint64), count)
-        assert np.array_equal(block, [normals(s, count) for s in streams]), count
+        block = normal_block(keys, count)
+        assert np.array_equal(block, [normals(k, count) for k in trials]), count
     for count in (1, 2, 9, 11):  # uniforms at any start, too
-        block = uniform_block(np.array([s.key for s in streams], dtype=np.uint64), count, 5)
-        assert np.array_equal(block, [uniforms(s, count, 5) for s in streams]), count
+        block = uniform_block(keys, count, 5)
+        assert np.array_equal(block, [uniforms(k, count, 5) for k in trials]), count
 
 
 def _buffer_layouts(streams, cols):
@@ -167,7 +182,7 @@ def _buffer_layouts(streams, cols):
 
 
 def test_draws_into_buffers_equal_fresh_draws():
-    keys = np.array([Stream.from_seed(s).key for s in range(37)], dtype=np.uint64)
+    keys = np.array([mix64(s) for s in range(37)], dtype=np.uint64)
     for count in (1, 2, 3, 10, 11):
         fresh = uniform_block(keys, count, start=5)
         for out, work in _buffer_layouts(keys.size, count):
@@ -189,14 +204,14 @@ def test_draws_into_buffers_equal_fresh_draws():
 
 
 def test_uniform_moments():
-    u = _one(uniform_block, Stream.from_seed(99), 200_000)
+    u = _one(uniform_block, mix64(99), 200_000)
     n = u.size
     assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12.0 * n)
     assert abs(u.var() - 1.0 / 12.0) < 4.0 * (1.0 / 12.0) / np.sqrt(n) * 3.0
 
 
 def test_normal_moments():
-    z = _one(normal_block, Stream.from_seed(123), 200_000)
+    z = _one(normal_block, mix64(123), 200_000)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -206,22 +221,7 @@ def test_normal_moments():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        Stream(-1)
-    with pytest.raises(ValueError):
-        Stream(1 << 64)
-    with pytest.raises(ValueError):
-        Stream(1.5)
-    with pytest.raises(ValueError):
-        Stream.from_seed("seed")
-    root = Stream.from_seed(0)
-    with pytest.raises(ValueError):
-        root.child()
-    with pytest.raises(ValueError):
-        root.child(-1)
-    with pytest.raises(ValueError):
-        root.child(1.5)
-    with pytest.raises(ValueError):
-        normal_block(np.array([root.key], dtype=np.uint64), 0)
+        normal_block(np.array([mix64(0)], dtype=np.uint64), 0)
 
 
 @given(
@@ -230,8 +230,7 @@ def test_validation_errors():
 )
 @settings(deadline=None)
 def test_scalar_vector_uniform_agree_everywhere(key, index):
-    s = Stream(key)
-    assert uniform(s, index) == _one(uniform_block, s, 1, start=index)[0]
+    assert uniform(key, index) == _one(uniform_block, key, 1, start=index)[0]
 
 
 @given(

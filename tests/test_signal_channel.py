@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from oracle_scalar import fading_gain, frame, normals, received_frame
+from oracle_scalar import fading_gain, frame, mix64_inverse, normals, received_frame
 
-from sensesim.rng import Stream, fold_range
+from sensesim.rng import fold, fold_range, mix64
 from sensesim.signal_channel import (
     AWGN,
     NOISE_ROLE,
     RAYLEIGH,
+    SIGNAL_ROLE,
     SIGNAL_MODELS,
     Bpsk,
     ChannelModel,
@@ -27,17 +28,17 @@ from sensesim.signal_channel import (
 )
 
 
-def _trial(seed: int, t: int) -> Stream:
-    return Stream.from_seed(seed).child(1, t)
+def _trial(seed: int, t: int) -> int:
+    return fold(mix64(seed), 1, t)
 
 
 def _mean_power(y):
     return float(np.mean(y**2))
 
 
-def _key(trial: Stream) -> np.ndarray:
-    """``trial``'s key as the one-row key array of a model or channel block."""
-    return np.array([trial.key], dtype=np.uint64)
+def _key(trial: int) -> np.ndarray:
+    """``trial`` as the one-row key array of a model or channel block."""
+    return np.array([trial], dtype=np.uint64)
 
 
 def test_snr_to_linear():
@@ -66,6 +67,20 @@ def test_bpsk_samples_are_antipodal():
     assert set(np.round(np.abs(x), 12)) == {round(root, 12)}
     assert (x > 0).any() and (x < 0).any()
     assert _mean_power(x) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_bpsk_sign_at_a_uniform_of_one_half():
+    # A first signal word with top 53 bits 2^52 gives u = (2^52 + 0.5) 2^-53,
+    # which rounds to exactly 0.5: u - 0.5 is +0.0, so the sample is +sqrt(P).
+    # One less gives u just below 0.5, so -sqrt(P).
+    # The signal word is mix64(fold(trial, SIGNAL_ROLE)), and fold(k, c) is
+    # mix64(k ^ mix64(c)), so each trial key is found by undoing both.
+    model, tops = Bpsk(power=2.0), (2**52 - 1, 2**52)
+    trials = [mix64_inverse(mix64_inverse(top << 11)) ^ mix64(SIGNAL_ROLE) for top in tops]
+    assert [mix64(fold(trial, SIGNAL_ROLE)) >> 11 for trial in trials] == list(tops)
+    want = [-math.sqrt(2.0), math.sqrt(2.0)]
+    assert model.block(np.array(trials, dtype=np.uint64), 3)[:, 0].tolist() == want
+    assert [frame(model, 3, trial)[0] for trial in trials] == want
 
 
 def test_bpsk_deterministic_per_stream():
@@ -124,12 +139,12 @@ def test_signal_models_table_covers_every_model():
 @pytest.mark.parametrize("model", _MODELS, ids=repr)
 def test_model_block_matches_scalar_reference(model):
     n = 10
-    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(6, dtype=np.uint64))
+    keys = fold_range(fold(mix64(3), 1), np.arange(6, dtype=np.uint64))
     block = model.block(keys, n)
     assert block.shape == (keys.size, n)
     mean_square = model.mean_square(n)
     for r in range(keys.size):
-        row = frame(model, n, Stream(int(keys[r])))
+        row = frame(model, n, int(keys[r]))
         assert np.array_equal(block[r], row)
         if mean_square is not None:
             assert mean_square == pytest.approx(np.mean(row**2), rel=1e-15, abs=0.0)
@@ -139,7 +154,7 @@ def test_model_block_matches_scalar_reference(model):
 @pytest.mark.parametrize("model", _MODELS, ids=repr)
 @pytest.mark.parametrize("n", [7, 10])
 def test_model_block_into_buffers_equals_fresh_block(model, n):
-    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(9, dtype=np.uint64))
+    keys = fold_range(fold(mix64(3), 1), np.arange(9, dtype=np.uint64))
     rows = n + n % 2
     out = np.full((rows + 2, keys.size + 4), np.nan)[:rows, : keys.size].T
     work = np.zeros((rows + 2, keys.size + 4), dtype=np.uint64)[:rows, : keys.size].T
@@ -152,13 +167,13 @@ def test_model_block_into_buffers_equals_fresh_block(model, n):
 @pytest.mark.parametrize("n", [7, 10])
 def test_channel_draws_match_scalar_reference_and_buffers(kind, n):
     channel = ChannelModel(kind)
-    keys = fold_range(Stream.from_seed(3).child(1).key, np.arange(9, dtype=np.uint64))
+    keys = fold_range(fold(mix64(3), 1), np.arange(9, dtype=np.uint64))
     noise, gains = channel.noise(keys, n), channel.gains(keys)
     assert noise.shape == (keys.size, n)
     # noise is alike on every kind, which is why H0 calibration takes no channel
     assert np.array_equal(noise, ChannelModel(AWGN).noise(keys, n))
     for r in range(keys.size):
-        trial = Stream(int(keys[r]))
+        trial = int(keys[r])
         assert np.array_equal(noise[r], _noise(channel, n, trial))
         if gains is not None:
             assert gains[r] == fading_gain(channel, trial)
@@ -211,7 +226,7 @@ def test_noise_frame_variance_and_role():
 def test_transmit_noise_only_sentinel_matches_noise_frame():
     ch = ChannelModel(AWGN)
     y, h = received_frame(Bpsk(), ch, None, 20, _trial(9, 0))
-    w = normals(_trial(9, 0).child(NOISE_ROLE), 20)
+    w = normals(fold(_trial(9, 0), NOISE_ROLE), 20)
     assert h == 0.0
     assert np.array_equal(y, w)
 
@@ -252,12 +267,12 @@ def test_transmit_rayleigh_block_fading():
 
 
 def test_transmit_same_noise_with_and_without_signal():
-    # the fading and signal roles never touch the noise sub-stream
+    # the fading and signal roles never touch the noise key
     ch = ChannelModel(RAYLEIGH)
-    rng = _trial(12, 0)
-    x = frame(Bpsk(), 50, rng)
-    y1, h = received_frame(Bpsk(), ch, 0.0, 50, rng)
-    y0, _ = received_frame(Bpsk(), ch, None, 50, rng)
+    trial = _trial(12, 0)
+    x = frame(Bpsk(), 50, trial)
+    y1, h = received_frame(Bpsk(), ch, 0.0, 50, trial)
+    y0, _ = received_frame(Bpsk(), ch, None, 50, trial)
     amp = h * math.sqrt(snr_to_linear(0.0))
     assert np.array_equal(y1, amp * x + y0)
 
