@@ -105,12 +105,12 @@ def _run(name, parse, default, help=None, echo=True) -> _Setting:
 
 # The table's order is the result-header order.  A row with help text
 # has the flag ``--name-with-dashes``; a flag of a boolean is a switch.
-# A [signal] row other than ``kind`` names a model field and is echoed
-# only for models that have it.  ``pfa_targets`` defaults per command, to
-# the targets of its ``_COMMANDS`` row.  ``noise_variance`` and
-# ``normalized`` are removed settings: a noise scale changes no rate at a
-# calibrated false-alarm target.  Their rows stay only so every result
-# file keeps its header lines; each accepts its default alone.
+# A [signal] row other than ``kind`` and a removed one names a model
+# field and is echoed only for models that have it.  ``pfa_targets``
+# defaults per command, to the targets of its ``_COMMANDS`` row.  The
+# rows named in ``_REMOVED`` are removed settings: they stay only so
+# every result file keeps its header lines, and each accepts its default
+# alone.
 _SETTINGS = (
     _run("seed", int, 0, "root seed (64-bit)"),
     _run("trials", int, 100_000, "Monte Carlo trials"),
@@ -132,7 +132,11 @@ _SETTINGS = (
     _run("workers", int, 1, "worker threads (default 1)", echo=False),
 )
 _BY_KEY = {(s.section, s.key): s for s in _SETTINGS}
-_REMOVED = ("noise_variance", "normalized")
+_REMOVED = {  # each removed setting's row name, and why it went
+    "noise_variance": "as it changes no rate at a calibrated false-alarm target",
+    "normalized": "as it changes no rate at a calibrated false-alarm target",
+    "signal_power": "as a signal power P is the SNR shifted by 10*log10(P) dB",
+}
 
 
 def _parse(setting: _Setting, key: str, raw: str):
@@ -188,11 +192,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _validate_config(cfg: dict) -> None:
-    for name in _REMOVED:
-        default = _BY_KEY["run", name].default
-        if cfg[name] != default:
-            raise ConfigError(f"{name} was removed, as it changes no rate at a calibrated "
-                              f"false-alarm target; only its default {default!r} is accepted")
+    for s in _SETTINGS:
+        if s.name in _REMOVED and cfg[s.name] != s.default:
+            raise ConfigError(f"{s.name} was removed, {_REMOVED[s.name]}; "
+                              f"only its default {s.default!r} is accepted")
     for key in ("workers", "cal_trials"):  # the Scenario refuses trials and samples
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
@@ -258,9 +261,9 @@ def _fmt_value(v) -> str:
 def _meta(cfg: dict, command: str, snr: float | None = None) -> dict:
     """The header lines of a result file; a per-SNR file names its SNR."""
     meta = {"tool": f"sensesim {__version__}", "command": command}
-    model_fields = {f.name for f in fields(SIGNAL_MODELS[cfg["signal"]])}
+    echoed = {"kind", *(f.name for f in fields(SIGNAL_MODELS[cfg["signal"]]))}
     for s in _SETTINGS:
-        if s.echo and (s.section == "run" or s.key == "kind" or s.key in model_fields):
+        if s.echo and (s.section == "run" or s.key in echoed or s.name in _REMOVED):
             meta[s.name] = _fmt_value(cfg[s.name])
     if snr is not None:
         meta["snr_db_this_file"] = _fmt_value(float(snr))

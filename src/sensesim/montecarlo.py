@@ -14,9 +14,10 @@ reproduces the engine's statistics and counts bit for bit, H0 frames
 included.  The engine vectorizes that loop in fixed-size trial blocks;
 block boundaries, worker counts and the CPU each worker thread is held
 on cannot change any value, only wall-clock time.  Noise has unit
-variance, so every statistic is the normalized one.  Before any draw, a
-call refuses a statistic that can overflow, a bad SNR and fewer than
-one worker, each with ``ValueError``.
+variance, so every statistic is the normalized one, and signal frames
+are unit-power, so an SNR column's amplitude is sqrt(gamma) alone.
+Before any draw, a call refuses a statistic that can overflow, a bad
+SNR and fewer than one worker, each with ``ValueError``.
 
 Empirical-quantile threshold calibration draws from
 ``fold(mix64(seed), CALIBRATION_DOMAIN, t)`` instead, so calibration
@@ -130,13 +131,18 @@ def grid_from_pfa_targets(
 
     One :func:`calibrate_threshold` call covers the targets: analytic for
     p=2, otherwise the empirical quantiles of one draw of ``cal_trials``
-    calibration-domain noise statistics on ``workers``.
+    calibration-domain noise statistics on ``workers``.  Two targets that
+    calibrate to one threshold are refused, each named.
     """
     targets = tuple(float(t) for t in targets)
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("pfa targets must be strictly increasing")
     cals = calibrate_threshold(spec, n, targets, trials=cal_trials, seed=seed, workers=workers)
-    return ThresholdGrid(tuple(cal.threshold for cal in cals), pfa_targets=targets)
+    lams = tuple(cal.threshold for cal in cals)
+    for a, b, lam_a, lam_b in zip(targets, targets[1:], lams, lams[1:]):
+        if lam_a == lam_b:
+            raise ValueError(f"pfa targets {a!r} and {b!r} calibrate to one threshold {lam_a!r}")
+    return ThresholdGrid(lams, pfa_targets=targets)
 
 
 def default_threshold_grid(
@@ -226,8 +232,7 @@ def check_overflow(sc: Scenario, snrs, specs) -> None:
         gamma = max(snr_to_linear(snr) for snr in signal_snrs)
         if sc.signal is None:
             raise ValueError("an SNR needs a signal model; the scenario has none")
-        terms.append((channel.peak(sc.signal, gamma),
-                      f"signal_power {sc.signal.power!r} at snr_db {max(signal_snrs)!r}"))
+        terms.append((channel.peak(sc.signal, gamma), f"the signal at snr_db {max(signal_snrs)!r}"))
     for peak, what in terms:
         for spec in specs:
             if not peak < (sys.float_info.max / n) ** (1.0 / spec.p):

@@ -3,9 +3,11 @@
 Samples are real baseband amplitudes in units of the noise: the
 channel adds zero-mean Gaussian noise of variance 1, and the engine
 scales a signal frame by ``sqrt(gamma)``, so the received SNR at fading
-gain 1 is gamma times the frame's mean square, and gamma itself for a
-unit-power frame.  No noise scale is modelled: at a calibrated
-false-alarm rate one would cancel from every rate.
+gain 1 is gamma times the frame's mean square.  A signal model has no
+amplitude of its own: its frames have a nominal mean square of 1, so the
+SNR is the only amplitude setting (frames of mean square P at gamma are
+the nominal ones at gamma P).  No noise scale is modelled either: at a
+calibrated false-alarm rate one would cancel from every rate.
 
 Fading is flat block fading: one envelope gain per frame, drawn fresh
 each frame and held constant across its samples.  The Rayleigh envelope
@@ -50,13 +52,12 @@ class SignalModel:
     ``SIGNAL_ROLE`` sub-stream (``tests/oracle_scalar.py`` redraws each
     row on its own, bit for bit); ``mean_square(n)`` is the mean of
     x[k]^2 every frame shares, or None when frames differ in it; no
-    |x[k]| it draws exceeds ``crest * sqrt(power)``.
+    |x[k]| it draws exceeds ``crest``.
     ``block`` may draw into the buffers of :func:`~sensesim.rng.normal_block`
     (``out`` float64 and ``work`` uint64, ``n + n % 2`` columns) and
     return a view of ``out``; without them its frames are allocated.
     """
 
-    power: float
     crest: float
 
     def block(self, keys: np.ndarray, n: int, *, out=None, work=None) -> np.ndarray:
@@ -68,52 +69,45 @@ class SignalModel:
 
 @dataclass(frozen=True)
 class Bpsk(SignalModel):
-    """Antipodal symbols: every sample is +sqrt(power) or -sqrt(power)."""
+    """Antipodal symbols: every sample is +1 or -1."""
 
-    power: float = 1.0
     crest = 1.0
-
-    def __post_init__(self):
-        _check_power(self.power)
 
     def block(self, keys, n, *, out=None, work=None):
         u = uniform_block(fold_in(keys, SIGNAL_ROLE), n, out=out, work=work)
         u -= 0.5  # negative exactly when u < 0.5
-        return np.copysign(math.sqrt(self.power), u, out=u)
+        return np.copysign(1.0, u, out=u)
 
     def mean_square(self, n):
-        return float(self.power)
+        return 1.0
 
 
 @dataclass(frozen=True)
 class Sinusoid(SignalModel):
     """Deterministic cosine, ``cycles_per_frame`` periods across the frame.
 
-    Amplitude is ``sqrt(2*power)``.  With c = ``cycles_per_frame`` and n
+    Amplitude is ``sqrt(2)``.  With c = ``cycles_per_frame`` and n
     samples the frame's mean square is exactly
 
-        power * (1 + sin(2*pi*c) * cos(2*pi*c*(n-1)/n) / (n * sin(2*pi*c/n)))
+        1 + sin(2*pi*c) * cos(2*pi*c*(n-1)/n) / (n * sin(2*pi*c/n))
 
-    when n does not divide 2c, and ``2*power`` when it does (every sample
-    lands on +-amplitude).  It equals ``power`` when 2c is an integer
-    that n does not divide (whole half-cycles, for example c=1 at n=8);
-    other values generally miss it: at n=10, c=5 gives 2.0*power and
-    c=0.3 gives 0.936*power.
+    when n does not divide 2c, and 2 when it does (every sample lands on
+    +-amplitude).  It equals 1 when 2c is an integer that n does not
+    divide (whole half-cycles, for example c=1 at n=8); other values
+    generally miss it: at n=10, c=5 gives 2.0 and c=0.3 gives 0.936.
     """
 
-    power: float = 1.0
     cycles_per_frame: float = 1.0
     crest = math.sqrt(2.0)
 
     def __post_init__(self):
-        _check_power(self.power)
         c = self.cycles_per_frame
         if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
             raise ValueError(f"cycles_per_frame must be a positive finite number, got {c!r}")
 
     def _row(self, n: int) -> np.ndarray:
         k = np.arange(n, dtype=np.float64)
-        return math.sqrt(2.0 * self.power) * np.cos(2.0 * np.pi * self.cycles_per_frame * k / n)
+        return self.crest * np.cos(2.0 * np.pi * self.cycles_per_frame * k / n)
 
     def block(self, keys, n, *, out=None, work=None):
         return np.broadcast_to(self._row(n), (keys.size, n))  # draws nothing
@@ -124,29 +118,18 @@ class Sinusoid(SignalModel):
 
 @dataclass(frozen=True)
 class GaussianIid(SignalModel):
-    """White Gaussian samples of variance ``power`` (noise-like primary)."""
+    """White Gaussian samples of unit variance (noise-like primary)."""
 
-    power: float = 1.0
     crest = NORMAL_MAX
 
-    def __post_init__(self):
-        _check_power(self.power)
-
     def block(self, keys, n, *, out=None, work=None):
-        x = normal_block(fold_in(keys, SIGNAL_ROLE), n, out=out, work=work)
-        x *= math.sqrt(self.power)
-        return x
+        return normal_block(fold_in(keys, SIGNAL_ROLE), n, out=out, work=work)
 
     def mean_square(self, n):
         return None
 
 
 SIGNAL_MODELS = {"bpsk": Bpsk, "sinusoid": Sinusoid, "gaussian": GaussianIid}
-
-
-def _check_power(power) -> None:
-    if not (isinstance(power, (int, float)) and math.isfinite(power) and power > 0):
-        raise ValueError(f"signal power must be a positive finite number, got {power!r}")
 
 
 @dataclass(frozen=True)
@@ -174,12 +157,12 @@ class ChannelModel:
 
     def peak(self, signal: SignalModel | None = None, gamma: float = 0.0) -> float:
         """A bound on every |y| of y = h sqrt(gamma) x + w: NORMAL_MAX, plus
-        the largest gain times sqrt(gamma) times the signal's peak
-        ``crest * sqrt(power)``; the noise alone without a signal."""
+        the largest gain times sqrt(gamma) times the signal's ``crest``;
+        the noise alone without a signal."""
         peak = NORMAL_MAX
         if signal is not None:
             amp = (RAYLEIGH_GAIN_MAX if self.kind == RAYLEIGH else 1.0) * math.sqrt(gamma)
-            peak += amp * signal.crest * math.sqrt(signal.power)
+            peak += amp * signal.crest
         return peak
 
 

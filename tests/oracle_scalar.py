@@ -94,14 +94,14 @@ def frame(model, n: int, trial: int) -> np.ndarray:
     """
     sig = fold(trial, SIGNAL_ROLE)
     if isinstance(model, Bpsk):
-        return np.where(uniforms(sig, n) < 0.5, -1.0, 1.0) * math.sqrt(model.power)
+        return np.where(uniforms(sig, n) < 0.5, -1.0, 1.0)
     if isinstance(model, Sinusoid):
         k = np.arange(n, dtype=np.float64)
-        return math.sqrt(2.0 * model.power) * np.cos(
+        return math.sqrt(2.0) * np.cos(
             2.0 * np.pi * model.cycles_per_frame * k / n
         )
     if isinstance(model, GaussianIid):
-        return normals(sig, n) * math.sqrt(model.power)
+        return normals(sig, n)
     raise ValueError(f"no scalar reference for signal model {model!r}")
 
 

@@ -433,7 +433,7 @@ def test_law_lookups_equal_the_closed_forms(n):
     assert tuple(isf(t) for t in targets) == lams
     assert [isf(t) for t in targets] == [analytic._bisect_chi2_isf(n, t) for t in targets]
     assert [sf(lam) for lam in lams] == [pfa_analytic(n, lam) for lam in lams]
-    for signal in (Bpsk(power=2.0), Sinusoid(cycles_per_frame=0.3)):
+    for signal in (Bpsk(), Sinusoid(cycles_per_frame=0.3)):
         for kind, oracle in ((AWGN, pd_awgn_analytic), (RAYLEIGH, pd_rayleigh_analytic)):
             _, pd = pd_law(2, n, ChannelModel(kind), signal)
             for snr in (-10.0, 0.0, 10.0, 20.0):

@@ -174,14 +174,14 @@ cal_trials = 200000
 
 [signal]
 kind = sinusoid
-power = 1.5
+power = 1
 cycles_per_frame = 4
 """
 _EVERY_KEY_VALUES = {
     "seed": 5, "trials": 1500, "samples": 12, "snr_db": (-3.0, 4.0), "channel": "rayleigh",
     "noise_variance": 1.0, "detector_p": 3, "normalized": True, "pfa_targets": (0.05, 0.2),
     "out": "from-file", "svg": True, "workers": 2, "cal_trials": 200000,
-    "signal": "sinusoid", "signal_power": 1.5, "cycles_per_frame": 4.0,
+    "signal": "sinusoid", "signal_power": 1.0, "cycles_per_frame": 4.0,
 }
 
 
@@ -241,7 +241,7 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--config", str(ini)) == 2
     ini.write_text("[signal]\npower = -1\n")  # refused even where no signal is drawn
     assert run("calibrate", "--config", str(ini)) == 2
-    assert "signal power must be a positive finite number" in capsys.readouterr().err
+    assert "signal_power was removed" in capsys.readouterr().err
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
@@ -249,6 +249,12 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
         assert run("compare", "--pfa-targets", targets, "--trials", "100",
                    "--out", str(tmp_path)) == 2
         assert "strictly increasing" in capsys.readouterr().err
+    # two targets whose calibrations round to one threshold, before any evaluation draw
+    lam = grid_from_pfa_targets([0.1], DetectorSpec(p=2), 10).values[0]
+    for command in ("roc", "compare", "pmd-table", "validate"):
+        assert run(command, "--pfa-targets", "0.1,0.1000000000001", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == (f"error: pfa targets 0.1 and 0.1000000000001 "
+                                           f"calibrate to one threshold {lam!r}\n")
     assert run("roc", "--trials", "abc") == 2  # flags share the file's parsers
     assert "bad value for trials: 'abc'" in capsys.readouterr().err
     for command in ("roc", "compare", "pmd-table"):  # one tag, "1dB", for two SNRs
@@ -447,12 +453,12 @@ _NOISE_OVERFLOWS = "unit noise can overflow the p=400 statistic of 10 samples"
     # the noise alone overflows p=400, so its term is named first
     (["roc", "--detector-p", "400", "--pfa-targets", "0.1,0.5"], _NOISE_OVERFLOWS),
     (["compare", "--channel", "rayleigh", "--snr-db=3000"],  # its p=3 signal term
-     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
+     "the signal at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
     (["pmd-table", "--detector-p", "400", "--channel", "rayleigh"], _NOISE_OVERFLOWS),
     (["roc", "--detector-p", "3", "--snr-db=3000"],  # the signal term alone
-     "signal_power 1.0 at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
+     "the signal at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
     (["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
-     "signal_power 1.0 at snr_db 3070.0 can overflow the p=2 statistic of 10 samples"),
+     "the signal at snr_db 3070.0 can overflow the p=2 statistic of 10 samples"),
 ], ids=["roc", "compare", "pmd-table", "snr", "validate"])
 def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, argv,
                                                  message):
@@ -503,6 +509,37 @@ def test_the_removed_noise_settings_accept_only_their_defaults(tmp_path, capsys,
     assert captured.err.startswith(f"error: {name} was removed, as it changes no rate")
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("power", ["2.0", "0.5", "-1", "nan"])
+@pytest.mark.parametrize("command", ["roc", "pmd-table", "compare", "calibrate", "validate"])
+def test_signal_power_is_a_removed_setting(tmp_path, monkeypatch, capsys, command, power):
+    # a power P is the SNR shifted by 10 log10(P) dB, so every model draws
+    # unit-power frames; the row stays only for the result header line
+    draws = []
+    for name in ("normal_block", "uniform_block"):
+        monkeypatch.setattr(signal_channel, name, lambda *args, **kwargs: draws.append(args))
+    ini = tmp_path / "power.ini"
+    ini.write_text(f"[signal]\npower = {power}\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", str(ini), "--trials", "500", "--svg", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: signal_power was removed, as a signal power P is the SNR "
+                            "shifted by 10*log10(P) dB; only its default 1.0 is accepted\n")
+    assert captured.out == "" and draws == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["roc", "pmd-table"])
+def test_a_stated_unit_signal_power_writes_the_same_bytes(tmp_path, command):
+    ini = tmp_path / "power.ini"
+    ini.write_text("[signal]\npower = 1.0\n")
+    written = []
+    for extra in ((), ("--config", str(ini))):
+        out = tmp_path / str(len(written))
+        assert run(command, *extra, "--trials", "500", "--svg", "--out", str(out)) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1] and len(written[0]) == (6 if command == "roc" else 2)
 
 
 @pytest.mark.parametrize("setting", ["noise_variance = 0.25", "normalized = no"])
@@ -863,9 +900,9 @@ def test_validate_bound_grows_with_the_cells_it_checks():
 
 @pytest.mark.parametrize("signal, skips", [
     ("kind = gaussian", 2),
-    ("power = 2.0", 0),
+    ("kind = sinusoid\ncycles_per_frame = 0.3", 0),
     ("kind = sinusoid\ncycles_per_frame = 5", 0),
-], ids=["gaussian", "bpsk-power-2", "sinusoid-c5"])
+], ids=["gaussian", "sinusoid-c0.3", "sinusoid-c5"])
 def test_validate_scales_the_oracle_to_the_signal(tmp_path, capsys, signal, skips):
     # the p=2 oracle runs at SNR times the frame's mean square, and skips
     # signals whose frames do not share one

@@ -3,7 +3,8 @@
 ``bench/golden.json`` is read, never written.  Each ``tiny`` entry's
 signature is the CLI argument list followed by ``cal_trials=N`` (or
 ``cal_trials=None``); a set value goes in through an INI ``[run]`` file,
-as the benchmark harness does.
+as the benchmark harness does.  ``golden_models.json`` pins, the same
+way, ``roc --svg`` for the signal models those workloads do not draw.
 """
 
 import hashlib
@@ -43,3 +44,16 @@ def test_tiny_workload_matches_golden_hashes(tmp_path, workload):
 def test_pmd_cubing_one_worker_matches_golden_hashes(tmp_path):
     entry = GOLDEN["tiny"]["pmd-cubing"]
     assert _run(tmp_path, entry["signature"], workers=1) == entry["seeds"][str(SEED)]
+
+
+MODELS = json.loads((Path(__file__).parent / "golden_models.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(MODELS["cases"]))
+def test_signal_model_roc_matches_golden_hashes(tmp_path, case):
+    entry = MODELS["cases"][case]
+    ini, out = tmp_path / "signal.ini", tmp_path / "out"
+    ini.write_text(entry["ini"])
+    assert main([*entry["argv"], "--config", str(ini), "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == entry["hashes"]

@@ -62,23 +62,22 @@ def test_snr_to_linear_refuses_a_power_outside_the_positive_doubles():
 
 
 def test_bpsk_samples_are_antipodal():
-    x = frame(Bpsk(power=2.0), 64, _trial(0, 0))
-    root = math.sqrt(2.0)
-    assert set(np.round(np.abs(x), 12)) == {round(root, 12)}
+    x = frame(Bpsk(), 64, _trial(0, 0))
+    assert set(np.abs(x)) == {1.0}
     assert (x > 0).any() and (x < 0).any()
-    assert _mean_power(x) == pytest.approx(2.0, rel=1e-12)
+    assert _mean_power(x) == 1.0
 
 
 def test_bpsk_sign_at_a_uniform_of_one_half():
     # A first signal word with top 53 bits 2^52 gives u = (2^52 + 0.5) 2^-53,
-    # which rounds to exactly 0.5: u - 0.5 is +0.0, so the sample is +sqrt(P).
-    # One less gives u just below 0.5, so -sqrt(P).
+    # which rounds to exactly 0.5: u - 0.5 is +0.0, so the sample is +1.
+    # One less gives u just below 0.5, so -1.
     # The signal word is mix64(fold(trial, SIGNAL_ROLE)), and fold(k, c) is
     # mix64(k ^ mix64(c)), so each trial key is found by undoing both.
-    model, tops = Bpsk(power=2.0), (2**52 - 1, 2**52)
+    model, tops = Bpsk(), (2**52 - 1, 2**52)
     trials = [mix64_inverse(mix64_inverse(top << 11)) ^ mix64(SIGNAL_ROLE) for top in tops]
     assert [mix64(fold(trial, SIGNAL_ROLE)) >> 11 for trial in trials] == list(tops)
-    want = [-math.sqrt(2.0), math.sqrt(2.0)]
+    want = [-1.0, 1.0]
     assert model.block(np.array(trials, dtype=np.uint64), 3)[:, 0].tolist() == want
     assert [frame(model, 3, trial)[0] for trial in trials] == want
 
@@ -92,43 +91,38 @@ def test_bpsk_deterministic_per_stream():
 
 
 def test_sinusoid_exact_formula_and_power():
-    n, cycles, power = 8, 1.0, 0.5
-    x = frame(Sinusoid(power=power, cycles_per_frame=cycles), n, _trial(0, 0))
+    n, cycles = 8, 1.0
+    x = frame(Sinusoid(cycles_per_frame=cycles), n, _trial(0, 0))
     k = np.arange(n, dtype=np.float64)
-    want = math.sqrt(2.0 * power) * np.cos(2.0 * np.pi * cycles * k / n)
+    want = math.sqrt(2.0) * np.cos(2.0 * np.pi * cycles * k / n)
     assert np.array_equal(x, want)
-    # over whole cycles the mean square equals the nominal power
-    y = frame(Sinusoid(power=0.5, cycles_per_frame=4.0), 64, _trial(0, 0))
-    assert _mean_power(y) == pytest.approx(0.5, rel=1e-9)
-    # n divides 2c: every sample sits on +-amplitude, twice the power
-    z = frame(Sinusoid(power=0.5, cycles_per_frame=5.0), 10, _trial(0, 0))
-    assert _mean_power(z) == pytest.approx(2.0 * 0.5, rel=1e-9)
-    # 2c not an integer: the documented closed form, 0.936 * power at n=10
+    # over whole cycles the mean square is 1
+    y = frame(Sinusoid(cycles_per_frame=4.0), 64, _trial(0, 0))
+    assert _mean_power(y) == pytest.approx(1.0, rel=1e-9)
+    # n divides 2c: every sample sits on +-amplitude, a mean square of 2
+    z = frame(Sinusoid(cycles_per_frame=5.0), 10, _trial(0, 0))
+    assert _mean_power(z) == pytest.approx(2.0, rel=1e-9)
+    # 2c not an integer: the documented closed form, 0.936 at n=10
     c, n = 0.3, 10
-    f = frame(Sinusoid(power=0.5, cycles_per_frame=c), n, _trial(0, 0))
+    f = frame(Sinusoid(cycles_per_frame=c), n, _trial(0, 0))
     ratio = 1.0 + math.sin(2 * math.pi * c) * math.cos(2 * math.pi * c * (n - 1) / n) / (
         n * math.sin(2 * math.pi * c / n)
     )
-    assert _mean_power(f) == pytest.approx(0.5 * ratio, rel=1e-9)
+    assert _mean_power(f) == pytest.approx(ratio, rel=1e-9)
     assert ratio == pytest.approx(0.936, abs=5e-4)
 
 
-def test_gaussian_signal_power_and_scaling():
-    big = GaussianIid(power=1.0).block(_key(_trial(2, 0)), 1_000_000)[0]
+def test_gaussian_signal_is_unit_power():
+    big = GaussianIid().block(_key(_trial(2, 0)), 1_000_000)[0]
     # mean square of 1e6 unit normals: sd sqrt(2/n) ~ 0.0014, 4-sigma band
     assert 0.9943 <= _mean_power(big) <= 1.0057
-    unit = frame(GaussianIid(power=1.0), 50, _trial(2, 1))
-    four = frame(GaussianIid(power=4.0), 50, _trial(2, 1))
-    assert np.array_equal(four, 2.0 * unit)
 
 
-# each configurable model at its defaults, plus the non-unit cases the
-# p=2 oracles must scale for; a model added to SIGNAL_MODELS is covered
+# each configurable model at its defaults, plus the sinusoids whose mean
+# square the p=2 oracles must scale for; a model added to SIGNAL_MODELS is covered
 _MODELS = [cls() for cls in SIGNAL_MODELS.values()] + [
-    Bpsk(power=2.0),
     Sinusoid(cycles_per_frame=0.3),
     Sinusoid(cycles_per_frame=5.0),
-    GaussianIid(power=0.5),
 ]
 
 
@@ -234,8 +228,8 @@ def test_transmit_noise_only_sentinel_matches_noise_frame():
 def test_transmit_vanishing_noise_recovers_scaled_signal():
     # at 120 dB the unit noise is a millionth of the signal's amplitude
     ch = ChannelModel(AWGN)
-    x = frame(Bpsk(power=1.0), 16, _trial(1, 0))
-    y, h = received_frame(Bpsk(power=1.0), ch, 120.0, 16, _trial(1, 0))
+    x = frame(Bpsk(), 16, _trial(1, 0))
+    y, h = received_frame(Bpsk(), ch, 120.0, 16, _trial(1, 0))
     amp = h * math.sqrt(snr_to_linear(120.0))
     assert h == 1.0
     assert np.allclose(y / amp, x, atol=1e-5)
@@ -279,12 +273,6 @@ def test_transmit_same_noise_with_and_without_signal():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        Bpsk(power=0.0)
-    with pytest.raises(ValueError):
-        Bpsk(power=float("nan"))
-    with pytest.raises(ValueError):
         Sinusoid(cycles_per_frame=0.0)
-    with pytest.raises(ValueError):
-        GaussianIid(power=-1.0)
     with pytest.raises(ValueError):
         ChannelModel("laplace")
