@@ -13,7 +13,8 @@ The incomplete gamma functions are implemented here rather than taken
 from a heavier dependency so that the simulation and its oracle share
 nothing but IEEE arithmetic:
 
-* ``chi2_sf(nu, lam) = Q(nu/2, lam/2)``, the regularized upper
+* ``pfa_analytic(n, lam) = Q(n/2, lam/2)``, the central chi-square
+  tail and so the squaring detector's P_FA: the regularized upper
   incomplete gamma, via the standard power series for x < a+1 and a
   modified Lentz continued fraction otherwise (Numerical Recipes
   section 6.2), good to about 1e-12 absolute.
@@ -29,15 +30,16 @@ nothing but IEEE arithmetic:
   sums are numpy's own reductions, not BLAS products, so the bits do
   not depend on how many threads BLAS runs.
   Nothing is cut off by an absolute mass bound, so a survival value of
-  1e-35 keeps its relative accuracy: about 2e-13 against mpmath for
-  delta up to 1e3.  Beyond that the weights' exponent
-  k*ln(h) - h - lgamma(k+1), h = delta/2, cancels large terms, and the
-  relative error grows to 5e-12 at delta = 1e4 and 2e-11 at 1e5 (lam
-  near delta).  Weight rows go through the ladder in chunks of at most
-  2^20 entries (8 MiB), so memory stays bounded however long the ladder
-  grows.  The Rayleigh oracle passes all 128 quadrature nodes as one
-  vector.  A Marcum-Q routine would compute the same quantity; the
-  mixture needs nothing beyond the incomplete gamma.
+  1e-35 keeps its relative accuracy.  Every weight and ladder step is
+  the exp of its log in Loader's saddle-point form, so no large terms
+  cancel: against mpmath the value is within 4e-14 for delta up to 1e3
+  and 2e-15 at delta = 1e4 and 1e5 (lam near delta); what is left is
+  mostly the prefactor of the ladder's first Q.  Weight rows go through
+  the ladder in chunks of at most 2^18 entries (2 MiB per temporary), so
+  memory stays bounded however long the ladder grows.  The Rayleigh
+  oracle passes all 128 quadrature nodes as one vector.  A Marcum-Q
+  routine would compute the same quantity; the mixture needs nothing
+  beyond the incomplete gamma.
 * The Rayleigh oracle's Gauss-Laguerre rule is a table of float
   literals in this module, printed once from numpy's ``laggauss(128)``;
   no run imports ``laggauss`` or makes a LAPACK call.
@@ -50,7 +52,6 @@ says which closed form applies; without one, calibration draws instead.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -139,10 +140,51 @@ def _check_dof_and_threshold(nu, lam) -> None:
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
 
 
-def chi2_sf(nu: int, lam: float) -> float:
-    """P(chi-square with nu dof > lam) = Q(nu/2, lam/2)."""
-    _check_dof_and_threshold(nu, lam)
-    return gammaq(nu / 2.0, lam / 2.0)
+def pfa_analytic(n: int, lam: float) -> float:
+    """False-alarm probability of the squaring detector: the central
+    chi-square tail P(chi-square with n dof > lam) = Q(n/2, lam/2)."""
+    _check_dof_and_threshold(n, lam)
+    return gammaq(n / 2.0, lam / 2.0)
+
+
+def _log_poisson(k: np.ndarray):
+    """h -> ln(h^k e^-h / Gamma(k+1)) for an ascending 1-D k >= 0, h > 0 a
+    scalar or a column; the parts in k alone are computed once.
+
+    Above k = 15 this is Loader's saddle-point form -stirlerr(k) - bd0(k, h)
+    - ln(2 pi k)/2 ("Fast and accurate computation of binomial
+    probabilities", 2000), which adds no terms that cancel: k ln h - h -
+    lgamma(k+1) loses about 1e-11 of the value at h = 5e4.  Up to k = 15
+    that plain form keeps about 1e-14, as such a term counts only where h
+    is small too.
+    """
+    m = np.searchsorted(k, 15.0, side="right")
+    low, k = k[:m], k[m:]
+    lgam = np.array([math.lgamma(v + 1.0) for v in low])
+    r = 1.0 / k
+    rr = r * r
+    stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - rr / 1188) * rr) * rr) * rr) * r
+    front = -stirlerr - 0.5 * np.log(2.0 * math.pi * k)
+    log_k = np.log(k)
+
+    def at(h):
+        log_h = np.log(np.maximum(h, np.finfo(float).tiny))
+        # bd0 = k ln(k/h) + h - k.  Where |v| < 0.1, v = d/(k+h) and
+        # d = k - h, it is summed as d (v + (1+v) sum_j v^(2j)/(2j+1)),
+        # whose terms do not cancel; nine terms leave under 1e-18 of it.
+        # Elsewhere its terms cancel too little to matter.
+        d = k - h
+        bd0 = k * (log_k - log_h) - d
+        v = d / (k + h)
+        near = np.abs(v) < 0.1
+        dn, v = d[near], v[near]
+        v2, series = v * v, 0.0
+        for j in range(19, 1, -2):
+            series = v2 * (1.0 / j + series)
+        bd0[near] = dn * (v + (1.0 + v) * series)
+        return np.concatenate((low * log_h - h - lgam, front - bd0), axis=-1)
+
+    return at
 
 
 def _qterm(a: float, x: float) -> float:
@@ -165,7 +207,7 @@ def _poisson_tail(k: int, h: float) -> float:
     return 1.0 - gammaq(float(k), h)
 
 
-_MIXTURE_BUDGET = 1 << 20  # Poisson weights held at once (8 MiB of float64)
+_MIXTURE_BUDGET = 1 << 18  # Poisson weights at once (2 MiB of float64 per temporary)
 _LADDER_FLOOR = 1e-280  # below the peak, the ladder starts at its first step this large
 
 
@@ -186,29 +228,27 @@ def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
                 lo = mid
             else:
                 k0 = mid
-    ladder = []
-    q, t, a = gammaq(a0 + k0, x), _qterm(a0 + k0, x), a0 + k0
+    q0 = q = gammaq(a0 + k0, x)
+    t, a, end = _qterm(a0 + k0, x), a0 + k0, k0
     while q < 1.0 and (a <= x or q + t > q):
-        ladder.append(q)
         q += t
         a += 1.0
+        end += 1
         # Re-derive a step that has left the normal range so that no
         # denormal's lost digits carry into the recurrence.
         t = t * x / a if t > 1e-280 else _qterm(a, x)
-    ladder = np.array(ladder)
-    ks = range(k0, k0 + len(ladder))
-    k = np.arange(k0, ks.stop, dtype=float)
-    log_k_fact = np.array([math.lgamma(i + 1.0) for i in ks])
-    log_h = np.log(np.maximum(hs, np.finfo(float).tiny))
-    out = np.array([_poisson_tail(ks.stop, float(h)) for h in hs])
+    # The walk only locates the ladder's end: its steps share the first one's
+    # rounding (1e-12 at lam = 1e4, where t ~ 1e-280), so the rungs add
+    # steps taken each on their own, a few ulps off at most.
+    k = np.arange(k0, end, dtype=float)
+    ladder = np.cumsum(np.concatenate(([q0], np.exp(_log_poisson(a0 + k[:-1])(x)))))[:len(k)]
+    out = np.array([_poisson_tail(end, float(h)) for h in hs])
     # Rows of Poisson weights go through the ladder in chunks, so memory
     # stays bounded however long the ladder grows.
+    log_weight = _log_poisson(k)
     step = max(1, _MIXTURE_BUDGET // max(len(ladder), 1))
     for s in range(0, len(hs), step):
-        w = np.multiply.outer(log_h[s:s + step], k)
-        w -= hs[s:s + step, None]
-        w -= log_k_fact
-        np.exp(w, out=w)
+        w = np.exp(log_weight(hs[s:s + step, None]))
         w *= ladder
         out[s:s + step] += w.sum(axis=1)
     return out
@@ -217,20 +257,15 @@ def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
 def noncentral_chi2_sf(nu: int, delta: float, lam: float) -> float:
     """Survival function of the noncentral chi-square (nu dof, noncentrality delta).
 
-    delta == 0 short-circuits to the central :func:`chi2_sf` exactly.
+    delta == 0 short-circuits to the central :func:`pfa_analytic` exactly.
     """
     _check_dof_and_threshold(nu, lam)
     if not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"noncentrality must be finite and >= 0, got {delta!r}")
     if delta == 0.0:
-        return chi2_sf(nu, lam)
+        return pfa_analytic(nu, lam)
     pd = float(_poisson_mixture(nu / 2.0, np.array([delta / 2.0]), lam / 2.0)[0])
     return min(max(pd, 0.0), 1.0)
-
-
-def pfa_analytic(n: int, lam: float) -> float:
-    """False-alarm probability of the squaring detector."""
-    return chi2_sf(n, lam)
 
 
 def pd_awgn_analytic(n: int, gamma: float, lam: float) -> float:
@@ -390,23 +425,17 @@ def pd_law(p: int, n: int, channel, signal):
         n, snr_to_linear(snr_db) * mean_square, lam)
 
 
-class CalibrationMethod(enum.Enum):
-    ANALYTIC = "analytic"
-    EMPIRICAL_QUANTILE = "empirical-quantile"
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     """A calibrated threshold with its achieved false-alarm rate.
 
     ``tolerance`` records the guarantee under which the calibration ran;
-    construction fails if ``achieved_pfa`` strays outside it.
-    """
+    construction fails if ``achieved_pfa`` strays outside it.  ``mc_trials``,
+    the H0 draw's size, is 0 on the analytic route and so names the route."""
 
     threshold: float
     target_pfa: float
     achieved_pfa: float
-    method: CalibrationMethod
     tolerance: float
     mc_trials: int = 0
 
@@ -416,6 +445,11 @@ class CalibrationResult:
                 f"achieved pfa {self.achieved_pfa} misses target {self.target_pfa} "
                 f"beyond tolerance {self.tolerance}"
             )
+
+    @property
+    def method(self) -> str:
+        """The route: "analytic" without a draw, "empirical-quantile" with one."""
+        return "empirical-quantile" if self.mc_trials else "analytic"
 
 
 def calibrate_threshold(
@@ -468,7 +502,6 @@ def calibrate_threshold(
                 threshold=lam,
                 target_pfa=target,
                 achieved_pfa=sf(lam),
-                method=CalibrationMethod.ANALYTIC,
                 tolerance=min(1e-9, 1e-6 * target),
             ))
         return results
@@ -504,7 +537,6 @@ def calibrate_threshold(
             threshold=float(lam),
             target_pfa=target,
             achieved_pfa=achieved,
-            method=CalibrationMethod.EMPIRICAL_QUANTILE,
             tolerance=_quantile_tolerance(achieved, trials),
             mc_trials=trials,
         ))
@@ -535,7 +567,7 @@ def _quantile_tolerance(pfa: float, trials: int) -> float:
 
 
 def _bisect_chi2_isf(n: int, target: float) -> float:
-    """Solve chi2_sf(n, lam) = target by bisection to
+    """Solve pfa_analytic(n, lam) = target by bisection to
     |residual| <= min(1e-10, 1e-7 * target).
 
     A target the solve cannot resolve to that accuracy is rejected with

@@ -40,7 +40,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__, reference
-from .analytic import calibrate_threshold, chi2_sf, h0_law, pd_law
+from .analytic import calibrate_threshold, h0_law, pd_law
 from .detector import DetectorSpec
 from .montecarlo import (
     DEFAULT_PFA_TARGETS,
@@ -421,7 +421,7 @@ def cmd_calibrate(cfg: dict) -> int:
         print(
             f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa!r} "
             f"lambda={cal.threshold!r} achieved_pfa={cal.achieved_pfa!r} "
-            f"method={cal.method.value}{extra}"
+            f"method={cal.method}{extra}"
         )
     return 0
 
@@ -467,8 +467,8 @@ def cmd_validate(cfg: dict) -> int:
                                                         workers=cfg["workers"]))
         sweeps[kind] = sc, pfa, pd
 
-    lam_grid = np.linspace(0.0, 100.0, 101)
-    err = max(abs(chi2_sf(2, float(lam)) - math.exp(-float(lam) / 2.0)) for lam in lam_grid)
+    sf, lams = h0_law(2, 2)[0], np.linspace(0.0, 100.0, 101).tolist()
+    err = max(abs(sf(lam) - math.exp(-lam / 2.0)) for lam in lams)
     check("chi2-closed-form", err <= 1e-12, f"max |Q(1,l/2) - exp(-l/2)| = {err:.3e}")
 
     _, pfa, _ = sweeps[AWGN]

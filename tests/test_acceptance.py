@@ -17,7 +17,6 @@ from result_csv import read_result_csv
 from sensesim import reference
 from sensesim.analytic import (
     calibrate_threshold,
-    chi2_sf,
     noncentral_chi2_sf,
     pd_awgn_analytic,
     pd_rayleigh_analytic,
@@ -214,14 +213,14 @@ def test_acceptance_08_parallelism_is_byte_invisible(tmp_path):
 def test_acceptance_09_analytic_pins_and_calibration_roundtrip():
     worst_exp = 0.0
     for lam in np.linspace(0.0, 100.0, 1001):
-        worst_exp = max(worst_exp, abs(chi2_sf(2, float(lam)) - math.exp(-float(lam) / 2.0)))
+        worst_exp = max(worst_exp, abs(pfa_analytic(2, float(lam)) - math.exp(-float(lam) / 2.0)))
     assert worst_exp <= 1e-12
 
     worst_deg = 0.0
     for nu in (1, 2, 5, 10, 50):
         for lam in (0.0, 0.5, 2.0, 10.0, 40.0, 90.0):
             worst_deg = max(
-                worst_deg, abs(noncentral_chi2_sf(nu, 0.0, lam) - chi2_sf(nu, lam))
+                worst_deg, abs(noncentral_chi2_sf(nu, 0.0, lam) - pfa_analytic(nu, lam))
             )
     assert worst_deg <= 1e-12
 

@@ -23,10 +23,8 @@ from hypothesis import strategies as st
 import sensesim
 from sensesim import analytic, montecarlo
 from sensesim.analytic import (
-    CalibrationMethod,
     CalibrationResult,
     calibrate_threshold,
-    chi2_sf,
     gammaq,
     h0_law,
     noncentral_chi2_sf,
@@ -52,7 +50,7 @@ _LAM_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 
 def test_chi2_two_dof_closed_form():
     for lam in np.linspace(0.0, 100.0, 401):
-        assert abs(chi2_sf(2, float(lam)) - math.exp(-lam / 2.0)) <= 1e-12
+        assert abs(pfa_analytic(2, float(lam)) - math.exp(-lam / 2.0)) <= 1e-12
 
 
 def test_gammaq_against_scipy():
@@ -63,11 +61,11 @@ def test_gammaq_against_scipy():
     assert worst <= 5e-12
 
 
-def test_chi2_sf_against_scipy():
+def test_pfa_analytic_against_scipy():
     worst = 0.0
     for nu in (1, 2, 3, 5, 10, 20, 50, 100):
         for lam in _LAM_GRID:
-            worst = max(worst, abs(chi2_sf(nu, lam) - scipy.stats.chi2.sf(lam, nu)))
+            worst = max(worst, abs(pfa_analytic(nu, lam) - scipy.stats.chi2.sf(lam, nu)))
     assert worst <= 1e-11
 
 
@@ -87,38 +85,52 @@ def test_noncentral_chi2_sf_against_scipy():
 
 
 def _mp_noncentral_sf(nu, delta, lam):
-    # Poisson mixture at 30 digits, summed from k = 0 until past the
-    # Poisson mean the terms stop mattering at that precision.
+    # The Poisson mixture at 30 digits, from k0 = h - 40 sqrt(h) (or 0),
+    # below which the Poisson mass is under e^-800, until past the mean
+    # the terms stop mattering: one gammainc for Q(nu/2 + k0, x), then
+    # Q(a+1, x) = Q(a, x) + x^a e^-x / Gamma(a+1) and the Poisson weight
+    # recurrence (a gammainc per term takes about 25 s at delta = 1e5).
     with mpmath.workdps(30):
         h, x = mpmath.mpf(delta) / 2, mpmath.mpf(lam) / 2
-        total, k = mpmath.mpf(0), 0
+        k = max(0, int(h - 40 * mpmath.sqrt(h)))
+        a = mpmath.mpf(nu) / 2 + k
+        q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+        step = mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
+        weight = mpmath.exp(k * mpmath.log(h) - h - mpmath.loggamma(k + 1))
+        total = mpmath.mpf(0)
         while True:
-            weight = mpmath.exp(k * mpmath.log(h) - h - mpmath.loggamma(k + 1))
-            q = mpmath.gammainc(mpmath.mpf(nu) / 2 + k, x, mpmath.inf, regularized=True)
             term = weight * q
             total += term
             if k > h and term < total * mpmath.mpf("1e-32"):
                 return total
+            q += step
+            a += 1
+            step *= x / a
             k += 1
+            weight *= h / k
 
 
 def test_noncentral_chi2_sf_relative_accuracy_against_mpmath():
     # Relative, not absolute: a 1e-35 tail must keep its digits too.
     # (10, 1, 200) is 8.2e-35, where a cut-off on the Poisson mass at
-    # 1e-12 used to cost 1e-3 of the value.
+    # 1e-12 used to cost 1e-3 of the value.  At delta = 1e4 and 1e5 the
+    # plain weight exponent k ln h - h - lgamma(k+1) cancels terms of
+    # order h ln h: it cost 5e-12 at (10, 1e4, 1e4) and 1.75e-11 at
+    # (10, 1e5, 1.01e5), where Loader's form keeps a few ulps.
     worst = 0.0
     points = [(10, 1.0, 200.0)] + [
         (nu, delta, lam)
         for nu in (1, 2, 10, 50)
         for delta in (0.1, 1.0, 20.0, 100.0)
         for lam in (1.0, 20.0, 200.0)
-    ]
+    ] + [(10, 1e4, 1e4), (10, 1e4, 1.02e4), (1, 1e4, 9.9e3),
+         (10, 1e5, 1e5), (10, 1e5, 1.01e5), (50, 1e5, 1.02e5)]
     for nu, delta, lam in points:
         want = _mp_noncentral_sf(nu, delta, lam)
         if want > mpmath.mpf("1e-300"):
             got = noncentral_chi2_sf(nu, delta, lam)
             worst = max(worst, float(abs(got - want) / want))
-    assert worst <= 1e-12
+    assert worst <= 1e-13
 
 
 def test_incomplete_gamma_cap_grows_with_the_argument():
@@ -127,10 +139,10 @@ def test_incomplete_gamma_cap_grows_with_the_argument():
     assert gammaq(5e7 + 52585, 5e7) == pytest.approx(
         scipy.special.gammaincc(5e7 + 52585, 5e7), rel=1e-12, abs=0.0
     )
-    # Relative agreement is limited by the large-offset Poisson weights
-    # (about 3e-8 here), not by the iteration count.
+    # The mixture keeps a few ulps here (3e-16 against 30-digit mpmath);
+    # scipy's own value is 2.4e-13 off, which bounds the agreement.
     assert noncentral_chi2_sf(10, 1e8, 1e8) == pytest.approx(
-        scipy.stats.ncx2.sf(1e8, 10, 1e8), rel=1e-6, abs=0.0
+        scipy.stats.ncx2.sf(1e8, 10, 1e8), rel=1e-12, abs=0.0
     )
 
 
@@ -150,12 +162,6 @@ def test_oracle_bits_do_not_depend_on_blas_threads():
     assert outs[0] == outs[1]
 
 
-def test_noncentral_zero_offset_degenerates_to_central():
-    for nu in (1, 2, 7, 10, 50):
-        for lam in _LAM_GRID:
-            assert abs(noncentral_chi2_sf(nu, 0.0, lam) - chi2_sf(nu, lam)) <= 1e-12
-
-
 def test_noncentral_against_monte_carlo():
     # brute-force oracle: (z + mu)^2 sums with total offset delta
     nu, delta, trials = 10, 12.5, 400_000
@@ -171,10 +177,10 @@ def test_noncentral_against_monte_carlo():
 
 def test_tail_probability_bounds_and_monotonicity():
     for nu in (2, 10):
-        vals = [chi2_sf(nu, lam) for lam in _LAM_GRID]
+        vals = [pfa_analytic(nu, lam) for lam in _LAM_GRID]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
-    assert chi2_sf(10, 0.0) == 1.0
+    assert pfa_analytic(10, 0.0) == 1.0
     # detection probability rises with SNR and falls with threshold
     pds = [pd_awgn_analytic(10, g, 16.0) for g in (0.01, 0.1, 1.0, 10.0)]
     assert all(b > a for a, b in zip(pds, pds[1:]))
@@ -183,9 +189,14 @@ def test_tail_probability_bounds_and_monotonicity():
 
 
 def test_pfa_analytic_is_central_tail():
-    for n in (2, 10, 50):
+    # one central tail: the zero-offset noncentral tail and the p=2 H0 law
+    # return its bits
+    for n in (1, 2, 7, 10, 50):
+        sf = h0_law(2, n)[0]
         for lam in _LAM_GRID:
-            assert pfa_analytic(n, lam) == chi2_sf(n, lam)
+            want = pfa_analytic(n, lam)
+            assert noncentral_chi2_sf(n, 0.0, lam) == want
+            assert sf(lam) == want
 
 
 def test_pd_awgn_is_noncentral_tail_with_coherent_offset():
@@ -449,7 +460,7 @@ def test_calibrate_analytic_roundtrip():
         for cal, target in zip(cals, targets):
             assert abs(pfa_analytic(n, cal.threshold) - target) <= 1e-9
             assert abs(cal.achieved_pfa - target) <= 1e-9
-            assert cal.method is CalibrationMethod.ANALYTIC
+            assert cal.method == "analytic"
 
 
 def test_calibrate_analytic_relative_roundtrip():
@@ -474,11 +485,22 @@ def test_calibrate_known_value():
 
 def test_calibrate_default_route_follows_exponent():
     [cal] = calibrate_threshold(DetectorSpec(p=2), 10, [0.1])
-    assert cal.method is CalibrationMethod.ANALYTIC
+    assert cal.method == "analytic"
     assert cal.mc_trials == 0
     [cal] = calibrate_threshold(DetectorSpec(p=3), 10, [0.1], trials=100_000, seed=5)
-    assert cal.method is CalibrationMethod.EMPIRICAL_QUANTILE
+    assert cal.method == "empirical-quantile"
     assert cal.mc_trials == 100_000
+
+
+def test_calibration_method_follows_mc_trials():
+    # the route is read from the draw count, the one record of it
+    def result(mc_trials):
+        return CalibrationResult(threshold=1.0, target_pfa=0.1, achieved_pfa=0.1,
+                                 tolerance=1e-9, mc_trials=mc_trials)
+
+    assert result(0).method == "analytic"
+    assert CalibrationResult(1.0, 0.1, 0.1, 1e-9).method == "analytic"
+    assert result(100_000).method == "empirical-quantile"
 
 
 def test_calibrate_argument_validation():
@@ -602,7 +624,6 @@ def test_calibration_result_enforces_tolerance():
             threshold=1.0,
             target_pfa=0.1,
             achieved_pfa=0.2,
-            method=CalibrationMethod.ANALYTIC,
             tolerance=1e-9,
         )
 
@@ -616,9 +637,9 @@ def test_calibration_result_enforces_tolerance():
     ),
 )
 @settings(deadline=None)
-def test_chi2_sf_always_a_decreasing_probability(nu, lams):
+def test_pfa_analytic_always_a_decreasing_probability(nu, lams):
     lams = sorted(lams)
-    vals = [chi2_sf(nu, lam) for lam in lams]
+    vals = [pfa_analytic(nu, lam) for lam in lams]
     assert all(0.0 <= v <= 1.0 for v in vals)
     for (la, va), (lb, vb) in zip(zip(lams, vals), zip(lams[1:], vals[1:])):
         if lb > la:
