@@ -17,7 +17,10 @@ nothing but IEEE arithmetic:
   tail and so the squaring detector's P_FA: the regularized upper
   incomplete gamma, via the standard power series for x < a+1 and a
   modified Lentz continued fraction otherwise (Numerical Recipes
-  section 6.2), good to about 1e-12 absolute.
+  section 6.2).  Its relative error grows with a, as the prefactor
+  exp(-x + a ln x - lgamma(a)) cancels: against 40-digit mpmath from the
+  1e-3 tail to the median it is about 1e-14 up to n = 100, 2e-13 at
+  n = 1e3, 4e-12 at 1e4, 1e-10 at 1e5 and 6e-10 at 1e6.
 * The noncentral survival function is the Poisson mixture
   sum_k Pois(k; delta/2) * Q(nu/2+k, lam/2).  One kernel evaluates it
   for a whole vector of Poisson means.  A ladder of central tails is
@@ -36,7 +39,10 @@ nothing but IEEE arithmetic:
   and 2e-15 at delta = 1e4 and 1e5 (lam near delta); what is left is
   mostly the prefactor of the ladder's first Q.  Weight rows go through
   the ladder in chunks of at most 2^18 entries (2 MiB per temporary), so
-  memory stays bounded however long the ladder grows.  The Rayleigh
+  memory stays bounded however long the ladder grows.  A threshold
+  lam above 1e9 is refused with ``ValueError``: the walk's Python steps
+  take 0.5 s at 1e9, 1.3 s at 1e10 and 3.6 s at 1e11, and drift from
+  scipy's ``ncx2.sf`` (1e-12 at 1e9, 2.5e-11 at 1e10).  The Rayleigh
   oracle passes all 128 quadrature nodes as one vector.  A Marcum-Q
   routine would compute the same quantity; the mixture needs nothing
   beyond the incomplete gamma.
@@ -44,10 +50,12 @@ nothing but IEEE arithmetic:
   literals in this module, printed once from numpy's ``laggauss(128)``;
   no run imports ``laggauss`` or makes a LAPACK call.
 
-No closed form is attempted for the cubing detector: a sum of |Gaussian|^3
-terms has no standard distribution, which is the gap the Monte Carlo
-engine fills.  :func:`h0_law` and :func:`pd_law` are the one place that
-says which closed form applies; without one, calibration draws instead.
+At n=1 every exponent has the same law: T_p = T_2^(p/2), so the p
+threshold lam is the chi-square one lam^(2/p).  At n >= 2 no closed form
+is attempted for the cubing detector: a sum of |Gaussian|^3 terms has no
+standard distribution, which is the gap the Monte Carlo engine fills.
+:func:`h0_law` and :func:`pd_law` are the one place that says which
+closed form applies; without one, calibration draws instead.
 """
 
 from __future__ import annotations
@@ -208,11 +216,19 @@ def _poisson_tail(k: int, h: float) -> float:
 
 
 _MIXTURE_BUDGET = 1 << 18  # Poisson weights at once (2 MiB of float64 per temporary)
-_LADDER_FLOOR = 1e-280  # below the peak, the ladder starts at its first step this large
+# Below the peak, the ladder starts at its first step this large, so the
+# walk's steps stay normal doubles: they rise to the peak, and the walk
+# stops past it once a step falls below half an ulp of Q.
+_LADDER_FLOOR = 1e-280
+_LADDER_MAX_LAM = 1e9  # the largest threshold the ladder walk takes
 
 
 def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
-    """sum_k Pois(k; h) * Q(a0 + k, x) for every Poisson mean h in ``hs``."""
+    """sum_k Pois(k; h) * Q(a0 + k, x) for every Poisson mean h in ``hs``,
+    refusing a threshold lam = 2x above _LADDER_MAX_LAM."""
+    if 2.0 * x > _LADDER_MAX_LAM:
+        raise ValueError(f"lam {2.0 * x!r} is above {_LADDER_MAX_LAM:g}, where the ladder "
+                         f"walk takes O(sqrt(lam)) steps and loses its accuracy")
     # The ladder Q(a0+k, x), k0 <= k < K, runs upward until Q rounds to 1
     # (or, past the peak of the steps, stops moving a rounding short of
     # it).  It depends on (a0, x) alone, so every h shares it.  The steps
@@ -234,9 +250,7 @@ def _poisson_mixture(a0: float, hs: np.ndarray, x: float) -> np.ndarray:
         q += t
         a += 1.0
         end += 1
-        # Re-derive a step that has left the normal range so that no
-        # denormal's lost digits carry into the recurrence.
-        t = t * x / a if t > 1e-280 else _qterm(a, x)
+        t = t * x / a
     # The walk only locates the ladder's end: its steps share the first one's
     # rounding (1e-12 at lam = 1e4, where t ~ 1e-280), so the rungs add
     # steps taken each on their own, a few ulps off at most.
@@ -401,28 +415,37 @@ def pd_rayleigh_analytic(n: int, gamma_bar: float, lam: float) -> float:
 
 def h0_law(p: int, n: int):
     """``(sf, isf)`` of the p-statistic's exact H0 law at n samples
-    (P_FA at a threshold, the threshold of a P_FA: chi-square at p=2), or None.
-    Both look this module's functions up per call, so wrappers see each call."""
-    if p != 2:
+    (P_FA at a threshold, the threshold of a P_FA), or None.  It is
+    chi-square at p=2, and at n=1 for every p, as T_p = T_2^(p/2) there;
+    at p=2 both exponents are 1.0, which keeps every bit.  Both look this
+    module's functions up per call, so wrappers see each call."""
+    if p != 2 and n != 1:
         return None
-    return (lambda lam: pfa_analytic(n, lam)), (lambda target: _bisect_chi2_isf(n, target))
+    return ((lambda lam: pfa_analytic(n, _chi2_threshold(lam, p))),
+            (lambda target: _bisect_chi2_isf(n, target) ** (p / 2)))
+
+
+def _chi2_threshold(lam, p: int):
+    # The chi-square threshold lam^(2/p); one below 0 passes on to be refused.
+    return lam ** (2 / p) if lam > 0 else lam
 
 
 def pd_law(p: int, n: int, channel, signal):
     """``(name, pd(snr_db, lam))`` of the p-statistic's exact P_D law
-    for ``signal`` frames on ``channel``, at SNR times their mean square: at p=2
+    for ``signal`` frames on ``channel``, at SNR times their mean square:
     "analytic" (noncentral chi-square) on AWGN, "quadrature" (its Rayleigh
-    average) on Rayleigh; or None.  Oracles resolve per call, as in h0_law."""
+    average) on Rayleigh, each at the chi-square threshold lam^(2/p) where
+    h0_law has a law; or None.  Oracles resolve per call, as in h0_law."""
     mean_square = signal.mean_square(n)
-    if p != 2 or mean_square is None:  # frames that differ in mean square have none
+    if h0_law(p, n) is None or mean_square is None:  # frames that differ in mean square have none
         return None
     from .signal_channel import AWGN, snr_to_linear  # here, as only the lookup needs them
 
     if channel.kind == AWGN:
         return "analytic", lambda snr_db, lam: pd_awgn_analytic(
-            n, snr_to_linear(snr_db) * mean_square, lam)
+            n, snr_to_linear(snr_db) * mean_square, _chi2_threshold(lam, p))
     return "quadrature", lambda snr_db, lam: pd_rayleigh_analytic(
-        n, snr_to_linear(snr_db) * mean_square, lam)
+        n, snr_to_linear(snr_db) * mean_square, _chi2_threshold(lam, p))
 
 
 @dataclass(frozen=True)
@@ -465,7 +488,7 @@ def calibrate_threshold(
 
     Returns one result per target, in the order given.  The route
     follows :func:`h0_law`, the one place that choice is made: analytic
-    where the detector's H0 law is known (the squaring detector, p=2),
+    where the detector's H0 law is known (p=2, and every p at n=1),
     empirical quantile everywhere else.
 
     Analytic: each lambda is the H0 law's ``isf`` of its target, and
@@ -492,55 +515,44 @@ def calibrate_threshold(
         if not (isinstance(target, (int, float)) and 0.0 < target < 1.0):
             raise ValueError(f"target_pfa must lie strictly inside (0, 1), got {target!r}")
 
+    # Each route yields the thresholds, achieved rates, tolerances and draw size.
     law = h0_law(spec.p, n)
     if law is not None:
         sf, isf = law
-        results = []
+        lams = [isf(target) for target in targets]
+        achieved = [sf(lam) for lam in lams]
+        tolerances = [min(1e-9, 1e-6 * target) for target in targets]
+        mc_trials = 0
+    else:
+        if trials < 100_000:
+            raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
         for target in targets:
-            lam = isf(target)
-            results.append(CalibrationResult(
-                threshold=lam,
-                target_pfa=target,
-                achieved_pfa=sf(lam),
-                tolerance=min(1e-9, 1e-6 * target),
-            ))
-        return results
+            # distance to the nearer end: 1 - 1e-5 is no easier to resolve than 1e-5
+            margin = min(target, 1.0 - target)
+            if _quantile_tolerance(margin, trials) >= margin:
+                needed = math.floor(max(9.0 * (1.0 - margin), 2.0) / margin) + 1
+                while _quantile_tolerance(margin, needed) >= margin:
+                    needed += 1
+                raise ValueError(
+                    f"target_pfa {target:g} is within its own tolerance at {trials} "
+                    f"calibration trials; it needs cal_trials >= {needed}"
+                )
+        # Engine import is local so this closed-form module stays import-light;
+        # the calibration domain keeps these draws disjoint from every
+        # evaluation trial of the same seed.
+        from .montecarlo import calibration_h0_statistics
 
-    if trials < 100_000:
-        raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
-    for target in targets:
-        # distance to the nearer end: 1 - 1e-5 is no easier to resolve than 1e-5
-        margin = min(target, 1.0 - target)
-        if _quantile_tolerance(margin, trials) >= margin:
-            needed = math.floor(max(9.0 * (1.0 - margin), 2.0) / margin) + 1
-            while _quantile_tolerance(margin, needed) >= margin:
-                needed += 1
-            raise ValueError(
-                f"target_pfa {target:g} is within its own tolerance at {trials} "
-                f"calibration trials; it needs cal_trials >= {needed}"
-            )
-    # Engine import is local so this closed-form module stays import-light;
-    # the calibration domain keeps these draws disjoint from every
-    # evaluation trial of the same seed.
-    from .montecarlo import calibration_h0_statistics
-
-    stats = calibration_h0_statistics(spec, n, trials, seed=seed, workers=workers)
-    # The quantiles are read by index from the sorted draw, which the
-    # counts below search as well.
-    stats.sort()
-    lams = _sorted_quantiles(stats, [1.0 - t for t in targets])
-    below = np.searchsorted(stats, lams, side="left")
-    results = []
-    for target, lam, k in zip(targets, lams, below):
-        achieved = (trials - int(k)) / trials
-        results.append(CalibrationResult(
-            threshold=float(lam),
-            target_pfa=target,
-            achieved_pfa=achieved,
-            tolerance=_quantile_tolerance(achieved, trials),
-            mc_trials=trials,
-        ))
-    return results
+        stats = calibration_h0_statistics(spec, n, trials, seed=seed, workers=workers)
+        # The quantiles are read by index from the sorted draw, which the
+        # counts below search as well.
+        stats.sort()
+        lams = _sorted_quantiles(stats, [1.0 - t for t in targets]).tolist()
+        achieved = [(trials - int(k)) / trials for k in np.searchsorted(stats, lams)]
+        tolerances = [_quantile_tolerance(rate, trials) for rate in achieved]
+        mc_trials = trials
+    return [CalibrationResult(threshold=lam, target_pfa=target, achieved_pfa=rate,
+                              tolerance=tolerance, mc_trials=mc_trials)
+            for lam, target, rate, tolerance in zip(lams, targets, achieved, tolerances)]
 
 
 def _sorted_quantiles(stats: np.ndarray, probs) -> np.ndarray:

@@ -442,7 +442,8 @@ def cmd_validate(cfg: dict) -> int:
     trials = cfg["trials"]
     spec = DetectorSpec(cfg["detector_p"])
     if h0_law(spec.p, cfg["samples"]) is None:
-        raise ConfigError(f"validate checks only the normalized p=2 detector, not {spec}")
+        raise ConfigError(f"validate checks only the p=2 detector, or any p at samples = 1, "
+                          f"where the law is exact; not {spec} at samples = {cfg['samples']}")
     grid = _grid_for(cfg, spec)  # refuses bad targets before any check
     failures: list[str] = []
 

@@ -130,9 +130,9 @@ def grid_from_pfa_targets(
     """Calibrate one threshold per P_FA target (given in increasing order).
 
     One :func:`calibrate_threshold` call covers the targets: analytic for
-    p=2, otherwise the empirical quantiles of one draw of ``cal_trials``
-    calibration-domain noise statistics on ``workers``.  Two targets that
-    calibrate to one threshold are refused, each named.
+    p=2 and at n=1, otherwise the empirical quantiles of one draw of
+    ``cal_trials`` calibration-domain noise statistics on ``workers``.  Two
+    targets that calibrate to one threshold are refused, each named.
     """
     targets = tuple(float(t) for t in targets)
     if any(b <= a for a, b in zip(targets, targets[1:])):

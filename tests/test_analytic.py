@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import mpmath
@@ -348,32 +349,64 @@ def test_mixture_gammaq_call_counts(monkeypatch):
 def test_ladder_start_keeps_large_thresholds_cheap(monkeypatch):
     # With lam >> n nearly every rung from Q(n/2, lam/2) up is an exact
     # 0.0; the ladder starts where its steps become representable, so the
-    # walk is O(sqrt(lam)) (474,966 step re-derivations at lam = 1e6
-    # when it started at k = 0).
-    calls = []
-    real = analytic._qterm
-    monkeypatch.setattr(analytic, "_qterm", lambda a, x: calls.append(a) or real(a, x))
+    # walk and the ladder are O(sqrt(lam)): with x = lam/2, rungs run from
+    # about 36 sqrt(x) below x to 9 sqrt(x) past it (474,966 step
+    # re-derivations at lam = 1e6 when the walk started at k = 0).
+    lengths = []
+    real = analytic._log_poisson
+    monkeypatch.setattr(analytic, "_log_poisson", lambda k: lengths.append(len(k)) or real(k))
     lam = 1e6
     assert 0.0 < pd_rayleigh_analytic(10, 1000.0, lam) < 1e-40
-    assert len(calls) <= 40 * math.sqrt(lam / 2)
+    assert 1 <= max(lengths) <= 50 * math.sqrt(lam / 2)
 
 
 def test_ladder_start_drops_only_unrepresentable_rungs(monkeypatch):
-    # A floor of 0 walks the whole ladder from k = 0; every value the
-    # shortened ladder gives that is not itself near underflow agrees.
+    # A floor at the smallest normal double walks every rung whose step
+    # is a normal double, whose first rung is a few times 1e-305 at most;
+    # every value the shortened ladder gives that is not itself near
+    # underflow agrees.
     cases = [(noncentral_chi2_sf, 10, lam + c * math.sqrt(lam), lam)
              for lam in (1e4, 1e5) for c in (-60.0, -4.0, 0.0, 4.0)]
     cases += [(pd_rayleigh_analytic, 10, g, lam)
               for lam in (1e4, 1e5) for g in (100.0, 1000.0, 1e4)]
-    # a full walk at lam = 1e6 takes about a second each
     cases += [(noncentral_chi2_sf, 10, 1e6 - 6e4, 1e6), (pd_rayleigh_analytic, 10, 1000.0, 1e6)]
     fast = [f(n, p, lam) for f, n, p, lam in cases]
-    monkeypatch.setattr(analytic, "_LADDER_FLOOR", 0.0)
+    monkeypatch.setattr(analytic, "_LADDER_FLOOR", np.finfo(float).tiny)
     full = [f(n, p, lam) for f, n, p, lam in cases]
     checked = [(a, b) for a, b in zip(fast, full) if b >= 1e-250]
     assert len(checked) >= 10
     for a, b in checked:
         assert a == pytest.approx(b, rel=1e-13)
+
+
+def test_ladder_refuses_a_threshold_above_its_bound():
+    # The walk takes O(sqrt(lam)) Python steps: 0.5 s at lam = 1e9 and
+    # 1.3 s at 1e10, and (2, 1e200, 1e200) returned 1.0 for about 0.5.
+    bound = analytic._LADDER_MAX_LAM
+    above = math.nextafter(bound, math.inf)
+    refused = [(noncentral_chi2_sf, 2, 1e12, 1e12), (noncentral_chi2_sf, 2, 1e200, 1e200),
+               (noncentral_chi2_sf, 2, 1.0, above), (pd_rayleigh_analytic, 10, 1.0, above)]
+    for f, n, delta, lam in refused:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="above 1e\\+09"):
+            f(n, delta, lam)
+        assert time.perf_counter() - start < 0.1
+    # the central tail takes no walk, so it has no bound
+    assert noncentral_chi2_sf(2, 0.0, above) == pfa_analytic(2, above)
+    assert noncentral_chi2_sf(2, bound, bound) == pytest.approx(
+        scipy.stats.ncx2.sf(bound, 2, bound), abs=1e-11)
+
+
+@pytest.mark.parametrize("target", [0.01, 0.5])
+def test_calibration_meets_its_contract_at_1e5_samples(target):
+    # gammaq's prefactor exp(-x + a ln x - lgamma(a)) cancels at large a
+    # and x: pfa_analytic is about 1e-10 relative off at n = 1e5, which
+    # the contract min(1e-9, 1e-6 * target) must still absorb.
+    [cal] = calibrate_threshold(DetectorSpec(p=2), 100_000, [target])
+    with mpmath.workdps(40):
+        true = mpmath.gammainc(mpmath.mpf(50_000), mpmath.mpf(cal.threshold) / 2, mpmath.inf,
+                               regularized=True)
+    assert abs(float(true) - target) <= min(1e-9, 1e-6 * target)
 
 
 @pytest.mark.xfail(strict=True, reason="the 128-node rule misses the exact value at 20 dB")
@@ -421,18 +454,40 @@ def test_pd_rayleigh_returns_at_huge_mean_snr():
 def test_law_lookups_return_none_where_no_closed_form_applies():
     for n in (1, 10, 100):
         assert h0_law(2, n) is not None
-        for p in (1, 3, 4):
-            assert h0_law(p, n) is None
+        for p in (1, 3, 4):  # at n=1 every p has the chi-square law
+            assert (h0_law(p, n) is None) == (n >= 2)
         for kind in (AWGN, RAYLEIGH):
             channel = ChannelModel(kind)
             for signal in (Bpsk(), Sinusoid(cycles_per_frame=0.3)):
                 assert pd_law(2, n, channel, signal) is not None
-                assert pd_law(3, n, channel, signal) is None
+                assert (pd_law(3, n, channel, signal) is None) == (n >= 2)
             # GaussianIid frames differ in mean square
             assert pd_law(2, n, channel, GaussianIid()) is None
     # the reference names validate prints
     assert [pd_law(2, 10, ChannelModel(kind), Bpsk())[0] for kind in (AWGN, RAYLEIGH)] == [
         "analytic", "quadrature"]
+
+
+@pytest.mark.parametrize("p", [1, 3, 4])
+def test_one_sample_laws_are_the_chi_square_laws_at_lam_to_the_2_over_p(p):
+    # At n=1, T_p = T_2^(p/2): P(|y|^p > lam) = erfc(lam^(1/p) / sqrt 2).
+    sf, isf = h0_law(p, 1)
+    sf2, isf2 = h0_law(2, 1)
+    for target in montecarlo.DEFAULT_PFA_TARGETS:
+        lam = isf(target)
+        assert lam == isf2(target) ** (p / 2)
+        assert abs(sf(lam) - target) <= min(1e-9, 1e-6 * target)
+        assert sf(lam) == pytest.approx(math.erfc(lam ** (1 / p) / math.sqrt(2)), rel=1e-12)
+    with pytest.raises(ValueError):
+        sf(-1.0)
+    lam = isf(0.01)
+    for signal in (Bpsk(), Sinusoid(cycles_per_frame=0.3)):
+        for kind in (AWGN, RAYLEIGH):
+            name, pd = pd_law(p, 1, ChannelModel(kind), signal)
+            name2, pd2 = pd_law(2, 1, ChannelModel(kind), signal)
+            assert name == name2
+            for snr in (-10.0, 0.0, 10.0):
+                assert pd(snr, lam) == pd2(snr, lam ** (2 / p))
 
 
 @pytest.mark.parametrize("n", [1, 10, 100])

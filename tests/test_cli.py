@@ -32,6 +32,15 @@ def test_calibrate_prints_known_threshold(capsys):
     assert lam == pytest.approx(-2.0 * math.log(0.1), rel=1e-8)
 
 
+def test_calibrate_at_one_sample_is_analytic_for_every_p(capsys):
+    # T_3 = T_2^(3/2) at n=1: the empirical threshold 36.31013308043393
+    # has a true rate of 9.28e-4
+    assert run("calibrate", "--samples", "1", "--detector-p", "3", "--pfa-targets", "0.001") == 0
+    assert capsys.readouterr().out == (
+        "p=3 n=1 target_pfa=0.001 lambda=35.62839580403129 "
+        "achieved_pfa=0.0010000000128607732 method=analytic\n")
+
+
 def test_calibrate_empirical_route_for_p3(capsys):
     assert run("calibrate", "--samples", "4", "--detector-p", "3",
                "--pfa-targets", "0.1", "--trials", "2000") == 0
@@ -567,7 +576,7 @@ def test_the_removed_noise_settings_keep_their_header_lines(tmp_path):
 
 
 _VALIDATE_REFUSALS = {
-    "detector_p = 3": "validate checks only the normalized p=2 detector",
+    "detector_p = 3": "validate checks only the p=2 detector, or any p at samples = 1",
     # the unnormalized statistic left the engine with the noise scale
     "normalized = no": "normalized was removed, as it changes no rate",
 }
@@ -690,6 +699,26 @@ def test_compare_records_measured_sign(tmp_path, capsys):
         delta = float(r["delta"])
         assert float(r["pmd_p2"]) - float(r["pmd_p3"]) == delta
         assert float(r["stderr_delta"]) >= 0.0
+
+
+def test_compare_at_one_sample_measures_no_difference(tmp_path, capsys):
+    # |y|^2 and |y|^3 order every trial alike, so with exact thresholds
+    # p=2 and p=3 are one detector; empirical p=3 thresholds read up to
+    # 10.5 sigma here
+    assert run("compare", "--samples", "1", "--channel", "rayleigh", "--trials", "100000",
+               "--pfa-targets", "0.001,0.01,0.1", "--snr-db=-10,0", "--out", str(tmp_path)) == 0
+    assert capsys.readouterr().out.count("(no measured difference)") == 6
+    for snr in ("-10", "0"):
+        _, rows = read_result_csv(str(tmp_path / f"compare_rayleigh_{snr}dB.csv"))
+        assert [(r["delta"], r["stderr_delta"]) for r in rows] == [("0.0", "0.0")] * 3
+
+
+def test_validate_checks_p3_at_one_sample(capsys):
+    assert run("validate", "--detector-p", "3", "--samples", "1", "--trials", "20000") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS chi2-closed-form", "PASS h0-false-alarm", "PASS awgn-pd-oracle",
+        "PASS rayleigh-pd-oracle", "all checks passed"]
 
 
 # Three targets that agree to six significant digits.
