@@ -372,13 +372,15 @@ def cmd_pmd_table(cfg: dict) -> int:
     return 0
 
 
-def _sign_summary(spec_a: DetectorSpec, spec_b: DetectorSpec, targets, delta, stderr) -> str:
-    """State the measured sign of each target's delta = pmd_a - pmd_b, in
-    words; no outcome is assumed."""
+def _sign_summary(spec_a: DetectorSpec, spec_b: DetectorSpec, targets, delta, stderr,
+                  bound: float) -> str:
+    """State each target's delta = pmd_a - pmd_b in words: a winner only
+    where |delta| clears ``bound`` stderrs; no outcome is assumed."""
     lines = []
     for target, d, se in zip(targets, delta, stderr):
         winner = spec_b if d > 0 else spec_a
-        verdict = f"p={winner.p} misses less" if d else "no measured difference"
+        verdict = (f"p={winner.p} misses less" if abs(d) > bound * se
+                   else "not settled" if d else "no measured difference")
         lines.append(f"target pfa {target!r}: pmd(p={spec_a.p}) - pmd(p={spec_b.p}) = "
                      f"{d:+.6f} +/- {se:.6f} ({verdict})")
     return "\n".join(lines)
@@ -392,6 +394,7 @@ def cmd_compare(cfg: dict) -> int:
     measured = compare_detectors(_scenario(cfg), cfg["snr_db"], grid_a, grid_b,
                                  spec_a, spec_b, workers=cfg["workers"])
     targets = grid_a.pfa_targets
+    bound = _sigma_bound(len(targets) * len(stems))
     header = ["target_pfa", "lambda_p2", "lambda_p3", "pmd_p2", "pmd_p3",
               "delta", "stderr_delta"]
     for stem, snr, pmd_a, pmd_b, delta, stderr in zip(stems, cfg["snr_db"],
@@ -407,7 +410,7 @@ def cmd_compare(cfg: dict) -> int:
 
         _write(cfg, stem, meta, header, rows, plot)
         print(f"snr {snr:g} dB:")
-        print(_sign_summary(spec_a, spec_b, targets, delta, stderr))
+        print(_sign_summary(spec_a, spec_b, targets, delta, stderr, bound))
     return 0
 
 
@@ -417,12 +420,13 @@ def cmd_calibrate(cfg: dict) -> int:
                                trials=cfg["cal_trials"], seed=cfg["seed"],
                                workers=cfg["workers"])
     for cal in cals:
-        extra = f" mc_trials={cal.mc_trials}" if cal.mc_trials else ""
-        print(
-            f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa!r} "
-            f"lambda={cal.threshold!r} achieved_pfa={cal.achieved_pfa!r} "
-            f"method={cal.method}{extra}"
-        )
+        # an empirical quantile passes its target's share of its own draw
+        rate, extra = f"achieved_pfa={cal.achieved_pfa!r}", ""
+        if cal.mc_trials:
+            rate = f"in_sample_pfa={cal.achieved_pfa!r} tolerance={cal.tolerance!r}"
+            extra = f" mc_trials={cal.mc_trials}"
+        print(f"p={spec.p} n={cfg['samples']} target_pfa={cal.target_pfa!r} "
+              f"lambda={cal.threshold!r} {rate} method={cal.method}{extra}")
     return 0
 
 
@@ -431,7 +435,7 @@ def _sigma_bound(cells: int) -> float:
     sigma: a correct engine exceeds it as often as one cell exceeds 3."""
     if cells == 1:
         return 3.0  # exact; the formula rounds it to 2.999999999999997
-    # Imported here: only validate needs it, so no other launch pays for it.
+    # Imported here, so only validate and compare pay for it.
     from statistics import NormalDist
 
     alpha = 1.0 - (1.0 - math.erfc(3.0 / math.sqrt(2.0))) ** (1.0 / cells)

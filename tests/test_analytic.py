@@ -62,6 +62,83 @@ def test_gammaq_against_scipy():
     assert worst <= 5e-12
 
 
+def _mp_gamma_tails(a, x):
+    # each tail computed as itself, so a tiny one keeps its digits
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        return (mpmath.gammainc(a, 0, x, regularized=True),
+                mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+
+
+def test_lower_tail_keeps_relative_accuracy_far_below_the_mean():
+    # Where x << a, P is summed directly by the series, so a P of 1e-130
+    # keeps its digits; only the prefactor's cancellation grows with a.
+    # The CLI reaches this side only through the mixture's Poisson tails.
+    checked = 0
+    for a in (0.5, 2.5, 10.0, 50.0, 200.0, 1000.0):
+        for x in (1e-3 * a, 0.05 * a, 0.2 * a, 0.5 * a, 0.8 * a):
+            want, _ = _mp_gamma_tails(a, x)
+            if want > mpmath.mpf("1e-300"):
+                got = analytic._gamma_tails(a, x)[0]
+                assert float(abs(got - want) / want) <= 4e-15 * max(a, 10.0), (a, x)
+                checked += 1
+    assert checked >= 25
+
+
+def test_both_tails_hold_a_few_ulps_either_side_of_the_switch():
+    # x < a + 1 takes the series for P, x >= a + 1 the fraction for Q;
+    # each tail keeps its relative accuracy across the switch.
+    for a in (0.5, 3.0, 7.5, 40.0, 100.0, 1000.0, 1e4):
+        bound = 4e-15 * max(a, 10.0)
+        xs = [a + 1.0]
+        for way in (math.inf, 0.0):
+            x = a + 1.0
+            for _ in range(4):
+                x = math.nextafter(x, way)
+                xs.append(x)
+        for x in xs:
+            p, q = analytic._gamma_tails(a, x)
+            want_p, want_q = _mp_gamma_tails(a, x)
+            assert float(abs(p - want_p) / want_p) <= bound, (a, x)
+            assert float(abs(q - want_q) / want_q) <= bound, (a, x)
+            assert p + q == pytest.approx(1.0, rel=0.0, abs=2.3e-16)
+
+
+# (a, x, P, Q) to the bit: both sides of x = a + 1, an ulp below and at
+# the switch (7.5, 8.5), and the underflowed prefactor on each side.
+_GAMMA_TAIL_BITS = [
+    (0.5, 1e-300, "0x1.d8c8baaa00798p-499", "0x1.0000000000000p+0"),
+    (0.5, 0.01, "0x1.cca5ea24fb332p-4", "0x1.c66b42bb6099ap-1"),
+    (0.5, 1.5, "0x1.d55e5a70068e4p-1", "0x1.550d2c7fcb8e4p-4"),
+    (1.0, 2.0, "0x1.bab5557101f8dp-1", "0x1.152aaa3bf81ccp-3"),
+    (2.5, 0.3, "0x1.891c17edbfedfp-7", "0x1.f9db8fa049005p-1"),
+    (5.0, 12.0, "0x1.fc1bcd352d0d9p-1", "0x1.f219656979389p-8"),
+    (12.0, 13.0, "0x1.4b2df7469e986p-1", "0x1.69a41172c2cf5p-2"),
+    (25.0, 5.0, "0x1.5fc0b57755d70p-33", "0x1.fffffffea03f5p-1"),
+    (50.0, 50.0, "0x1.09a13e57b0c64p-1", "0x1.ecbd83509e738p-2"),
+    (50.0, 51.0, "0x1.261715413b1d5p-1", "0x1.b3d1d57d89c56p-2"),
+    (50.0, 80.0, "0x1.ffeedb9e3205ap-1", "0x1.12461cdfa62bcp-13"),
+    (100.0, 60.0, "0x1.8db1cdbe52d68p-20", "0x1.ffffce49c6483p-1"),
+    (1000.0, 900.0, "0x1.204ea1fa53303p-11", "0x1.ffb7ec57816b3p-1"),
+    (1000.0, 1001.0, "0x1.089b82c10fa24p-1", "0x1.eec8fa7de0bb9p-2"),
+    (10000.0, 10300.0, "0x1.ff3f426105ad7p-1", "0x1.817b3df4a51c8p-10"),
+    (50000.0, 50000.0, "0x1.004df31764420p-1", "0x1.ff6419d1377c0p-2"),
+    (2000.0, 1.0, "0x0.0p+0", "0x1.0000000000000p+0"),
+    (40.0, 3.2283858084060612e16, "0x1.0000000000000p+0", "0x0.0p+0"),
+    (3.0, 700.0, "0x1.0000000000000p+0", "0x1.039390f02767fp-992"),
+    (7.5, 8.499999999999998, "0x1.5cbdcdfd72991p-1", "0x1.468464051acdep-2"),
+    (7.5, 8.5, "0x1.5cbdcdfd72996p-1", "0x1.468464051acd5p-2"),
+    (0.05, 40.0, "0x1.0000000000000p+0", "0x1.e46a00d8868b8p-68"),
+]
+
+
+@pytest.mark.parametrize("a, x, p, q", _GAMMA_TAIL_BITS)
+def test_gamma_tails_keep_their_bits(a, x, p, q):
+    # Every p=2 threshold and golden hash rests on these bits.
+    assert analytic._gamma_tails(a, x) == (float.fromhex(p), float.fromhex(q))
+    assert gammaq(a, x) == float.fromhex(q)
+
+
 def test_pfa_analytic_against_scipy():
     worst = 0.0
     for nu in (1, 2, 3, 5, 10, 20, 50, 100):
@@ -330,15 +407,16 @@ def test_pd_rayleigh_memory_stays_bounded(monkeypatch):
 def test_mixture_gammaq_call_counts(monkeypatch):
     # Call counts repeat exactly, so they guard the shared ladder without
     # a wall-clock bound: one Q for the ladder, at most one per node for
-    # its Poisson tail (152,347 calls before the ladder was shared).
+    # its Poisson tail (152,347 calls before the ladder was shared).  The
+    # incomplete gamma routine sees both; the tails do not pass gammaq.
     calls = []
-    real = analytic.gammaq
+    real = analytic._gamma_tails
 
     def counting(a, x):
         calls.append((a, x))
         return real(a, x)
 
-    monkeypatch.setattr(analytic, "gammaq", counting)
+    monkeypatch.setattr(analytic, "_gamma_tails", counting)
     pd_rayleigh_analytic(10, 10.0, 15.99)
     assert 1 <= len(calls) <= 128 + 2
     calls.clear()

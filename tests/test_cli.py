@@ -68,7 +68,7 @@ def test_empirical_calibrate_refuses_targets_near_one_as_near_zero(capsys):
     assert run(*common, "0.999999") == 2
     assert "needs cal_trials >= 8999991" in capsys.readouterr().err
     assert run(*common, "0.9999") == 0
-    assert "achieved_pfa=0.9999 " in capsys.readouterr().out
+    assert "in_sample_pfa=0.9999 " in capsys.readouterr().out
 
 
 def test_calibrate_rejects_a_target_it_cannot_resolve(capsys):
@@ -672,14 +672,21 @@ def test_compare_records_measured_sign(tmp_path, capsys):
                "--out", str(tmp_path)) == 0
     out = capsys.readouterr().out
     meta, rows = read_result_csv(str(tmp_path / "compare_awgn_-10dB.csv"))
-    # the printed summary words the sign of each row's delta; the header
-    # restates no result
+    # the printed summary words each row's delta, naming a winner only
+    # beyond the Sidak bound over the run's cells; the header restates
+    # no result
     lines = [line for line in out.splitlines() if line.startswith("target pfa")]
     assert len(lines) == len(rows)
+    bound = cli._sigma_bound(len(rows))
     for line, r in zip(lines, rows):
-        delta = float(r["delta"])
+        delta, stderr = float(r["delta"]), float(r["stderr_delta"])
         winner = "p=3" if delta > 0 else "p=2"
-        assert line.endswith(f"({winner} misses less)" if delta else "(no measured difference)")
+        verdict = (f"{winner} misses less" if abs(delta) > bound * stderr
+                   else "not settled" if delta else "no measured difference")
+        assert line.endswith(f"({verdict})")
+    # +0.000250 +/- 0.001561 is 0.16 sigma: no winner is named
+    assert lines[0] == ("target pfa 0.01: pmd(p=2) - pmd(p=3) = +0.000250 +/- 0.001561 "
+                        "(not settled)")
     assert not [key for key in meta if key.startswith(("measured_sign", "reference"))]
     # compare always runs the p=2 and p=3 detectors, so it
     # neither echoes nor reads the detector settings
@@ -741,13 +748,27 @@ def test_compare_prints_close_targets_distinctly(tmp_path, capsys):
 
 
 def test_compare_verdict_names_the_measured_detector():
-    lines = cli._sign_summary(DetectorSpec(p=2), DetectorSpec(p=4), (0.1, 0.2, 0.3),
-                              [0.25, -0.25, 0.0], [0.01, 0.02, 0.0]).split("\n")
+    lines = cli._sign_summary(DetectorSpec(p=2), DetectorSpec(p=4), (0.1, 0.2, 0.3, 0.4, 0.5),
+                              [0.25, -0.25, 0.0, 0.03, -0.031], [0.01, 0.02, 0.0, 0.01, 0.01],
+                              3.0).split("\n")
     assert lines == [
         "target pfa 0.1: pmd(p=2) - pmd(p=4) = +0.250000 +/- 0.010000 (p=4 misses less)",
         "target pfa 0.2: pmd(p=2) - pmd(p=4) = -0.250000 +/- 0.020000 (p=2 misses less)",
         "target pfa 0.3: pmd(p=2) - pmd(p=4) = +0.000000 +/- 0.000000 (no measured difference)",
+        "target pfa 0.4: pmd(p=2) - pmd(p=4) = +0.030000 +/- 0.010000 (not settled)",
+        "target pfa 0.5: pmd(p=2) - pmd(p=4) = -0.031000 +/- 0.010000 (p=2 misses less)",
     ]
+
+
+def test_compare_names_no_winner_inside_the_bound_over_all_cells(tmp_path, capsys):
+    # -0.004500 +/- 0.003569 is 1.3 sigma; the bound is over the run's
+    # three SNR cells, not each SNR's one
+    assert run("compare", "--samples", "2", "--trials", "2000", "--pfa-targets", "0.5",
+               "--out", str(tmp_path)) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("target pfa")]
+    assert [line.rsplit("(", 1)[1] for line in lines] == [
+        "not settled)", "not settled)", "no measured difference)"]
 
 
 @pytest.mark.parametrize("svg", [True, False], ids=["svg", "csv-only"])
