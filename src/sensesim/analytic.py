@@ -464,12 +464,16 @@ class CalibrationResult:
         return "empirical-quantile" if self.mc_trials else "analytic"
 
 
+# The empirical route's draw size: its default, and the smallest it accepts.
+CAL_TRIALS = 100_000
+
+
 def calibrate_threshold(
     spec,
     n: int,
     targets,
     *,
-    trials: int = 100_000,
+    trials: int = CAL_TRIALS,
     seed: int = 0,
     workers: int = 1,
 ) -> list[CalibrationResult]:
@@ -484,8 +488,8 @@ def calibrate_threshold(
     ``achieved_pfa`` its ``sf`` there.
 
     Empirical quantile: each lambda is the (1 - target)
-    linear-interpolation quantile of ``trials`` >= 1e5 seeded pure-noise
-    statistics, drawn from the calibration domain of the seed's stream
+    linear-interpolation quantile of ``trials`` >= ``CAL_TRIALS`` seeded
+    pure-noise statistics, drawn from the calibration domain of the seed's stream
     (disjoint from evaluation trials); works for every p.  H0 frames are
     unit noise alone, so no channel enters.  Each call draws once, on
     ``workers`` threads (the same draw for any worker count), and takes
@@ -513,8 +517,8 @@ def calibrate_threshold(
         tolerances = [min(1e-9, 1e-6 * target) for target in targets]
         mc_trials = 0
     else:
-        if trials < 100_000:
-            raise ValueError(f"empirical calibration needs >= 1e5 trials, got {trials}")
+        if trials < CAL_TRIALS:
+            raise ValueError(f"empirical calibration needs >= {CAL_TRIALS} trials, got {trials}")
         for target in targets:
             # distance to the nearer end: 1 - 1e-5 is no easier to resolve than 1e-5
             margin = min(target, 1.0 - target)

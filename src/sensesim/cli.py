@@ -40,7 +40,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import __version__, reference
-from .analytic import calibrate_threshold, h0_law, pd_law
+from .analytic import CAL_TRIALS, calibrate_threshold, h0_law, pd_law
 from .detector import DetectorSpec
 from .montecarlo import (
     DEFAULT_PFA_TARGETS,
@@ -123,7 +123,7 @@ _SETTINGS = (
     _Setting("signal_power", "signal", "power", float, 1.0, True),
     _run("snr_db", _parse_float_list, (-10.0, 0.0, 10.0),
          "comma-separated SNRs in dB (use --snr-db=-10,0,10 for negatives)"),
-    _run("cal_trials", int, 100_000),
+    _run("cal_trials", int, CAL_TRIALS),
     _Setting("cycles_per_frame", "signal", "cycles_per_frame", float, 1.0, True),
     _run("pfa_targets", _parse_float_list, None,
          "comma-separated false-alarm targets in (0,1)"),

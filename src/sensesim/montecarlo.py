@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import calibrate_threshold
+from .analytic import CAL_TRIALS, calibrate_threshold
 from .detector import DetectorSpec, statistic_rows
 from .metrics import rates_from_counts, roc_assemble
 from .rng import MASK64, fold, fold_range, mix64
@@ -123,7 +123,7 @@ def grid_from_pfa_targets(
     spec: DetectorSpec,
     n: int,
     *,
-    cal_trials: int = 100_000,
+    cal_trials: int = CAL_TRIALS,
     seed: int = 0,
     workers: int = 1,
 ) -> ThresholdGrid:
@@ -149,7 +149,7 @@ def default_threshold_grid(
     spec: DetectorSpec,
     n: int,
     *,
-    cal_trials: int = 100_000,
+    cal_trials: int = CAL_TRIALS,
     seed: int = 0,
 ) -> ThresholdGrid:
     """The 26-row default grid: P_FA targets log-spaced from 0.001 to 0.9."""

@@ -729,7 +729,7 @@ def test_calibrate_checks_every_target_before_drawing(monkeypatch):
         calibrate_threshold(spec, 10, [0.1, 0.01, 1e-5], seed=5)
     with pytest.raises(ValueError, match="strictly inside"):
         calibrate_threshold(spec, 10, [0.1, 1.0], seed=5)
-    with pytest.raises(ValueError, match=">= 1e5 trials"):
+    with pytest.raises(ValueError, match=">= 100000 trials, got 99999"):
         calibrate_threshold(spec, 10, [0.1], trials=99_999, seed=5)
 
 

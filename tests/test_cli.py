@@ -42,11 +42,17 @@ def test_calibrate_at_one_sample_is_analytic_for_every_p(capsys):
 
 
 def test_calibrate_empirical_route_for_p3(capsys):
-    assert run("calibrate", "--samples", "4", "--detector-p", "3",
-               "--pfa-targets", "0.1", "--trials", "2000") == 0
-    out = capsys.readouterr().out
-    assert "method=empirical-quantile" in out
-    assert "mc_trials=100000" in out  # cal_trials, not --trials, sizes the draw
+    assert run("calibrate", "--detector-p", "3", "--pfa-targets", "0.01,0.1",
+               "--trials", "2000") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert "method=empirical-quantile" in line
+        assert "mc_trials=100000" in line  # cal_trials, not --trials, sizes the draw
+        # the draw's own rate is the target by construction: it is named
+        # in-sample, next to the quantile's tolerance
+        assert " in_sample_pfa=" in line and " tolerance=" in line
+        assert "achieved_pfa=" not in line
 
 
 def test_small_cal_trials_exit_two_on_every_command(tmp_path, capsys):
@@ -57,7 +63,7 @@ def test_small_cal_trials_exit_two_on_every_command(tmp_path, capsys):
               "--pfa-targets", "0.1", "--out", str(tmp_path / "out"))
     assert run("calibrate", *common) == 2
     assert run("pmd-table", *common) == 2
-    assert "needs >= 1e5 trials" in capsys.readouterr().err
+    assert "needs >= 100000 trials, got 5000" in capsys.readouterr().err
 
 
 def test_empirical_calibrate_refuses_targets_near_one_as_near_zero(capsys):
@@ -136,7 +142,7 @@ def test_config_values_are_read_as_written(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["%(seed)s", "100%", "literal.ini"]
 
 
-def test_worker_count_is_invisible_in_output(tmp_path):
+def test_worker_count_is_invisible_in_output(tmp_path, capsys):
     a, b = tmp_path / "w1", tmp_path / "w4"
     args = ("roc", "--trials", "3000", "--samples", "2000", "--snr-db=0", "--seed", "1")
     assert run(*args, "--workers", "1", "--out", str(a)) == 0
@@ -145,6 +151,22 @@ def test_worker_count_is_invisible_in_output(tmp_path):
     assert data_a == (b / "roc_awgn_0dB.csv").read_bytes()
     assert b"workers" not in data_a  # parallelism never leaks into artifacts
     assert b"time" not in data_a.lower().split(b"lambda")[0]
+    # Every command's files and stdout: 20000 trials are 7 blocks at n=10,
+    # so 3 workers split the evaluation too, and the p=3 calibration's
+    # 1e5 draws are 31 blocks.
+    for argv, n_files in ((["pmd-table", "--detector-p", "3"], 1), (["compare"], 3),
+                          (["roc", "--channel", "rayleigh"], 3),
+                          (["calibrate", "--detector-p", "3", "--pfa-targets",
+                            "0.001,0.01,0.1,0.5"], 0)):
+        capsys.readouterr()
+        written = []
+        for workers in ("1", "2", "3"):
+            out = tmp_path / argv[0] / workers
+            assert run(*argv, "--trials", "20000", "--workers", workers, "--out", str(out)) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            written.append((capsys.readouterr().out.replace(str(out), "OUT"), files))
+        assert written[0][0] and len(written[0][1]) == n_files, argv
+        assert all(w == written[0] for w in written[1:]), argv
 
 
 def test_csv_roundtrip_recovers_floats_exactly(tmp_path):
@@ -254,10 +276,11 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("roc", "--trials", "0") == 2
     assert run("roc", "--pfa-targets", "0.1,1.5") == 2
     assert run("roc", "--pfa-targets", "0.1,zebra") == 2
-    for targets in ("0.1,0.01", "0.1,0.1"):  # compare shares the grid rule of roc
-        assert run("compare", "--pfa-targets", targets, "--trials", "100",
-                   "--out", str(tmp_path)) == 2
-        assert "strictly increasing" in capsys.readouterr().err
+    for targets in ("0.1,0.01", "0.1,0.1", "0.2,0.1"):
+        for command in ("compare", "validate"):  # both share the grid rule of roc
+            assert run(command, "--pfa-targets", targets, "--trials", "100",
+                       "--out", str(tmp_path)) == 2
+            assert "strictly increasing" in capsys.readouterr().err
     # two targets whose calibrations round to one threshold, before any evaluation draw
     lam = grid_from_pfa_targets([0.1], DetectorSpec(p=2), 10).values[0]
     for command in ("roc", "compare", "pmd-table", "validate"):
@@ -278,8 +301,9 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert "error:" in err
     # the environment seed goes through the seed row's parser, as --seed does
     monkeypatch.setenv("SENSESIM_SEED", "0x10")
-    assert run("calibrate") == 2
-    assert "bad value for SENSESIM_SEED: '0x10'" in capsys.readouterr().err
+    for argv in (["calibrate"], ["roc", "--out", str(tmp_path)]):
+        assert run(*argv) == 2
+        assert "bad value for SENSESIM_SEED: '0x10'" in capsys.readouterr().err
     monkeypatch.delenv("SENSESIM_SEED")
     assert run("calibrate", "--seed", "0x10") == 2
     assert "bad value for seed: '0x10'" in capsys.readouterr().err
@@ -290,8 +314,9 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     # [DEFAULT] is one more unknown section: its keys neither vanish nor spread
     for text in ("", "[run]\ntrials = 1000\n", "[signal]\nkind = bpsk\n"):
         ini.write_text("[DEFAULT]\nseed = 5\n" + text)
-        assert run("calibrate", "--config", str(ini)) == 2
-        assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+        for command in ("calibrate", "roc"):
+            assert run(command, "--config", str(ini), "--out", str(tmp_path)) == 2
+            assert "unknown config section [DEFAULT]" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
     assert exc.value.code == 2
@@ -303,9 +328,13 @@ def test_bad_inputs_exit_two(tmp_path, monkeypatch, capsys):
     assert run("validate", "--config", str(ini)) == 2
     captured = capsys.readouterr()
     assert channel_error in captured.err and captured.out == ""  # refused before any check
+    assert run("validate", "--detector-p", "3") == 2  # as its file value is
+    captured = capsys.readouterr()
+    assert "validate checks only the p=2 detector" in captured.err and captured.out == ""
     ini.write_bytes(b"\xff\xfe[run]\n")  # not UTF-8
-    assert run("calibrate", "--config", str(ini)) == 2
-    assert f"cannot read config file {ini}: 'utf-8' codec" in capsys.readouterr().err
+    for command in ("calibrate", "roc"):
+        assert run(command, "--config", str(ini), "--out", str(tmp_path)) == 2
+        assert f"cannot read config file {ini}: 'utf-8' codec" in capsys.readouterr().err
     # a result name taken by a directory, refused as opening the file would
     # (test_a_taken_result_name_is_refused_before_any_draw covers every command)
     out = tmp_path / "taken"
@@ -442,9 +471,11 @@ def test_snr_without_a_finite_positive_power_exits_two(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("variance, p", [("1e250", 3), ("1e-250", 3), ("1e-320", 2)])
+@pytest.mark.parametrize("variance, p", [("1e250", 3), ("1e205", 3), ("1e-250", 3),
+                                         ("1e-320", 2)])
 def test_noise_variance_without_a_normal_sigma_p_exits_two(tmp_path, capsys, variance, p):
-    # scales whose sigma^p overflows, underflows or is subnormal: no scale
+    # scales whose sigma^p overflows, underflows or is subnormal, or whose
+    # statistic of 10 samples can overflow (1e205 at p=3): no scale
     # reaches the engine any more, so each is refused as a removed setting
     ini = tmp_path / "noise.ini"
     ini.write_text(f"[run]\nnoise_variance = {variance}\n")
@@ -468,28 +499,26 @@ _NOISE_OVERFLOWS = "unit noise can overflow the p=400 statistic of 10 samples"
      "the signal at snr_db 3000.0 can overflow the p=3 statistic of 10 samples"),
     (["validate", "--snr-db=3070"],  # its Rayleigh sweep, on an AWGN config
      "the signal at snr_db 3070.0 can overflow the p=2 statistic of 10 samples"),
-], ids=["roc", "compare", "pmd-table", "snr", "validate"])
+    # refused before its calibration draws 1e5 frames of 1e5 samples
+    (["roc", "--detector-p", "3", "--samples", "100000", "--snr-db=3000"],
+     "the signal at snr_db 3000.0 can overflow the p=3 statistic of 100000 samples"),
+], ids=["roc", "compare", "pmd-table", "snr", "validate", "snr-long-frames"])
 def test_a_statistic_that_can_overflow_exits_two(tmp_path, monkeypatch, capsys, argv,
                                                  message):
     # No |y| exceeds 8.6522 plus the peak gain times the signal's peak
     # amplitude, so n |y|^p bounds the statistic before any draw; in each
     # of these configs that bound, and |y|^p in a draw, can overflow.  The
     # run's evaluation bound is checked before its calibration draws, so
-    # none of them draws at all.
-    draws = []
-    normal_block = signal_channel.normal_block
+    # none of them draws at all: a draw fails the test at once.
+    def refused(*args, **kwargs):
+        raise AssertionError("drew before refusing")
 
-    def counted(*args, **kwargs):
-        draws.append(args[1])
-        return normal_block(*args, **kwargs)
-
-    monkeypatch.setattr(signal_channel, "normal_block", counted)
+    monkeypatch.setattr(signal_channel, "normal_block", refused)
     out = tmp_path / "out"
     assert run(*argv, "--trials", "2000", "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
-    assert draws == []
     assert not out.exists()
 
 
@@ -546,7 +575,7 @@ def test_a_stated_unit_signal_power_writes_the_same_bytes(tmp_path, command):
     written = []
     for extra in ((), ("--config", str(ini))):
         out = tmp_path / str(len(written))
-        assert run(command, *extra, "--trials", "500", "--svg", "--out", str(out)) == 0
+        assert run(command, *extra, "--trials", "2000", "--svg", "--out", str(out)) == 0
         written.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert written[0] == written[1] and len(written[0]) == (6 if command == "roc" else 2)
 
@@ -605,15 +634,20 @@ def _spy_on(monkeypatch, module, names, calls):
 def test_validate_checks_the_targets_it_is_given(monkeypatch, capsys):
     calls = []
     _spy_on(monkeypatch, analytic, ("pd_awgn_analytic", "pd_rayleigh_analytic"), calls)
-    assert run("validate", "--trials", "20000", "--pfa-targets", "0.3") == 0
-    out = capsys.readouterr().out
-    (h0_line,) = [line for line in out.splitlines() if "h0-false-alarm" in line]
-    assert h0_line.startswith("PASS") and h0_line.endswith("at targets 0.3")
-    assert "0.01" not in out
-    # both P_D oracles score every SNR at the one calibrated threshold
-    [lam] = grid_from_pfa_targets([0.3], DetectorSpec(p=2), 10).values
-    assert sorted((name, args[-1]) for name, args in calls) == (
-        [("pd_awgn_analytic", lam)] * 3 + [("pd_rayleigh_analytic", lam)] * 3)
+    for targets in ("0.3", "0.05,0.2"):
+        calls.clear()
+        assert run("validate", "--trials", "20000", "--pfa-targets", targets) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("all checks passed\n")
+        (h0_line,) = [line for line in out.splitlines() if "h0-false-alarm" in line]
+        assert h0_line.startswith("PASS") and h0_line.endswith(f"at targets {targets}")
+        assert "0.01" not in out
+        # both P_D oracles score every SNR at each calibrated threshold
+        lams = grid_from_pfa_targets([float(t) for t in targets.split(",")],
+                                     DetectorSpec(p=2), 10).values
+        assert sorted((name, args[-1]) for name, args in calls) == sorted(
+            (name, lam) for name in ("pd_awgn_analytic", "pd_rayleigh_analytic")
+            for lam in lams for _ in range(3))
 
 
 _HEAD = ["tool", "command", "seed", "trials", "samples", "channel", "noise_variance",
@@ -794,11 +828,11 @@ def test_svg_outputs_are_valid_xml(tmp_path, monkeypatch, svg):
     assert pfa_calls[tmp_path] - pfa_calls[tmp_path / "csv-only"] == (3 * 2 * 2 if svg else 0)
     assert run("pmd-table", "--trials", "1000", "--snr-db=0,10", *flags,
                "--out", str(tmp_path)) == 0
-    assert run("compare", "--trials", "1000", "--snr-db=0,10", *flags,
+    assert run("compare", "--trials", "2000", "--snr-db=-10,0,10", *flags,
                "--out", str(tmp_path)) == 0
     # one .svg next to each .csv, and none without --svg
     stems = sorted(path.stem for path in tmp_path.glob("*.csv"))
-    assert len(stems) == 7
+    assert len(stems) == 8
     assert sorted(path.stem for path in tmp_path.glob("*.svg")) == (stems if svg else [])
     for path in tmp_path.glob("*.svg"):
         xml.dom.minidom.parseString(path.read_text())
@@ -869,6 +903,8 @@ def test_a_single_target_log_plot_is_written(tmp_path, argv):
         svg = (tmp_path / "svg" / name).with_suffix(".svg")
         assert svg.stat().st_size > 0
         xml.etree.ElementTree.parse(svg)
+        # compare overlays no law, and p=3 at n=10 has none
+        assert ">analytic<" not in svg.read_text()
 
 
 def test_a_plot_that_fails_leaves_no_svg(tmp_path, monkeypatch, capsys):
@@ -1022,6 +1058,12 @@ def test_version_flag(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "sensesim" in capsys.readouterr().out
+    # argparse %-formats each help text only when --help prints it
+    for command in ("roc", "pmd-table", "compare", "calibrate", "validate"):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert "--pfa-targets" in capsys.readouterr().out
 
 
 def _fresh(code, **env):

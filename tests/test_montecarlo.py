@@ -573,9 +573,10 @@ def test_block_size_and_workers_never_change_results(monkeypatch, channel):
                 for workers in (1, 2, 3):
                     pmd, stderr = pmd_table(sc, snrs, P2, grid, workers=workers)
                     h0 = calibration_h0_statistics(P3, n, trials, seed=31, workers=workers)
+                    h1 = trial_statistics(sc, P3, snrs[1], workers=workers)  # p=3, signal on
                     roc = roc_sweep(sc, snrs, P2, grid, workers=workers)
-                    results.append(([a.tobytes() for a in roc],
-                                    pmd.tolist(), stderr.tolist(), h0.tolist()))
+                    results.append(([a.tobytes() for a in roc], pmd.tolist(), stderr.tolist(),
+                                    h0.tolist(), h1.tolist()))
             assert all(r == results[0] for r in results[1:]), n
     finally:
         sys.setswitchinterval(interval)
@@ -694,9 +695,11 @@ def test_a_one_cpu_caller_runs_unplaced_with_the_same_counts(monkeypatch, caller
     os.sched_setaffinity(0, one)  # the fixture widens it again
     monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args))
     runs = [pmd_table(sc, [0.0, 5.0], P3, grid, workers=w) for w in (1, 3)]
+    h0 = [calibration_h0_statistics(P3, 10, 200, seed=9, workers=w) for w in (1, 3)]
     assert _affinity() == one
     assert calls == []  # one CPU to share: nothing is placed
     assert all(np.array_equal(a, b) for a, b in zip(*runs))
+    assert np.array_equal(*h0)  # the calibration's draw too
 
 
 @pytest.mark.parametrize("how", ["refused", "missing"])
